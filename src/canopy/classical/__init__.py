@@ -16,7 +16,7 @@ from .multioutput import (
     predict_multioutput,
 )
 from .serialize import load_model, save_model
-from .tree import DecisionTree, TreeNode, tree_fit
+from .tree import DecisionTree, tree_fit
 
 __all__ = [
     "LEARNER_KINDS",
@@ -27,7 +27,6 @@ __all__ = [
     "LdaModel",
     "LearnerSpec",
     "MultiOutputModel",
-    "TreeNode",
     "fit_multioutput",
     "forest_fit",
     "gbm_fit",

@@ -112,18 +112,14 @@ def gbm_fit(
 
         if gamma_mode == "leaf":
             # replace each leaf mean with the Newton-optimal region value
-            leaves = tree.leaves(X)
-            groups: dict[int, list[int]] = {}
-            for i, leaf in enumerate(leaves):
-                groups.setdefault(id(leaf), []).append(i)
-            node_of = {id(leaf): leaf for leaf in leaves}
-            for key, idx in groups.items():
-                idx = np.array(idx)
-                node_of[key].value = _newton_leaf_gamma(
-                    loss, residual[idx], p[idx] if p is not None else None
+            leaf = tree.apply(X)
+            for k in np.unique(leaf):
+                rows = leaf == k
+                tree.value[k] = _newton_leaf_gamma(
+                    loss, residual[rows], p[rows] if p is not None else None
                 )
             gamma = 1.0
-            h = tree.predict_value(X)
+            h = tree.value[leaf]
         else:
             h = tree.predict_value(X)
             if loss == "squared":

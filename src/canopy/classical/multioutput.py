@@ -7,6 +7,7 @@ to its prevalence (0 or 1) instead of a fitted learner.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -20,10 +21,23 @@ from .tree import tree_fit
 
 LEARNER_KINDS = ("lda", "tree", "rf", "extra", "gbm")
 
+# kind -> (fit function, the keywords _fit_binary sets itself)
+_FITS = {
+    "lda": (lda_fit, ()),
+    "tree": (tree_fit, ("criterion", "seed")),
+    "rf": (forest_fit, ("variant", "seed")),
+    "extra": (forest_fit, ("variant", "seed")),
+    "gbm": (gbm_fit, ("loss", "seed")),
+}
+
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Names a classical learner and its hyperparameters."""
+    """Names a classical learner and its hyperparameters.
+
+    Parameter names are checked against the learner's fit signature here;
+    their values are checked by the learner when it fits.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -32,6 +46,14 @@ class LearnerSpec:
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"kind must be one of {LEARNER_KINDS}")
         object.__setattr__(self, "params", dict(self.params))
+        fit, fixed = _FITS[self.kind]
+        allowed = set(inspect.signature(fit).parameters) - {"X", "y", "seed", *fixed}
+        for key in self.params:
+            if key not in allowed:
+                raise ValueError(
+                    f"unknown parameter {key!r} for learner {self.kind!r}; "
+                    f"expected one of {sorted(allowed)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -40,20 +62,15 @@ class ConstantModel:
 
 
 def _fit_binary(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, seed: int):
-    p = dict(spec.params)
-    if spec.kind == "lda":
-        return lda_fit(X, y, **p)
-    if spec.kind == "tree":
-        return tree_fit(X, y, criterion="gini", seed=seed, **p)
-    if spec.kind in ("rf", "extra"):
-        return forest_fit(X, y, variant=spec.kind, seed=seed, **p)
-    return gbm_fit(X, y, loss="logistic", seed=seed, **p)
+    fit, fixed = _FITS[spec.kind]
+    preset = {"criterion": "gini", "variant": spec.kind, "loss": "logistic", "seed": seed}
+    return fit(X, y, **{k: preset[k] for k in fixed}, **spec.params)
 
 
 def _proba_positive(model, X: np.ndarray) -> np.ndarray:
     if isinstance(model, ConstantModel):
         return np.full(len(X), model.probability)
-    if hasattr(model, "classes") and getattr(model, "classes", None) is not None:
+    if getattr(model, "classes", None) is not None:
         probs = model.predict_proba(X)
         classes = list(np.asarray(model.classes))
         return probs[:, classes.index(1)]

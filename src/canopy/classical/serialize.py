@@ -1,4 +1,5 @@
-"""Versioned JSON persistence for classical models (trees as nested nodes)."""
+"""Versioned JSON persistence for classical models (format version 2: each
+tree is stored as flat, depth-first node lists)."""
 
 from __future__ import annotations
 
@@ -13,38 +14,10 @@ from .forest import ForestModel
 from .gbm import GbmModel
 from .lda import LdaModel
 from .multioutput import ConstantModel, LearnerSpec, MultiOutputModel
-from .tree import DecisionTree, TreeNode
+from .tree import NODE_ARRAYS, DecisionTree
 
 FORMAT = "canopy-model"
-VERSION = 1
-
-
-def _node_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        value = node.value.tolist() if isinstance(node.value, np.ndarray) else node.value
-        return {"n": node.n_samples, "value": value}
-    return {
-        "n": node.n_samples,
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_dict(node.left),
-        "right": _node_dict(node.right),
-    }
-
-
-def _node_from_dict(d: dict, criterion: str) -> TreeNode:
-    if "feature" not in d:
-        value = d["value"]
-        if criterion == "gini":
-            value = np.asarray(value, dtype=np.float64)
-        return TreeNode(n_samples=d["n"], value=value)
-    return TreeNode(
-        n_samples=d["n"],
-        feature=d["feature"],
-        threshold=d["threshold"],
-        left=_node_from_dict(d["left"], criterion),
-        right=_node_from_dict(d["right"], criterion),
-    )
+VERSION = 2
 
 
 def _tree_dict(tree: DecisionTree) -> dict:
@@ -52,14 +25,14 @@ def _tree_dict(tree: DecisionTree) -> dict:
         "criterion": tree.criterion,
         "classes": None if tree.classes is None else tree.classes.tolist(),
         "n_features": tree.n_features,
-        "root": _node_dict(tree.root),
+        **{name: getattr(tree, name).tolist() for name in NODE_ARRAYS},
     }
 
 
 def _tree_from_dict(d: dict) -> DecisionTree:
     classes = None if d["classes"] is None else np.asarray(d["classes"])
     return DecisionTree(
-        root=_node_from_dict(d["root"], d["criterion"]),
+        **{name: np.asarray(d[name]) for name in NODE_ARRAYS},
         criterion=d["criterion"],
         classes=classes,
         n_features=d["n_features"],

@@ -5,7 +5,7 @@ resolved configuration, the seed, sha256 digests of every input file, the
 tool version, and timestamps, so identical inputs reproduce outputs
 bit-identically and runs stay auditable.
 
-Exit codes: 0 success, 1 data/validation error, 2 usage error.
+Exit codes: 0 success, 1 data, validation or training error, 2 usage error.
 Floats are printed with 6 decimals. The only environment variable honored
 is CANOPY_SEED (default seed when --seed is not given).
 """
@@ -308,12 +308,12 @@ def cmd_split(args, manifest: Manifest) -> int:
 
 
 def cmd_cv(args, manifest: Manifest) -> int:
+    spec = LearnerSpec(kind=args.learner, params=_parse_params(args.param))
     ids, truth = _load_truth(args.tags, _vocab_from_arg(args))
     manifest.add_input(args.tags)
     feat_ids, features = load_features(args.features)
     manifest.add_input(args.features)
     features = _align_features(ids, feat_ids, features, args.features)
-    spec = LearnerSpec(kind=args.learner, params=_parse_params(args.param))
     result = cv_evaluate(spec, features, truth, k=int(args.k), seed=int(args.seed))
     header = ("precision", "recall", "accuracy", "f1_score", "f2_score")
     print("fold," + ",".join(header))
@@ -356,12 +356,12 @@ def _align_features(
 
 
 def cmd_train(args, manifest: Manifest) -> int:
+    spec = LearnerSpec(kind=args.learner, params=_parse_params(args.param))
     ids, truth = _load_truth(args.tags, _vocab_from_arg(args))
     manifest.add_input(args.tags)
     feat_ids, features = load_features(args.features)
     manifest.add_input(args.features)
     features = _align_features(ids, feat_ids, features, args.features)
-    spec = LearnerSpec(kind=args.learner, params=_parse_params(args.param))
     model = fit_multioutput(spec, features, truth, seed=int(args.seed))
     probs = predict_multioutput(model, features)
     pred = apply_thresholds(probs, np.full(truth.n_labels, 0.5))
@@ -575,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, manifest)
         manifest.write(getattr(args, "out", None), args.command)
         return code
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError, RuntimeError) as exc:
         print(f"canopy {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

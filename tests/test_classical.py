@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -55,15 +57,15 @@ class TestTree:
     def test_pure_node_is_leaf(self):
         X = make_rng(0).normal(size=(10, 3))
         tree = tree_fit(X, np.ones(10, dtype=int), criterion="gini")
-        assert tree.root.is_leaf
+        assert tree.feature[0] == -1
 
     def test_1d_threshold_exact_cut_recovery(self):
         X = np.array([[0.2], [0.4], [0.6], [0.8]])
         y = np.array([0, 0, 1, 1])
         tree = tree_fit(X, y, criterion="gini")
-        assert tree.root.feature == 0
-        assert tree.root.threshold == pytest.approx(0.5)
-        assert tree.root.left.is_leaf and tree.root.right.is_leaf
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx(0.5)
+        assert tree.feature[tree.left[0]] == -1 and tree.feature[tree.right[0]] == -1
 
     def test_seeded_random_cutpoints_reproducible(self):
         rng = make_rng(1)
@@ -88,14 +90,14 @@ class TestTree:
         want = brute_force_best_split(X, y, criterion)
         tree = tree_fit(X, y, criterion=criterion, max_depth=1)
         assert want is not None
-        assert tree.root.feature == want[1]
-        assert tree.root.threshold == pytest.approx(want[2], abs=1e-12)
+        assert tree.feature[0] == want[1]
+        assert tree.threshold[0] == pytest.approx(want[2], abs=1e-12)
 
     def test_constant_features_give_leaf(self):
         X = np.ones((6, 2))
         y = np.array([0, 1, 0, 1, 0, 1])
         tree = tree_fit(X, y, criterion="gini")
-        assert tree.root.is_leaf
+        assert tree.feature[0] == -1
 
     def test_leaf_probabilities_are_class_frequencies(self):
         X = np.array([[0.0], [0.0], [0.0], [1.0]])
@@ -337,6 +339,19 @@ class TestMultioutput:
         with pytest.raises(ValueError, match="features"):
             predict_multioutput(model, FeatureMatrix(values=rng.normal(size=(5, 9))))
 
+    @pytest.mark.parametrize("kind,key", [
+        ("rf", "n_trees"), ("lda", "seed"), ("tree", "seed"), ("tree", "criterion"),
+        ("rf", "variant"), ("extra", "variant"), ("gbm", "loss"), ("gbm", "X"),
+    ])
+    def test_spec_rejects_keys_the_learner_cannot_take(self, kind, key):
+        with pytest.raises(ValueError, match=f"'{key}' for learner '{kind}'"):
+            LearnerSpec(kind=kind, params={key: 1})
+
+    def test_spec_accepts_fit_keywords(self):
+        LearnerSpec(kind="rf", params={"n_estimators": 3, "criterion": "gini"})
+        LearnerSpec(kind="gbm", params={"n_stages": 3, "gamma_mode": "stage"})
+        LearnerSpec(kind="lda", params={"reg_lambda": 0.0})
+
     @pytest.mark.parametrize("kind", ["lda", "tree", "rf", "extra", "gbm"])
     def test_every_learner_kind_fits_and_predicts(self, kind):
         rng = make_rng(19)
@@ -377,4 +392,23 @@ class TestSerialization:
         path = tmp_path / "nope.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a"):
+            load_model(path)
+
+    def test_version_guard_rejects_nested_node_trees(self, tmp_path):
+        # a version-1 document, whose trees were nested node dicts
+        tree = {
+            "kind": "tree", "criterion": "gini", "classes": [0, 1], "n_features": 1,
+            "root": {"n": 2, "feature": 0, "threshold": 0.5,
+                     "left": {"n": 1, "value": [1.0, 0.0]},
+                     "right": {"n": 1, "value": [0.0, 1.0]}},
+        }
+        doc = {
+            "format": "canopy-model", "version": 1,
+            "learner": {"kind": "tree", "params": {}},
+            "vocab": {"names": ["label_0"], "weather_count": 0},
+            "n_features": 1, "models": [tree],
+        }
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported model version"):
             load_model(path)

@@ -162,6 +162,52 @@ class TestSplitAndCvCommands:
         assert oof.values.shape == (len(ids), 4)
 
 
+class TestLearnerParamErrors:
+    """Bad --param input exits 1 with one stderr line naming the key."""
+
+    @pytest.fixture
+    def data_work(self, monkeypatch):
+        """Names of the data-reading and fold-splitting calls made."""
+        import canopy.cli
+        import canopy.splits
+
+        calls = []
+        for module, name in ((canopy.cli, "load_tags"), (canopy.splits, "stratified_kfold")):
+            original = getattr(module, name)
+
+            def record(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
+        return calls
+
+    def run(self, command, learner, param, capsys):
+        code = main([
+            command, "--tags", "truth.csv", "--features", "features.csv",
+            "--learner", learner, "--param", param,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("command", ["cv", "train"])
+    @pytest.mark.parametrize("learner,param", [("rf", "n_trees=5"), ("tree", "seed=3")])
+    def test_unknown_key_rejected_before_data_work(
+        self, workspace, capsys, data_work, command, learner, param
+    ):
+        key = param.split("=")[0]
+        err = self.run(command, learner, param, capsys)
+        assert repr(key) in err and repr(learner) in err
+        assert data_work == []
+
+    def test_cv_bad_value_is_one_line_error(self, workspace, capsys):
+        err = self.run("cv", "tree", "max_depth=0", capsys)
+        assert "max_depth" in err
+
+
 class TestTrainCommand:
     def test_model_written_and_loadable(self, workspace, capsys):
         tmp, ids, vocab, truth, _ = workspace
