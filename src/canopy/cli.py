@@ -198,6 +198,9 @@ def _parse_params(pairs: list[str] | None) -> dict:
 
 
 def cmd_metrics(args, manifest: Manifest) -> int:
+    cutoff = float(args.cutoff)
+    if not 0.0 <= cutoff <= 1.0:
+        raise DataError(f"--cutoff must be a number in [0, 1], got {args.cutoff}")
     truth_ids, truth = _load_truth(args.truth, _vocab_from_arg(args))
     manifest.add_input(args.truth)
     prob_ids, probs = load_probs(args.pred, truth.vocab)
@@ -207,7 +210,7 @@ def cmd_metrics(args, manifest: Manifest) -> int:
         manifest.add_input(args.thresholds)
         cutoffs = load_thresholds(args.thresholds, truth.vocab)
     else:
-        cutoffs = np.full(truth.n_labels, float(args.cutoff))
+        cutoffs = np.full(truth.n_labels, cutoff)
     pred = apply_thresholds(probs, cutoffs)
     rep = report(pred, truth)
     print(rep.to_table_text(), end="")
@@ -477,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="probability CSV (hard 0/1 also fine)")
     p.add_argument("--truth", required=True, help="tag CSV with ground truth")
     p.add_argument("--thresholds", help="label,threshold CSV; default uniform cutoff")
-    p.add_argument("--cutoff", type=float, help="uniform cutoff (default 0.5)")
+    p.add_argument("--cutoff", type=float, help="uniform cutoff in [0, 1] (default 0.5)")
     p.add_argument("--vocab", choices=("amazon", "infer"), help="default infer")
     p.add_argument("--out", help="write the scoreboard as CSV here")
     _add_common(p, with_seed=False)

@@ -16,12 +16,11 @@ Images are float arrays of shape (height, width, 3).
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, open_csv
 
 CAFFE_BGR_MEAN = (103.939, 116.779, 123.68)
 TORCH_MEAN = (0.485, 0.456, 0.406)  # outside-source ImageNet constants
@@ -126,9 +125,9 @@ def load_image_array(path: str | Path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".npy":
         return _check_image(np.load(path))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != PIXELS_MAGIC:
+    with open_csv(path) as reader:
+        rows = list(reader)
+    if not rows or not rows[0] or rows[0][0] != PIXELS_MAGIC:
         raise DataError(f"{path}: expected a {PIXELS_MAGIC} header or an .npy file")
     try:
         h, w, c = (int(x) for x in rows[0][1:4])

@@ -9,14 +9,13 @@ global positive proportion for every label.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, FeatureMatrix, LabelMatrix, make_rng, spawn_seeds
+from .data import DataError, FeatureMatrix, LabelMatrix, make_rng, read_table, spawn_seeds
 from .metrics import MetricsReport, report
 from .thresholds import apply_thresholds
 
@@ -136,27 +135,17 @@ def save_folds(path: str | Path, ids: Sequence[str], folds: FoldAssignment) -> N
 
 
 def load_folds(path: str | Path) -> tuple[list[str], FoldAssignment]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0][:2]] != ["image_name", "fold"]:
-        raise DataError(f"{path}: expected header 'image_name,fold'")
-    ids: list[str] = []
+    table = read_table(path, ("image_name", "fold"), width=2)
     fold_of: list[int] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise DataError(f"{path}: row {lineno}: expected 2 columns")
+    for line, cell in zip(table.lines, table.values):
         try:
-            fold = int(row[1])
+            fold_of.append(int(cell))
         except ValueError:
-            raise DataError(f"{path}: row {lineno}: non-integer fold") from None
-        ids.append(row[0].strip())
-        fold_of.append(fold)
-    if not ids:
+            raise DataError(f"{path}: row {line}: non-integer fold {cell!r}") from None
+    if not fold_of:
         raise DataError(f"{path}: no fold rows")
     try:
-        return ids, FoldAssignment(fold_of=np.array(fold_of), k=max(fold_of) + 1)
+        return table.ids, FoldAssignment(fold_of=np.array(fold_of), k=max(fold_of) + 1)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 

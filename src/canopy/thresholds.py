@@ -6,13 +6,12 @@ positive, so a returned cutoff can always be one of the observed scores.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import FLOAT_FMT, DataError, LabelMatrix, LabelVocabulary, ProbMatrix
+from .data import FLOAT_FMT, DataError, LabelMatrix, LabelVocabulary, ProbMatrix, read_table
 
 
 @dataclass(frozen=True)
@@ -168,27 +167,9 @@ def save_thresholds(path: str | Path, vocab: LabelVocabulary, cutoffs) -> None:
 
 def load_thresholds(path: str | Path, vocab: LabelVocabulary) -> np.ndarray:
     """Read a `label,threshold` CSV back into vocabulary order."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0][:2]] != ["label", "threshold"]:
-        raise DataError(f"{path}: expected header 'label,threshold'")
-    seen: dict[str, float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise DataError(f"{path}: row {lineno}: expected 2 columns")
-        name = row[0].strip()
-        try:
-            val = float(row[1])
-        except ValueError:
-            raise DataError(f"{path}: row {lineno}: non-numeric threshold") from None
-        if not 0.0 <= val <= 1.0:
-            raise DataError(f"{path}: row {lineno}: threshold outside [0, 1]")
-        if name in seen:
-            raise DataError(f"{path}: row {lineno}: duplicate label {name!r}")
-        seen[name] = val
+    table = read_table(path, ("label", "threshold"), width=2, bounds=(0.0, 1.0))
+    cutoffs = dict(zip(table.ids, table.values[:, 0]))
     try:
-        return np.array([seen[name] for name in vocab.names])
+        return np.array([cutoffs[name] for name in vocab.names])
     except KeyError as exc:
         raise DataError(f"{path}: missing threshold for label {exc.args[0]!r}") from None

@@ -42,6 +42,15 @@ def workspace(tmp_path, monkeypatch):
     return tmp_path, ids, vocab, truth, probs
 
 
+def one_line_error(code, capsys):
+    """The stderr of a run that must fail with exit 1 and one line."""
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
 class TestMetricsCommand:
     def test_scoreboard_and_manifest(self, workspace, capsys):
         tmp, ids, vocab, truth, _ = workspace
@@ -79,6 +88,19 @@ class TestMetricsCommand:
         code = main(["metrics", "--pred", "short.csv", "--truth", "truth.csv"])
         assert code == 1
         assert "img_039" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", ["nan", "7", "-0.5", "inf"])
+    def test_bad_cutoff_rejected_before_reading(self, workspace, capsys, cutoff):
+        code = main(["metrics", "--pred", "probs.csv", "--truth", "missing.csv",
+                     "--cutoff", cutoff])
+        assert "--cutoff" in one_line_error(code, capsys)
+
+    def test_undecodable_thresholds_file_named(self, workspace, capsys):
+        tmp, *_ = workspace
+        (tmp / "cutoffs.csv").write_bytes(b"label,threshold\nlabel_0,0.5\xff\n")
+        code = main(["metrics", "--pred", "probs.csv", "--truth", "truth.csv",
+                     "--thresholds", "cutoffs.csv"])
+        assert "cutoffs.csv" in one_line_error(code, capsys)
 
     def test_usage_error_exits_two(self, workspace):
         with pytest.raises(SystemExit) as err:
@@ -146,6 +168,12 @@ class TestSplitAndCvCommands:
         assert fold_ids == ids
         assert folds.k == 4
 
+    def test_oversized_field_names_file(self, workspace, capsys):
+        tmp, *_ = workspace
+        (tmp / "big.csv").write_text("image_name,tags\nx," + "a" * 200_000 + "\n")
+        code = main(["split", "--tags", "big.csv"])
+        assert "big.csv" in one_line_error(code, capsys)
+
     def test_cv_average_row_is_mean_of_folds(self, workspace, capsys):
         tmp, ids, vocab, truth, _ = workspace
         assert main([
@@ -187,11 +215,7 @@ class TestLearnerParamErrors:
             command, "--tags", "truth.csv", "--features", "features.csv",
             "--learner", learner, "--param", param,
         ])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
-        return err
+        return one_line_error(code, capsys)
 
     @pytest.mark.parametrize("command", ["cv", "train"])
     @pytest.mark.parametrize("learner,param", [("rf", "n_trees=5"), ("tree", "seed=3")])
@@ -223,6 +247,16 @@ class TestTrainCommand:
         assert len(model.models) == 4
 
 
+    def test_duplicate_feature_id_names_file_and_row(self, workspace, capsys):
+        tmp, *_ = workspace
+        with open(tmp / "features.csv", "a") as fh:
+            fh.write("img_000,0.0,0.0,0.0\n")  # line 42, after 40 rows
+        code = main(["train", "--tags", "truth.csv", "--features", "features.csv",
+                     "--learner", "tree"])
+        err = one_line_error(code, capsys)
+        assert "features.csv: row 42: duplicate image_name 'img_000'" in err
+
+
 class TestStackCommand:
     def test_stack_trains_and_emits_outputs(self, workspace, capsys):
         tmp, ids, vocab, truth, probs = workspace
@@ -252,6 +286,14 @@ class TestStackCommand:
         assert len(val_ids) == len(folds.fold_indices(1))
 
 
+    def test_undecodable_folds_file_named(self, workspace, capsys):
+        tmp, *_ = workspace
+        (tmp / "folds.csv").write_bytes(b"image_name,fold\nimg_000,\xff\n")
+        code = main(["stack", "--truth", "truth.csv", "--probs", "probs.csv",
+                     "--folds", "folds.csv"])
+        assert "folds.csv" in one_line_error(code, capsys)
+
+
 class TestPreprocessCommand:
     def test_preprocess_with_augment(self, workspace, capsys):
         tmp, *_ = workspace
@@ -268,6 +310,13 @@ class TestPreprocessCommand:
 
         want = preprocess(augment(augment(img, "flip_lr"), "rot90_cw"), "tf")
         assert (got == want).all()
+
+
+    def test_blank_first_line_of_pixel_csv(self, workspace, capsys):
+        tmp, *_ = workspace
+        (tmp / "raw.csv").write_text("\n#canopy-pixels-v1,1,1,3\n1,2,3\n")
+        code = main(["preprocess", "--in", "raw.csv", "--out", "pre.npy"])
+        assert "raw.csv" in one_line_error(code, capsys)
 
 
 class TestConfigAndSeeds:

@@ -16,6 +16,7 @@ from canopy.data import (
     spawn_seeds,
     validate_weather_block,
 )
+from canopy.splits import load_folds
 
 VOCAB3 = LabelVocabulary(names=("a", "b", "c"))
 
@@ -101,9 +102,13 @@ class TestTagFiles:
 
     def test_unknown_label_under_explicit_vocab(self, tmp_path):
         path = tmp_path / "tags.csv"
-        path.write_text("image_name,tags\ntrain_0,fog\n")
-        with pytest.raises(DataError, match="fog"):
-            load_tags(path, AMAZON_LABELS)
+        for text, line in [
+            ("image_name,tags\ntrain_0,fog\n", 2),
+            ("image_name,tags\n\n\ntrain_0,haze\ntrain_1,fog\n", 5),
+        ]:
+            path.write_text(text)
+            with pytest.raises(DataError, match=f"row {line}: unknown label 'fog'"):
+                load_tags(path, AMAZON_LABELS)
 
     def test_infer_vocab_is_sorted(self, tmp_path):
         path = tmp_path / "tags.csv"
@@ -197,3 +202,18 @@ class TestFeatureFiles:
         path.write_text("image_name,f0\nx,inf\n")
         with pytest.raises(DataError):
             load_features(path)
+
+
+class TestKeyChecks:
+    @pytest.mark.parametrize(
+        "load,header,cell",
+        [(load_features, "image_name,f0", "1.5"), (load_folds, "image_name,fold", "0")],
+    )
+    @pytest.mark.parametrize(
+        "key,message", [("x", "duplicate image_name 'x'"), ("", "empty image_name")]
+    )
+    def test_duplicate_or_empty_id_rejected(self, tmp_path, load, header, cell, key, message):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{header}\nx,{cell}\n\n{key},{cell}\ny,{cell}\n")
+        with pytest.raises(DataError, match=f"row 4: {message}"):
+            load(path)
