@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import make_rng, spawn_seeds
-from .tree import DecisionTree, tree_fit
+from .tree import DecisionTree, check_tree_params, tree_fit
 
 
 @dataclass
@@ -44,6 +44,20 @@ class ForestModel:
         return self.classes[np.argmax(votes, axis=1)]
 
 
+CUTPOINTS = {"rf": "best", "extra": "random"}  # variant -> tree_fit cutpoint
+
+
+def check_forest_params(n_estimators, variant, criterion, max_depth, feature_rule) -> None:
+    """forest_fit's checks on its settings, and on those it hands to
+    tree_fit; they need no data."""
+    if n_estimators < 1:
+        raise ValueError("n_estimators must be >= 1")
+    if variant not in ("rf", "extra"):
+        raise ValueError("variant must be 'rf' or 'extra'")
+    rule = "sqrt" if feature_rule is None else feature_rule
+    check_tree_params(criterion, max_depth, rule, CUTPOINTS[variant])
+
+
 def forest_fit(
     X,
     y,
@@ -60,10 +74,7 @@ def forest_fit(
     best cuts, extra uses the full sample and random cuts). feature_rule
     and bootstrap may be overridden, e.g. a single rf tree with
     feature_rule='all' and bootstrap=False reduces to the plain tree."""
-    if n_estimators < 1:
-        raise ValueError("n_estimators must be >= 1")
-    if variant not in ("rf", "extra"):
-        raise ValueError("variant must be 'rf' or 'extra'")
+    check_forest_params(n_estimators, variant, criterion, max_depth, feature_rule)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if len(X) < 2:
@@ -72,7 +83,7 @@ def forest_fit(
         bootstrap = variant == "rf"
     if feature_rule is None:
         feature_rule = "sqrt"
-    cutpoint = "best" if variant == "rf" else "random"
+    cutpoint = CUTPOINTS[variant]
     classes = np.unique(y)
 
     rng = make_rng(seed)

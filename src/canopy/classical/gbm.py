@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.activations import sigmoid
-from .tree import DecisionTree, tree_fit
+from .tree import DecisionTree, check_tree_params, tree_fit
 
 CLAMP = 1e-12
 
@@ -57,6 +57,20 @@ def _newton_leaf_gamma(loss: str, residual: np.ndarray, p: np.ndarray | None) ->
     return float(residual.sum() / max(hess, CLAMP))
 
 
+def check_gbm_params(n_stages, learning_rate, max_depth, loss, gamma_mode) -> None:
+    """gbm_fit's checks on its settings, and on those it hands to tree_fit;
+    they need no data."""
+    if n_stages < 1:
+        raise ValueError("n_stages must be >= 1")
+    if not 0.0 < learning_rate <= 1.0:
+        raise ValueError("learning_rate must lie in (0, 1]")
+    if loss not in ("squared", "logistic"):
+        raise ValueError("loss must be 'squared' or 'logistic'")
+    if gamma_mode not in ("leaf", "stage"):
+        raise ValueError("gamma_mode must be 'leaf' or 'stage'")
+    check_tree_params("mse", max_depth, "all", "best")
+
+
 def gbm_fit(
     X,
     y,
@@ -68,14 +82,7 @@ def gbm_fit(
     min_samples_split: int = 2,
     seed: int = 0,
 ) -> GbmModel:
-    if n_stages < 1:
-        raise ValueError("n_stages must be >= 1")
-    if not 0.0 < learning_rate <= 1.0:
-        raise ValueError("learning_rate must lie in (0, 1]")
-    if loss not in ("squared", "logistic"):
-        raise ValueError("loss must be 'squared' or 'logistic'")
-    if gamma_mode not in ("leaf", "stage"):
-        raise ValueError("gamma_mode must be 'leaf' or 'stage'")
+    check_gbm_params(n_stages, learning_rate, max_depth, loss, gamma_mode)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y) or len(y) == 0:

@@ -48,6 +48,13 @@ class LdaModel:
         return p / p.sum(axis=1, keepdims=True)
 
 
+def check_lda_params(reg_lambda) -> None:
+    """lda_fit's check on its settings that needs no data (k_components
+    is checked against the data's classes and features)."""
+    if reg_lambda < 0:
+        raise ValueError("reg_lambda must be >= 0")
+
+
 def lda_fit(X, y, k_components: int | None = None, reg_lambda: float = 1e-6) -> LdaModel:
     """Fit Fisher LDA. Every class needs at least 2 samples; a singular S_w
     with reg_lambda=0 is an error (raise it above 0 to ridge it out)."""
@@ -55,8 +62,7 @@ def lda_fit(X, y, k_components: int | None = None, reg_lambda: float = 1e-6) -> 
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n, f) with matching y")
-    if reg_lambda < 0:
-        raise ValueError("reg_lambda must be >= 0")
+    check_lda_params(reg_lambda)
     classes, counts = np.unique(y, return_counts=True)
     if len(classes) < 2:
         raise ValueError("LDA needs at least 2 classes")

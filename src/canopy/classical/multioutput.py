@@ -14,29 +14,36 @@ from typing import Any
 import numpy as np
 
 from ..data import FeatureMatrix, LabelMatrix, LabelVocabulary, ProbMatrix, spawn_seeds
-from .forest import forest_fit
-from .gbm import gbm_fit
-from .lda import lda_fit
-from .tree import tree_fit
+from .forest import check_forest_params, forest_fit
+from .gbm import check_gbm_params, gbm_fit
+from .lda import check_lda_params, lda_fit
+from .tree import check_tree_params, tree_fit
 
 LEARNER_KINDS = ("lda", "tree", "rf", "extra", "gbm")
 
-# kind -> (fit function, the keywords _fit_binary sets itself)
+# kind -> (fit function, its checks on settings, the keywords _fit_binary sets itself)
 _FITS = {
-    "lda": (lda_fit, ()),
-    "tree": (tree_fit, ("criterion", "seed")),
-    "rf": (forest_fit, ("variant", "seed")),
-    "extra": (forest_fit, ("variant", "seed")),
-    "gbm": (gbm_fit, ("loss", "seed")),
+    "lda": (lda_fit, check_lda_params, ()),
+    "tree": (tree_fit, check_tree_params, ("criterion", "seed")),
+    "rf": (forest_fit, check_forest_params, ("variant", "seed")),
+    "extra": (forest_fit, check_forest_params, ("variant", "seed")),
+    "gbm": (gbm_fit, check_gbm_params, ("loss", "seed")),
 }
+
+
+def _preset(kind: str, seed: int) -> dict:
+    """The keywords _fit_binary sets itself for a learner kind."""
+    values = {"criterion": "gini", "variant": kind, "loss": "logistic", "seed": seed}
+    return {key: values[key] for key in _FITS[kind][2]}
 
 
 @dataclass(frozen=True)
 class LearnerSpec:
     """Names a classical learner and its hyperparameters.
 
-    Parameter names are checked against the learner's fit signature here;
-    their values are checked by the learner when it fits.
+    Parameter names are checked against the learner's fit signature here,
+    and so are the values the learner can check without data, with the
+    learner's own checks.
     """
 
     kind: str
@@ -46,14 +53,21 @@ class LearnerSpec:
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"kind must be one of {LEARNER_KINDS}")
         object.__setattr__(self, "params", dict(self.params))
-        fit, fixed = _FITS[self.kind]
-        allowed = set(inspect.signature(fit).parameters) - {"X", "y", "seed", *fixed}
+        fit, check, fixed = _FITS[self.kind]
+        signature = inspect.signature(fit)
+        allowed = set(signature.parameters) - {"X", "y", "seed", *fixed}
         for key in self.params:
             if key not in allowed:
                 raise ValueError(
                     f"unknown parameter {key!r} for learner {self.kind!r}; "
                     f"expected one of {sorted(allowed)}"
                 )
+        bound = signature.bind(None, None, **_preset(self.kind, 0), **self.params)
+        bound.apply_defaults()
+        try:
+            check(**{key: bound.arguments[key] for key in inspect.signature(check).parameters})
+        except TypeError as exc:  # e.g. a string where a number belongs
+            raise ValueError(f"bad parameter value for learner {self.kind!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -62,9 +76,7 @@ class ConstantModel:
 
 
 def _fit_binary(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, seed: int):
-    fit, fixed = _FITS[spec.kind]
-    preset = {"criterion": "gini", "variant": spec.kind, "loss": "logistic", "seed": seed}
-    return fit(X, y, **{k: preset[k] for k in fixed}, **spec.params)
+    return _FITS[spec.kind][0](X, y, **_preset(spec.kind, seed), **spec.params)
 
 
 def _proba_positive(model, X: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .data import (
     load_features,
     load_probs,
     load_tags,
+    open_csv,
     save_probs,
 )
 from .ensemble import MetaLearnerConfig, StackedFeatures, stack_train, weighted_vote
@@ -152,30 +154,38 @@ class Manifest:
             json.dump(self.doc, fh, indent=2, default=str)
 
 
-def _load_truth(path: str, vocab_arg) -> tuple[list[str], LabelMatrix]:
-    return load_tags(path, vocab_arg)
-
-
 def _vocab_from_arg(args) -> LabelVocabulary | str:
     if getattr(args, "vocab", None) == "amazon":
         return AMAZON_LABELS
     return "infer"
 
 
-def _align_probs(
-    truth_ids: list[str], prob_ids: list[str], probs: ProbMatrix, path: str
-) -> ProbMatrix:
-    """Reorder probability rows to the truth file's sample order."""
-    index = {s: i for i, s in enumerate(prob_ids)}
+def _align_rows(
+    ids: list[str],
+    file_ids: list[str] | None,
+    matrix: ProbMatrix | FeatureMatrix,
+    path: str,
+    what: str,
+    extra_ok: bool,
+):
+    """``matrix`` (read from ``path``, rows keyed by ``file_ids``) with its
+    rows reordered to ``ids``. Every id needs a row; other rows are an error
+    unless ``extra_ok``. A file without ids (a .npy feature matrix) must
+    already be in ``ids`` order."""
+    if file_ids is None:
+        if len(matrix.values) != len(ids):
+            raise DataError(f"{path}: {len(matrix.values)} feature rows for {len(ids)} samples")
+        return matrix
+    index = {s: i for i, s in enumerate(file_ids)}
     rows = []
-    for s in truth_ids:
+    for s in ids:
         if s not in index:
-            raise DataError(f"{path}: missing predictions for sample {s!r}")
+            raise DataError(f"{path}: missing {what} for sample {s!r}")
         rows.append(index[s])
-    if len(prob_ids) != len(truth_ids):
-        extra = (set(prob_ids) - set(truth_ids)).pop()
+    if not extra_ok and len(file_ids) != len(ids):
+        extra = (set(file_ids) - set(ids)).pop()
         raise DataError(f"{path}: sample {extra!r} not present in the truth file")
-    return ProbMatrix(values=probs.values[rows], vocab=probs.vocab)
+    return replace(matrix, values=matrix.values[rows])
 
 
 def _parse_params(pairs: list[str] | None) -> dict:
@@ -201,11 +211,11 @@ def cmd_metrics(args, manifest: Manifest) -> int:
     cutoff = float(args.cutoff)
     if not 0.0 <= cutoff <= 1.0:
         raise DataError(f"--cutoff must be a number in [0, 1], got {args.cutoff}")
-    truth_ids, truth = _load_truth(args.truth, _vocab_from_arg(args))
+    truth_ids, truth = load_tags(args.truth, _vocab_from_arg(args))
     manifest.add_input(args.truth)
     prob_ids, probs = load_probs(args.pred, truth.vocab)
     manifest.add_input(args.pred)
-    probs = _align_probs(truth_ids, prob_ids, probs, args.pred)
+    probs = _align_rows(truth_ids, prob_ids, probs, args.pred, "predictions", extra_ok=False)
     if args.thresholds:
         manifest.add_input(args.thresholds)
         cutoffs = load_thresholds(args.thresholds, truth.vocab)
@@ -221,11 +231,11 @@ def cmd_metrics(args, manifest: Manifest) -> int:
 
 
 def cmd_tune_thresholds(args, manifest: Manifest) -> int:
-    truth_ids, truth = _load_truth(args.truth, _vocab_from_arg(args))
+    truth_ids, truth = load_tags(args.truth, _vocab_from_arg(args))
     manifest.add_input(args.truth)
     prob_ids, probs = load_probs(args.probs, truth.vocab)
     manifest.add_input(args.probs)
-    probs = _align_probs(truth_ids, prob_ids, probs, args.probs)
+    probs = _align_rows(truth_ids, prob_ids, probs, args.probs, "predictions", extra_ok=False)
     cutoffs, score = optimize_thresholds(
         probs, truth, beta=float(args.beta), mode=args.mode
     )
@@ -237,18 +247,21 @@ def cmd_tune_thresholds(args, manifest: Manifest) -> int:
 
 
 def _looks_like_probs(path: str) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-    return header.strip() != "image_name,tags"
+    return _csv_header(path) != ["image_name", "tags"]
 
 
 def _probs_header_vocab(path: str) -> LabelVocabulary:
     """Build a vocabulary from a probability CSV's own label columns."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+    header = _csv_header(path)
     if not header or header[0] != "image_name" or len(header) < 2:
         raise DataError(f"{path}: expected header 'image_name,<label>,...'")
-    return LabelVocabulary(names=tuple(c.strip() for c in header[1:]))
+    return LabelVocabulary(names=tuple(header[1:]))
+
+
+def _csv_header(path: str) -> list[str]:
+    """The stripped cells of a CSV file's first row ([] for an empty file)."""
+    with open_csv(path) as reader:
+        return [c.strip() for c in next(reader, [])]
 
 
 def _load_hard_predictions(path: str, vocab: LabelVocabulary) -> tuple[list[str], LabelMatrix]:
@@ -299,7 +312,7 @@ def cmd_vote(args, manifest: Manifest) -> int:
 
 
 def cmd_split(args, manifest: Manifest) -> int:
-    ids, truth = _load_truth(args.tags, _vocab_from_arg(args))
+    ids, truth = load_tags(args.tags, _vocab_from_arg(args))
     manifest.add_input(args.tags)
     folds = stratified_kfold(truth, int(args.k), int(args.seed))
     counts = np.bincount(folds.fold_of, minlength=folds.k)
@@ -312,11 +325,11 @@ def cmd_split(args, manifest: Manifest) -> int:
 
 def cmd_cv(args, manifest: Manifest) -> int:
     spec = LearnerSpec(kind=args.learner, params=_parse_params(args.param))
-    ids, truth = _load_truth(args.tags, _vocab_from_arg(args))
+    ids, truth = load_tags(args.tags, _vocab_from_arg(args))
     manifest.add_input(args.tags)
     feat_ids, features = load_features(args.features)
     manifest.add_input(args.features)
-    features = _align_features(ids, feat_ids, features, args.features)
+    features = _align_rows(ids, feat_ids, features, args.features, "features", extra_ok=True)
     result = cv_evaluate(spec, features, truth, k=int(args.k), seed=int(args.seed))
     header = ("precision", "recall", "accuracy", "f1_score", "f2_score")
     print("fold," + ",".join(header))
@@ -340,31 +353,13 @@ def cmd_cv(args, manifest: Manifest) -> int:
     return 0
 
 
-def _align_features(
-    ids: list[str], feat_ids: list[str] | None, features: FeatureMatrix, path: str
-) -> FeatureMatrix:
-    if feat_ids is None:
-        if features.n_samples != len(ids):
-            raise DataError(
-                f"{path}: {features.n_samples} feature rows for {len(ids)} samples"
-            )
-        return features
-    index = {s: i for i, s in enumerate(feat_ids)}
-    rows = []
-    for s in ids:
-        if s not in index:
-            raise DataError(f"{path}: missing features for sample {s!r}")
-        rows.append(index[s])
-    return FeatureMatrix(values=features.values[rows], feature_names=features.feature_names)
-
-
 def cmd_train(args, manifest: Manifest) -> int:
     spec = LearnerSpec(kind=args.learner, params=_parse_params(args.param))
-    ids, truth = _load_truth(args.tags, _vocab_from_arg(args))
+    ids, truth = load_tags(args.tags, _vocab_from_arg(args))
     manifest.add_input(args.tags)
     feat_ids, features = load_features(args.features)
     manifest.add_input(args.features)
-    features = _align_features(ids, feat_ids, features, args.features)
+    features = _align_rows(ids, feat_ids, features, args.features, "features", extra_ok=True)
     model = fit_multioutput(spec, features, truth, seed=int(args.seed))
     probs = predict_multioutput(model, features)
     pred = apply_thresholds(probs, np.full(truth.n_labels, 0.5))
@@ -379,7 +374,7 @@ def cmd_train(args, manifest: Manifest) -> int:
 
 
 def cmd_stack(args, manifest: Manifest) -> int:
-    truth_ids, truth = _load_truth(args.truth, _vocab_from_arg(args))
+    truth_ids, truth = load_tags(args.truth, _vocab_from_arg(args))
     manifest.add_input(args.truth)
     if not args.probs:
         raise DataError("stack needs at least one --probs file")
@@ -387,7 +382,7 @@ def cmd_stack(args, manifest: Manifest) -> int:
     for path in args.probs:
         manifest.add_input(path)
         prob_ids, probs = load_probs(path, truth.vocab)
-        probs = _align_probs(truth_ids, prob_ids, probs, path)
+        probs = _align_rows(truth_ids, prob_ids, probs, path, "predictions", extra_ok=False)
         blocks.append(probs.values)
     features = StackedFeatures(
         values=np.concatenate(blocks, axis=1), n_models=len(blocks), vocab=truth.vocab

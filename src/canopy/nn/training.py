@@ -16,7 +16,7 @@ import numpy as np
 from ..data import make_rng
 from ..metrics import sample_fbeta
 from .layers import BatchNorm
-from .losses import loss_and_grad
+from .losses import loss_and_grad, predict_head
 from .network import Network
 from .optim import Adam
 
@@ -143,9 +143,8 @@ def train(
         val_loss, _ = loss_and_grad(
             network.spec.loss, val_logits, y_val, network.spec.weather_count
         )
-        val_pred = (
-            network.predict_proba(x_val) >= config.decision_threshold
-        ).astype(np.int8)
+        val_probs = predict_head(network.spec.loss, val_logits, network.spec.weather_count)
+        val_pred = (val_probs >= config.decision_threshold).astype(np.int8)
         val_f2 = sample_fbeta(val_pred, y_val.astype(np.int8))
 
         history["train_loss"].append(float(np.mean(batch_losses)))

@@ -347,6 +347,20 @@ class TestMultioutput:
         with pytest.raises(ValueError, match=f"'{key}' for learner '{kind}'"):
             LearnerSpec(kind=kind, params={key: 1})
 
+    @pytest.mark.parametrize("kind,params,message", [
+        ("gbm", {"n_stages": -1}, "n_stages must be >= 1"),
+        ("gbm", {"max_depth": 0}, "max_depth must be >= 1"),
+        ("gbm", {"learning_rate": 2}, "learning_rate must lie in"),
+        ("rf", {"n_estimators": 0}, "n_estimators must be >= 1"),
+        ("extra", {"feature_rule": "half"}, "feature_rule must be"),
+        ("tree", {"cutpoint": "middle"}, "cutpoint must be"),
+        ("lda", {"reg_lambda": -1.0}, "reg_lambda must be >= 0"),
+        ("rf", {"max_depth": "deep"}, "bad parameter value for learner 'rf'"),
+    ])
+    def test_spec_rejects_values_the_learner_rejects(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            LearnerSpec(kind=kind, params=params)
+
     def test_spec_accepts_fit_keywords(self):
         LearnerSpec(kind="rf", params={"n_estimators": 3, "criterion": "gini"})
         LearnerSpec(kind="gbm", params={"n_stages": 3, "gamma_mode": "stage"})

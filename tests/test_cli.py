@@ -136,6 +136,16 @@ class TestVoteCommand:
         _, voted = load_probs(tmp / "voted.csv", vocab)
         assert (voted.values == hard).all()
 
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_undecodable_pred_file_named(self, workspace, capsys, position):
+        tmp, ids, vocab, truth, _ = workspace
+        save_probs(tmp / "hard.csv", ids, ProbMatrix(values=truth.values * 1.0, vocab=vocab))
+        (tmp / "bad.csv").write_bytes(b"image_name,\xff\nimg_000,1\n")
+        preds = ["hard.csv", "hard.csv"]
+        preds[position] = "bad.csv"
+        code = main(["vote", "--pred", preds[0], "--pred", preds[1]])
+        assert "bad.csv" in one_line_error(code, capsys)
+
     def test_three_model_weighted_vote(self, workspace):
         tmp, ids, vocab, truth, _ = workspace
         rows = len(ids)
@@ -230,6 +240,24 @@ class TestLearnerParamErrors:
     def test_cv_bad_value_is_one_line_error(self, workspace, capsys):
         err = self.run("cv", "tree", "max_depth=0", capsys)
         assert "max_depth" in err
+
+    @pytest.mark.parametrize("command", ["cv", "train"])
+    @pytest.mark.parametrize("learner,param", [
+        ("tree", "max_depth=0"), ("rf", "max_depth=0"), ("gbm", "max_depth=0"),
+        ("rf", "n_estimators=0"), ("extra", "n_estimators=0"), ("gbm", "n_stages=0"),
+        ("gbm", "learning_rate=2"), ("lda", "reg_lambda=-1"),
+    ])
+    def test_bad_value_rejected_before_data_work(
+        self, workspace, capsys, data_work, command, learner, param
+    ):
+        err = self.run(command, learner, param, capsys)
+        assert param.split("=")[0] in err
+        assert data_work == []
+
+    def test_value_of_wrong_type_rejected_before_data_work(self, workspace, capsys, data_work):
+        err = self.run("cv", "rf", 'max_depth="deep"', capsys)
+        assert repr("rf") in err
+        assert data_work == []
 
 
 class TestTrainCommand:

@@ -143,6 +143,7 @@ class TestCvEvaluate:
     def test_training_failure_carries_fold_index(self):
         rng = make_rng(8)
         features, truth = self.make_learnable(rng, n=30, k=2)
-        bad = LearnerSpec(kind="gbm", params={"n_stages": -1})
+        # k_components is checked against the data's classes, so only at fit
+        bad = LearnerSpec(kind="lda", params={"k_components": 5})
         with pytest.raises(RuntimeError, match="fold 0"):
             cv_evaluate(bad, features, truth, k=3, seed=0)

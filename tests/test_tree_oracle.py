@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 
 import reference_tree as ref
 from canopy.classical import forest_fit, gbm_fit, tree_fit
+from canopy.data import make_rng
 
-# (n samples, n features, data seed, decimals kept, constant column, labels);
-# keeping few decimals gives tied feature values
+# (n samples, n features, data seed, decimals kept, constant columns,
+# labels); keeping few decimals gives tied feature values. Up to 12 features
+# lets the sqrt rule draw 3 of them, and constant columns (0, 2, 4, ...)
+# make the random rule skip their cut-point draws.
 CASES = st.tuples(
     st.integers(1, 30),
-    st.integers(1, 4),
+    st.integers(1, 12),
     st.integers(0, 2**32 - 1),
     st.integers(0, 2),
-    st.booleans(),
+    st.integers(0, 4),
     st.sampled_from(["binary", "single-positive", "multiclass"]),
 )
 EXAMPLES = [
@@ -25,6 +28,8 @@ EXAMPLES = [
     (2, 1, 2, 0, True, "binary"),
     (12, 3, 3, 0, True, "single-positive"),
     (25, 4, 4, 1, False, "multiclass"),
+    (30, 12, 5, 1, 4, "binary"),
+    (20, 9, 6, 0, 3, "multiclass"),
 ]
 
 
@@ -39,8 +44,7 @@ def make_problem(case):
     n, f, seed, decimals, constant, labels = case
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, f)).round(decimals)
-    if constant:
-        X[:, 0] = 0.5
+    X[:, 0 : 2 * constant : 2] = 0.5
     if labels == "binary":
         y = rng.integers(0, 2, size=n)
     elif labels == "single-positive":
@@ -106,3 +110,66 @@ def test_gbm_matches_reference(gamma_mode, loss, case):
     assert_bits(got.predict(queries), want.predict(queries))
     if loss == "logistic":
         assert_bits(got.predict_proba(queries), want.predict_proba(queries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bounds=st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(0, 1e6)), min_size=0, max_size=12
+    ),
+)
+def test_uniform_over_arrays_matches_scalar_draws(seed, bounds):
+    """The random cut-point rule draws a node's cuts in one uniform() call;
+    that must consume and return what one scalar draw per feature would."""
+    lo = np.array([a for a, _ in bounds])
+    hi = np.array([a + w for a, w in bounds])
+    batch, single = make_rng(seed), make_rng(seed)
+    drawn = batch.uniform(lo, hi)
+    one_by_one = [single.uniform(a, b) for a, b in zip(lo, hi)]
+    assert_bits(drawn, np.array(one_by_one, dtype=np.float64))
+    assert batch.random() == single.random()
+
+
+def test_best_rule_with_every_score_infinite():
+    """Squares that overflow make every boundary score inf; the split still
+    goes to the first boundary, as in the reference."""
+    X = np.array([[0.0], [0.0], [1.0]])
+    y = np.array([1e154, 1.0, 1.3e154])
+    queries = np.array([[0.0], [0.3], [0.7], [1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = tree_fit(X, y, criterion="mse"), ref.tree_fit(X, y, criterion="mse")
+    assert_bits(got.predict_value(queries), want.predict_value(queries))
+
+
+@pytest.mark.parametrize("criterion", ["gini", "mse"])
+@pytest.mark.parametrize("seed", range(12))
+def test_mirrored_tied_groups(criterion, seed):
+    """Four tied groups, the outer two and the inner two holding the same
+    targets: the cuts at 0.5 and 2.5 score equal in exact arithmetic, so the
+    order in which the sums add up decides between them. Tied rows must add
+    up in sample order, as in the reference."""
+    rng = np.random.default_rng(seed)
+    outer, inner = rng.normal(size=40), rng.normal(size=40)
+    y = np.concatenate([outer, inner, rng.permutation(inner), rng.permutation(outer)])
+    if criterion == "gini":
+        y = (y > 0).astype(np.int64)
+    X = np.repeat([0.0, 1.0, 2.0, 3.0], 40)[:, None]
+    order = rng.permutation(160)
+    X, y = X[order], y[order]
+    queries = np.array([[-1.0], [0.5], [1.5], [2.5], [4.0]])
+    kw = dict(criterion=criterion, max_depth=1)  # deeper trees end in the same leaves
+    got, want = tree_fit(X, y, **kw), ref.tree_fit(X, y, **kw)
+    assert_bits(got.predict(queries), want.predict(queries))
+
+
+@pytest.mark.parametrize("column", [[0.0, 1.0, 2.0, np.inf], [-1e308, 0.0, 1e308, 1.5e308]])
+@pytest.mark.parametrize("criterion", ["gini", "mse"])
+def test_midpoint_that_separates_nothing_ends_the_node(column, criterion):
+    """The best cut lies between the last two values, and their midpoint is
+    inf: it would send every sample left forever. The node is a leaf."""
+    X = np.array(column)[:, None]
+    y = np.array([0, 0, 0, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        tree = tree_fit(X, y if criterion == "gini" else y * 1.0, criterion=criterion, max_depth=50)
+    assert tree.feature[0] == -1 and tree.n_samples[0] == 4
