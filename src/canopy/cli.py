@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
-Every run writes a manifest sidecar (JSON) recording the command, the
-resolved configuration, the seed, sha256 digests of every input file, the
-tool version, and timestamps, so identical inputs reproduce outputs
-bit-identically and runs stay auditable.
+Every run whose command line parses writes a manifest sidecar (JSON), a
+failed run too: status (ok/error), exit code, error message, command,
+resolved configuration and seed, tool version, timestamps, and the sha256
+of every input read and every output written. Outputs are written beside
+their destination and moved into place, so no file is ever half-written.
+Identical inputs reproduce outputs bit-identically.
 
 Exit codes: 0 success, 1 data, validation or training error, 2 usage error.
 Floats are printed with 6 decimals. The only environment variable honored
@@ -16,6 +18,7 @@ import argparse
 import hashlib
 import json
 import os
+import secrets
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -46,36 +49,54 @@ from .splits import cv_evaluate, load_folds, save_folds, stratified_kfold
 from .thresholds import apply_thresholds, load_thresholds, optimize_thresholds, save_thresholds
 
 FMT = "%.6f"
-CONFIG_VERSION_LINE = "#canopy-config-v1"
 
-# hard defaults, applied only after --config merging so that a config file
-# can fill any flag the user left unset (explicit flags always win)
-OPTION_DEFAULTS = {
-    "cutoff": 0.5,
-    "beta": 2.0,
-    "mode": "coordinate",
-    "vocab": "infer",
-    "k": 5,
-    "val_fold": 0,
-    "hidden": "64",
-    "dropout": 0.25,
-    "batch_size": 128,
-    "epochs": 50,
-    "patience": 10,
-    "optimizer": "amsgrad",
+
+def _int_list(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in str(value).split(","))
+
+
+KINDS = {float: "a number", int: "an integer", _int_list: "comma-separated integers"}
+
+# option -> (hard default, conversion). Defaults apply only after --config
+# merging, so a config file can fill any flag the user left unset (explicit
+# flags always win); then every value is converted, once.
+OPTIONS = {
+    "cutoff": (0.5, float),
+    "beta": (2.0, float),
+    "mode": ("coordinate", str),
+    "vocab": ("infer", str),
+    "k": (5, int),
+    "seed": (None, int),  # None: $CANOPY_SEED or 0
+    "weights": (None, _int_list),
+    "val_fold": (0, int),
+    "hidden": ("64", _int_list),
+    "dropout": (0.25, float),
+    "batch_size": (128, int),
+    "epochs": (50, int),
+    "patience": (10, int),
+    "optimizer": ("amsgrad", str),
 }
 
 
-def _resolve_defaults(args: argparse.Namespace) -> None:
-    for key, default in OPTION_DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, default)
+def _resolve_options(args: argparse.Namespace) -> None:
+    """Merge --config, fill defaults, and convert every option; a value that
+    does not convert is an error naming its flag."""
+    _apply_config(args)
+    if getattr(args, "seed", 0) is None:
+        args.seed = _default_seed()
+    for key, (default, convert) in OPTIONS.items():
+        if not hasattr(args, key) or (key, args.command) == ("mode", "preprocess"):
+            continue  # preprocess's --mode is the pixel convention and has no default
+        value = default if getattr(args, key) is None else getattr(args, key)
+        try:
+            setattr(args, key, None if value is None else convert(value))
+        except ValueError:
+            flag = "--" + key.replace("_", "-")
+            raise DataError(f"{flag} expects {KINDS[convert]}, got {value!r}") from None
 
 
 def _default_seed() -> int:
-    env = os.environ.get("CANOPY_SEED")
-    if env is None:
-        return 0
+    env = os.environ.get("CANOPY_SEED", "0")
     try:
         return int(env)
     except ValueError:
@@ -87,7 +108,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -100,7 +121,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _apply_config(args: argparse.Namespace) -> None:
     """Config-file values fill in flags the user did not set explicitly."""
     if not getattr(args, "config", None):
         return
@@ -121,43 +142,75 @@ def _digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def _replace_file(path: str | Path, writer, *args) -> str:
+    """``writer(tmp, *args)`` on a new file beside ``path`` (same suffix: some
+    writers pick the format from it), moved onto ``path``; returns its sha256.
+    The writer creates the file, so its mode follows the umask. On failure
+    ``path`` is untouched and the temporary file removed."""
+    dest = Path(path)
+    tmp = dest.parent / f".{dest.stem}-tmp-{secrets.token_hex(8)}{dest.suffix}"
+    try:
+        writer(tmp, *args)
+        digest = _digest(tmp)
+        os.replace(tmp, dest)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone once replaced
+    return digest
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8")
+
+
 class Manifest:
-    def __init__(self, command: str, args: argparse.Namespace):
+    """The run's audit record and the one way a subcommand reads or writes a
+    file: ``load`` and ``output`` record each file's sha256."""
+
+    def __init__(self, args: argparse.Namespace, argv: list[str]):
         self.doc = {
             "tool": "canopy",
             "version": __version__,
-            "command": command,
-            "argv": sys.argv[1:],
-            "config": {
-                k: v for k, v in vars(args).items() if k not in ("func", "command")
-            },
+            "command": args.command,
+            "argv": argv,
+            "config": {},
             "inputs": {},
-            "outputs": [],
+            "outputs": {},
             "started": datetime.now(timezone.utc).isoformat(),
         }
 
-    def add_input(self, path: str | Path | None):
-        if path:
-            self.doc["inputs"][str(path)] = _digest(path)
+    def load(self, path: str, loader, *args):
+        """``loader(path, *args)``, then the digest of the file it read."""
+        result = loader(path, *args)
+        self.doc["inputs"][str(path)] = _digest(path)
+        return result
 
-    def add_output(self, path: str | Path | None):
+    def output(self, path: str | None, writer, *args) -> None:
+        """``writer(path, *args)`` through a temporary file, if ``path`` is set."""
         if path:
-            self.doc["outputs"].append(str(path))
+            self.doc["outputs"][str(path)] = _replace_file(path, writer, *args)
 
-    def write(self, primary_out: str | None, command: str):
-        self.doc["finished"] = datetime.now(timezone.utc).isoformat()
-        if primary_out:
-            side = Path(str(primary_out) + ".manifest.json")
-        else:
-            side = Path(f"{command}.manifest.json")
-        with open(side, "w", encoding="utf-8") as fh:
-            json.dump(self.doc, fh, indent=2, default=str)
+    def write(self, args: argparse.Namespace, code: int, error: str | None) -> None:
+        """Write ``<out>.manifest.json`` (``<command>.manifest.json`` without
+        --out). A failed run has reported its error already, so not this one's."""
+        self.doc.update(
+            config={k: v for k, v in vars(args).items() if k not in ("func", "command")},
+            finished=datetime.now(timezone.utc).isoformat(),
+            status="ok" if code == 0 else "error",
+            exit_code=code,
+            error=error,
+        )
+        side = f"{getattr(args, 'out', None) or args.command}.manifest.json"
+        try:
+            _replace_file(side, _write_text, json.dumps(self.doc, indent=2, default=str))
+        except DataError:
+            if error is None:
+                raise
 
 
 def _vocab_from_arg(args) -> LabelVocabulary | str:
-    if getattr(args, "vocab", None) == "amazon":
-        return AMAZON_LABELS
-    return "infer"
+    return AMAZON_LABELS if args.vocab == "amazon" else "infer"
 
 
 def _align_rows(
@@ -188,6 +241,11 @@ def _align_rows(
     return replace(matrix, values=matrix.values[rows])
 
 
+def _check_k(args, truth: LabelMatrix) -> None:
+    if not 2 <= args.k <= truth.n_samples:
+        raise DataError(f"--k must lie in [2, {truth.n_samples}] for {args.tags}, got {args.k}")
+
+
 def _parse_params(pairs: list[str] | None) -> dict:
     out: dict = {}
     for pair in pairs or []:
@@ -208,46 +266,30 @@ def _parse_params(pairs: list[str] | None) -> dict:
 
 
 def cmd_metrics(args, manifest: Manifest) -> int:
-    cutoff = float(args.cutoff)
-    if not 0.0 <= cutoff <= 1.0:
+    if not 0.0 <= args.cutoff <= 1.0:
         raise DataError(f"--cutoff must be a number in [0, 1], got {args.cutoff}")
-    truth_ids, truth = load_tags(args.truth, _vocab_from_arg(args))
-    manifest.add_input(args.truth)
-    prob_ids, probs = load_probs(args.pred, truth.vocab)
-    manifest.add_input(args.pred)
+    truth_ids, truth = manifest.load(args.truth, load_tags, _vocab_from_arg(args))
+    prob_ids, probs = manifest.load(args.pred, load_probs, truth.vocab)
     probs = _align_rows(truth_ids, prob_ids, probs, args.pred, "predictions", extra_ok=False)
     if args.thresholds:
-        manifest.add_input(args.thresholds)
-        cutoffs = load_thresholds(args.thresholds, truth.vocab)
+        cutoffs = manifest.load(args.thresholds, load_thresholds, truth.vocab)
     else:
-        cutoffs = np.full(truth.n_labels, cutoff)
+        cutoffs = np.full(truth.n_labels, args.cutoff)
     pred = apply_thresholds(probs, cutoffs)
     rep = report(pred, truth)
     print(rep.to_table_text(), end="")
-    if args.out:
-        Path(args.out).write_text(rep.to_csv_text(), encoding="utf-8")
-        manifest.add_output(args.out)
+    manifest.output(args.out, _write_text, rep.to_csv_text())
     return 0
 
 
 def cmd_tune_thresholds(args, manifest: Manifest) -> int:
-    truth_ids, truth = load_tags(args.truth, _vocab_from_arg(args))
-    manifest.add_input(args.truth)
-    prob_ids, probs = load_probs(args.probs, truth.vocab)
-    manifest.add_input(args.probs)
+    truth_ids, truth = manifest.load(args.truth, load_tags, _vocab_from_arg(args))
+    prob_ids, probs = manifest.load(args.probs, load_probs, truth.vocab)
     probs = _align_rows(truth_ids, prob_ids, probs, args.probs, "predictions", extra_ok=False)
-    cutoffs, score = optimize_thresholds(
-        probs, truth, beta=float(args.beta), mode=args.mode
-    )
+    cutoffs, score = optimize_thresholds(probs, truth, beta=args.beta, mode=args.mode)
     print(f"achieved {args.mode} F{args.beta:g} = {FMT % score}")
-    if args.out:
-        save_thresholds(args.out, truth.vocab, cutoffs)
-        manifest.add_output(args.out)
+    manifest.output(args.out, save_thresholds, truth.vocab, cutoffs)
     return 0
-
-
-def _looks_like_probs(path: str) -> bool:
-    return _csv_header(path) != ["image_name", "tags"]
 
 
 def _probs_header_vocab(path: str) -> LabelVocabulary:
@@ -255,7 +297,10 @@ def _probs_header_vocab(path: str) -> LabelVocabulary:
     header = _csv_header(path)
     if not header or header[0] != "image_name" or len(header) < 2:
         raise DataError(f"{path}: expected header 'image_name,<label>,...'")
-    return LabelVocabulary(names=tuple(header[1:]))
+    try:
+        return LabelVocabulary(names=tuple(header[1:]))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _csv_header(path: str) -> list[str]:
@@ -264,190 +309,135 @@ def _csv_header(path: str) -> list[str]:
         return [c.strip() for c in next(reader, [])]
 
 
-def _load_hard_predictions(path: str, vocab: LabelVocabulary) -> tuple[list[str], LabelMatrix]:
-    """Load a tag file or a 0/1 probability CSV as a LabelMatrix."""
-    if _looks_like_probs(path):
-        ids, probs = load_probs(path, vocab)
-        if not np.isin(probs.values, (0.0, 1.0)).all():
-            raise DataError(f"{path}: vote requires hard 0/1 predictions")
-        return ids, LabelMatrix(values=probs.values.astype(np.int8), vocab=vocab)
-    return load_tags(path, vocab)
+def _load_hard_predictions(
+    path: str, vocab: LabelVocabulary | str
+) -> tuple[list[str], LabelMatrix]:
+    """Load a tag file or a 0/1 probability CSV as a LabelMatrix; with
+    ``vocab`` "infer", a probability file's own label columns are the vocabulary."""
+    if _csv_header(path) == ["image_name", "tags"]:
+        return load_tags(path, vocab)
+    if vocab == "infer":
+        vocab = _probs_header_vocab(path)
+    ids, probs = load_probs(path, vocab)
+    if not np.isin(probs.values, (0.0, 1.0)).all():
+        raise DataError(f"{path}: vote requires hard 0/1 predictions")
+    return ids, LabelMatrix(values=probs.values.astype(np.int8), vocab=vocab)
 
 
 def cmd_vote(args, manifest: Manifest) -> int:
     if not args.pred:
         raise DataError("vote needs at least one --pred file")
-    weights = (
-        [int(w) for w in args.weights.split(",")] if args.weights else [1] * len(args.pred)
-    )
+    weights = args.weights or (1,) * len(args.pred)
     if len(weights) != len(args.pred):
         raise DataError(f"{len(args.pred)} --pred files but {len(weights)} weights")
     first = args.pred[0]
-    if args.vocab == "amazon":
-        vocab = AMAZON_LABELS
-    elif _looks_like_probs(first):
-        vocab = _probs_header_vocab(first)
-    else:
-        vocab = load_tags(first, "infer")[1].vocab
-    preds = []
-    ids0: list[str] | None = None
-    for path in args.pred:
-        manifest.add_input(path)
-        ids, hard = _load_hard_predictions(path, vocab)
-        if ids0 is None:
-            ids0 = ids
-        elif ids != ids0:
+    ids0, hard = manifest.load(first, _load_hard_predictions, _vocab_from_arg(args))
+    preds = [hard]
+    for path in args.pred[1:]:
+        ids, hard = manifest.load(path, _load_hard_predictions, hard.vocab)
+        if ids != ids0:
             raise DataError(f"{path}: sample ids/order differ from {first}")
         preds.append(hard)
     voted = weighted_vote(preds, weights)
-    if args.out:
-        out_probs = ProbMatrix(values=voted.values.astype(np.float64), vocab=voted.vocab)
-        save_probs(args.out, ids0, out_probs)
-        manifest.add_output(args.out)
-    print(
-        f"voted {len(preds)} models, total weight {sum(weights)}, "
-        f"positives {int(voted.values.sum())}"
-    )
+    out_probs = ProbMatrix(values=voted.values.astype(np.float64), vocab=voted.vocab)
+    manifest.output(args.out, save_probs, ids0, out_probs)
+    positives = int(voted.values.sum())
+    print(f"voted {len(preds)} models, total weight {sum(weights)}, positives {positives}")
     return 0
 
 
 def cmd_split(args, manifest: Manifest) -> int:
-    ids, truth = load_tags(args.tags, _vocab_from_arg(args))
-    manifest.add_input(args.tags)
-    folds = stratified_kfold(truth, int(args.k), int(args.seed))
+    ids, truth = manifest.load(args.tags, load_tags, _vocab_from_arg(args))
+    _check_k(args, truth)
+    folds = stratified_kfold(truth, args.k, args.seed)
     counts = np.bincount(folds.fold_of, minlength=folds.k)
     print("fold sizes: " + ", ".join(str(int(c)) for c in counts))
-    if args.out:
-        save_folds(args.out, ids, folds)
-        manifest.add_output(args.out)
+    manifest.output(args.out, save_folds, ids, folds)
     return 0
 
 
 def cmd_cv(args, manifest: Manifest) -> int:
     spec = LearnerSpec(kind=args.learner, params=_parse_params(args.param))
-    ids, truth = load_tags(args.tags, _vocab_from_arg(args))
-    manifest.add_input(args.tags)
-    feat_ids, features = load_features(args.features)
-    manifest.add_input(args.features)
+    ids, truth = manifest.load(args.tags, load_tags, _vocab_from_arg(args))
+    feat_ids, features = manifest.load(args.features, load_features)
     features = _align_rows(ids, feat_ids, features, args.features, "features", extra_ok=True)
-    result = cv_evaluate(spec, features, truth, k=int(args.k), seed=int(args.seed))
-    header = ("precision", "recall", "accuracy", "f1_score", "f2_score")
-    print("fold," + ",".join(header))
-    lines = ["fold," + ",".join(header)]
+    _check_k(args, truth)
+    result = cv_evaluate(spec, features, truth, k=args.k, seed=args.seed)
+    lines = ["fold,precision,recall,accuracy,f1_score,f2_score"]
     for f, rep in enumerate(result.fold_reports):
-        row = f"{f}," + ",".join(FMT % v for v in rep.total)
-        print(row)
-        lines.append(row)
-    avg = "average," + ",".join(FMT % v for v in result.average_total)
-    print(avg)
-    lines.append(avg)
-    if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        manifest.add_output(args.out)
-    if args.oof_out:
-        save_probs(args.oof_out, ids, ProbMatrix(values=result.oof_probs, vocab=truth.vocab))
-        manifest.add_output(args.oof_out)
-    if args.folds_out:
-        save_folds(args.folds_out, ids, result.folds)
-        manifest.add_output(args.folds_out)
+        lines.append(f"{f}," + ",".join(FMT % v for v in rep.total))
+    lines.append("average," + ",".join(FMT % v for v in result.average_total))
+    table = "\n".join(lines) + "\n"
+    print(table, end="")
+    manifest.output(args.out, _write_text, table)
+    oof = ProbMatrix(values=result.oof_probs, vocab=truth.vocab)
+    manifest.output(args.oof_out, save_probs, ids, oof)
+    manifest.output(args.folds_out, save_folds, ids, result.folds)
     return 0
 
 
 def cmd_train(args, manifest: Manifest) -> int:
     spec = LearnerSpec(kind=args.learner, params=_parse_params(args.param))
-    ids, truth = load_tags(args.tags, _vocab_from_arg(args))
-    manifest.add_input(args.tags)
-    feat_ids, features = load_features(args.features)
-    manifest.add_input(args.features)
+    ids, truth = manifest.load(args.tags, load_tags, _vocab_from_arg(args))
+    feat_ids, features = manifest.load(args.features, load_features)
     features = _align_rows(ids, feat_ids, features, args.features, "features", extra_ok=True)
-    model = fit_multioutput(spec, features, truth, seed=int(args.seed))
+    model = fit_multioutput(spec, features, truth, seed=args.seed)
     probs = predict_multioutput(model, features)
     pred = apply_thresholds(probs, np.full(truth.n_labels, 0.5))
     print(f"training sample-F2 at cutoff 0.5: {FMT % sample_fbeta(pred, truth)}")
-    if args.out:
-        save_model(args.out, model)
-        manifest.add_output(args.out)
-    if args.probs_out:
-        save_probs(args.probs_out, ids, probs)
-        manifest.add_output(args.probs_out)
+    manifest.output(args.out, save_model, model)
+    manifest.output(args.probs_out, save_probs, ids, probs)
     return 0
 
 
 def cmd_stack(args, manifest: Manifest) -> int:
-    truth_ids, truth = load_tags(args.truth, _vocab_from_arg(args))
-    manifest.add_input(args.truth)
+    truth_ids, truth = manifest.load(args.truth, load_tags, _vocab_from_arg(args))
     if not args.probs:
         raise DataError("stack needs at least one --probs file")
     blocks = []
     for path in args.probs:
-        manifest.add_input(path)
-        prob_ids, probs = load_probs(path, truth.vocab)
+        prob_ids, probs = manifest.load(path, load_probs, truth.vocab)
         probs = _align_rows(truth_ids, prob_ids, probs, path, "predictions", extra_ok=False)
         blocks.append(probs.values)
-    features = StackedFeatures(
-        values=np.concatenate(blocks, axis=1), n_models=len(blocks), vocab=truth.vocab
-    )
-    manifest.add_input(args.folds)
-    fold_ids, folds = load_folds(args.folds)
+    values = np.concatenate(blocks, axis=1)
+    features = StackedFeatures(values=values, n_models=len(blocks), vocab=truth.vocab)
+    fold_ids, folds = manifest.load(args.folds, load_folds)
     if fold_ids != truth_ids:
         raise DataError(f"{args.folds}: sample ids/order differ from {args.truth}")
-    val_fold = int(args.val_fold)
-    if not 0 <= val_fold < folds.k:
+    if not 0 <= args.val_fold < folds.k:
         raise DataError(f"--val-fold must lie in [0, {folds.k})")
-    config = MetaLearnerConfig(
-        hidden_units=tuple(int(h) for h in str(args.hidden).split(",")),
-        dropout=float(args.dropout),
-        train=TrainConfig(
-            batch_size=int(args.batch_size),
-            max_epochs=int(args.epochs),
-            patience=int(args.patience),
-            optimizer=args.optimizer,
-            seed=int(args.seed),
-        ),
-    )
-    model = stack_train(
-        features,
-        truth,
-        config,
-        seed=int(args.seed),
-        val_indices=folds.fold_indices(val_fold),
-    )
-    va = folds.fold_indices(val_fold)
+    train = TrainConfig(batch_size=args.batch_size, max_epochs=args.epochs,
+                        patience=args.patience, optimizer=args.optimizer, seed=args.seed)
+    config = MetaLearnerConfig(hidden_units=args.hidden, dropout=args.dropout, train=train)
+    va = folds.fold_indices(args.val_fold)
+    model = stack_train(features, truth, config, seed=args.seed, val_indices=va)
     val_probs = model.predict(features.values[va])
     val_truth = LabelMatrix(values=truth.values[va], vocab=truth.vocab)
     cutoffs, tuned = optimize_thresholds(val_probs, val_truth, beta=2.0)
     base = sample_fbeta(apply_thresholds(val_probs, np.full(truth.n_labels, 0.5)), val_truth)
     print(
-        f"meta-learner val fold {val_fold}: F2@0.5 = {FMT % base}, "
+        f"meta-learner val fold {args.val_fold}: F2@0.5 = {FMT % base}, "
         f"tuned F2 = {FMT % tuned} (best epoch {model.best_epoch})"
     )
-    if args.out:
-        save_probs(args.out, [truth_ids[i] for i in va], val_probs)
-        manifest.add_output(args.out)
-    if args.thresholds_out:
-        save_thresholds(args.thresholds_out, truth.vocab, cutoffs)
-        manifest.add_output(args.thresholds_out)
-    if args.checkpoint:
-        save_checkpoint(
-            args.checkpoint,
-            model.network,
-            meta={"seed": int(args.seed), "n_models": model.n_models},
-        )
-        manifest.add_output(args.checkpoint)
+    manifest.output(args.out, save_probs, [truth_ids[i] for i in va], val_probs)
+    manifest.output(args.thresholds_out, save_thresholds, truth.vocab, cutoffs)
+    meta = {"seed": args.seed, "n_models": model.n_models}
+    manifest.output(args.checkpoint, save_checkpoint, model.network, meta)
     return 0
 
 
 def cmd_preprocess(args, manifest: Manifest) -> int:
-    manifest.add_input(args.infile)
-    img = load_image_array(args.infile)
+    img = manifest.load(args.infile, load_image_array)
     if args.augment:
         for op in args.augment.split(","):
             img = augment(img, op.strip())
     if args.random_augment:
-        img = random_augment(img, int(args.seed))
-    out = preprocess(img, args.mode) if args.mode else img
-    save_image_array(args.out, out)
-    manifest.add_output(args.out)
+        img = random_augment(img, args.seed)
+    try:
+        out = preprocess(img, args.mode) if args.mode else img
+    except ValueError as exc:  # pixel values outside the mode's raw range
+        raise DataError(f"{args.infile}: {exc}") from None
+    manifest.output(args.out, save_image_array, out)
     print(f"wrote {args.out} shape {out.shape}")
     return 0
 
@@ -457,7 +447,10 @@ def cmd_preprocess(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, with_seed: bool = True):
+def _add_common(p: argparse.ArgumentParser, func, with_seed: bool = True, with_vocab: bool = True):
+    p.set_defaults(func=func)
+    if with_vocab:
+        p.add_argument("--vocab", choices=("amazon", "infer"), help="default infer")
     p.add_argument("--config", help="key=value config file; explicit flags win")
     if with_seed:
         p.add_argument("--seed", default=None, help="PRNG seed (default: $CANOPY_SEED or 0)")
@@ -476,36 +469,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="tag CSV with ground truth")
     p.add_argument("--thresholds", help="label,threshold CSV; default uniform cutoff")
     p.add_argument("--cutoff", type=float, help="uniform cutoff in [0, 1] (default 0.5)")
-    p.add_argument("--vocab", choices=("amazon", "infer"), help="default infer")
     p.add_argument("--out", help="write the scoreboard as CSV here")
-    _add_common(p, with_seed=False)
-    p.set_defaults(func=cmd_metrics)
+    _add_common(p, cmd_metrics, with_seed=False)
 
     p = sub.add_parser("tune-thresholds", help="optimize per-class cutoffs on a validation split")
     p.add_argument("--probs", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--beta", type=float, help="F-beta weight (default 2)")
     p.add_argument("--mode", choices=("coordinate", "per-class"), help="default coordinate")
-    p.add_argument("--vocab", choices=("amazon", "infer"), help="default infer")
     p.add_argument("--out", help="write label,threshold CSV here")
-    _add_common(p, with_seed=False)
-    p.set_defaults(func=cmd_tune_thresholds)
+    _add_common(p, cmd_tune_thresholds, with_seed=False)
 
     p = sub.add_parser("vote", help="weighted majority vote over hard predictions")
     p.add_argument("--pred", action="append", help="prediction CSV (repeat per model)")
     p.add_argument("--weights", help="comma-separated positive integers, one per --pred")
-    p.add_argument("--vocab", choices=("amazon", "infer"), help="default infer")
     p.add_argument("--out")
-    _add_common(p, with_seed=False)
-    p.set_defaults(func=cmd_vote)
+    _add_common(p, cmd_vote, with_seed=False)
 
     p = sub.add_parser("split", help="stratified k-fold assignment")
     p.add_argument("--tags", required=True)
     p.add_argument("--k", help="fold count (default 5)")
-    p.add_argument("--vocab", choices=("amazon", "infer"), help="default infer")
     p.add_argument("--out", help="write image_name,fold CSV here")
-    _add_common(p)
-    p.set_defaults(func=cmd_split)
+    _add_common(p, cmd_split)
 
     p = sub.add_parser("cv", help="stratified cross-validated evaluation of a learner")
     p.add_argument("--tags", required=True)
@@ -513,23 +498,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learner", choices=LEARNER_KINDS, required=True)
     p.add_argument("--param", action="append", help="learner hyperparameter key=value")
     p.add_argument("--k", help="fold count (default 5)")
-    p.add_argument("--vocab", choices=("amazon", "infer"), help="default infer")
     p.add_argument("--out", help="fold Total rows + average as CSV")
     p.add_argument("--oof-out", help="write out-of-fold probabilities CSV")
     p.add_argument("--folds-out", help="write the fold assignment CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_cv)
+    _add_common(p, cmd_cv)
 
     p = sub.add_parser("train", help="fit a per-label classical model on all data")
     p.add_argument("--tags", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--learner", choices=LEARNER_KINDS, required=True)
     p.add_argument("--param", action="append")
-    p.add_argument("--vocab", choices=("amazon", "infer"), help="default infer")
     p.add_argument("--out", help="write the model JSON here")
     p.add_argument("--probs-out", help="write training-set probabilities CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
+    _add_common(p, cmd_train)
 
     p = sub.add_parser("stack", help="train the integrated-stacking meta-learner")
     p.add_argument("--truth", required=True)
@@ -542,12 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", help="default 50")
     p.add_argument("--patience", help="default 10")
     p.add_argument("--optimizer", choices=("adam", "amsgrad"), help="default amsgrad")
-    p.add_argument("--vocab", choices=("amazon", "infer"), help="default infer")
     p.add_argument("--out", help="validation-fold meta probabilities CSV")
     p.add_argument("--thresholds-out", help="tuned label,threshold CSV")
     p.add_argument("--checkpoint", help="meta-learner checkpoint JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_stack)
+    _add_common(p, cmd_stack)
 
     p = sub.add_parser("preprocess", help="pixel-convention preprocessing and augmentation")
     p.add_argument("--mode", choices=MODES, help="omit to only augment")
@@ -555,27 +534,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--augment", help="comma list of flip_lr,flip_ud,rot90_cw,rot90_ccw")
     p.add_argument("--random-augment", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_preprocess)
+    _add_common(p, cmd_preprocess, with_vocab=False)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    manifest = Manifest(args, argv)
     try:
-        _apply_config(args, parser)
-        _resolve_defaults(args)
-        if hasattr(args, "seed"):
-            args.seed = _default_seed() if args.seed is None else int(args.seed)
-        manifest = Manifest(args.command, args)
+        _resolve_options(args)
         code = args.func(args, manifest)
-        manifest.write(getattr(args, "out", None), args.command)
+        manifest.write(args, code, None)
         return code
     except (DataError, ValueError, OSError, RuntimeError) as exc:
         print(f"canopy {args.command}: error: {exc}", file=sys.stderr)
+        manifest.write(args, 1, str(exc))
         return 1
+    except Exception as exc:  # a bug: record the run, then let the traceback show
+        manifest.write(args, 1, f"{type(exc).__name__}: {exc}")
+        raise
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from tokenize import TokenError
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -226,6 +227,20 @@ def open_csv(path: str | Path) -> Iterator[Iterator[list[str]]]:
         raise DataError(f"{path}: not valid UTF-8 ({exc})") from exc
 
 
+def load_npy(path: str | Path, build):
+    """``build(array)`` for the array in an .npy file; a file that holds no
+    array (a damaged header makes numpy raise SyntaxError or TokenError), or
+    one ``build`` rejects, is a DataError naming the file."""
+    try:
+        arr = np.load(path)
+        if not isinstance(arr, np.ndarray):
+            arr.close()
+            raise ValueError("an .npz archive, not an .npy array")
+        return build(arr)
+    except (ValueError, TypeError, EOFError, SyntaxError, TokenError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 class Table(NamedTuple):
     """The rows of one keyed CSV file, in file order."""
 
@@ -384,10 +399,7 @@ def load_features(path: str | Path) -> tuple[list[str] | None, FeatureMatrix]:
     with header `image_name,<f1>,...` (ids in the first column)."""
     path = Path(path)
     if path.suffix == ".npy":
-        arr = np.load(path)
-        if arr.ndim != 2:
-            raise DataError(f"{path}: expected a 2-D array, got shape {arr.shape}")
-        return None, FeatureMatrix(values=arr)
+        return None, load_npy(path, FeatureMatrix)
     table = read_table(path, ("image_name",), bounds=(-np.inf, np.inf))
     if not table.ids:
         raise DataError(f"{path}: no feature rows")

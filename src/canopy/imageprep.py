@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, open_csv
+from .data import DataError, load_npy, open_csv
 
 CAFFE_BGR_MEAN = (103.939, 116.779, 123.68)
 TORCH_MEAN = (0.485, 0.456, 0.406)  # outside-source ImageNet constants
@@ -60,7 +60,7 @@ def _check_image(img) -> np.ndarray:
 def preprocess(img, mode: str) -> np.ndarray:
     """Apply one of the three pixel conventions to a raw [0, 255] image."""
     a = _check_image(img)
-    if a.size and (a.min() < 0.0 or a.max() > 255.0):
+    if a.size and not (a.min() >= 0.0 and a.max() <= 255.0):  # NaN fails too
         raise ValueError("raw pixel values must lie in [0, 255]")
     if mode == "tf":
         return a / 127.5 - 1.0
@@ -122,24 +122,27 @@ def save_image_array(path: str | Path, img) -> None:
 
 
 def load_image_array(path: str | Path) -> np.ndarray:
+    """An (h, w, 3) image from .npy or a pixel CSV; a defect is a DataError naming ``path``."""
     path = Path(path)
     if path.suffix == ".npy":
-        return _check_image(np.load(path))
+        return load_npy(path, _check_image)
     with open_csv(path) as reader:
         rows = list(reader)
     if not rows or not rows[0] or rows[0][0] != PIXELS_MAGIC:
         raise DataError(f"{path}: expected a {PIXELS_MAGIC} header or an .npy file")
     try:
         h, w, c = (int(x) for x in rows[0][1:4])
-    except (ValueError, IndexError):
+    except ValueError:
         raise DataError(f"{path}: malformed pixel header") from None
+    if min(h, w) < 0 or c != 3:
+        raise DataError(f"{path}: pixel header needs height,width >= 0 and 3 channels")
     body = [r for r in rows[1:] if r]
     if len(body) != h * w:
         raise DataError(f"{path}: expected {h * w} pixel rows, got {len(body)}")
+    if any(len(r) != c for r in body):
+        raise DataError(f"{path}: expected {c} channels per pixel row")
     try:
         flat = np.array([[float(v) for v in r] for r in body], dtype=np.float64)
     except ValueError:
         raise DataError(f"{path}: non-numeric pixel value") from None
-    if flat.shape[1] != c:
-        raise DataError(f"{path}: expected {c} channels per pixel row")
     return flat.reshape(h, w, c)

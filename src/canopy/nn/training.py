@@ -18,7 +18,7 @@ from ..metrics import sample_fbeta
 from .layers import BatchNorm
 from .losses import loss_and_grad, predict_head
 from .network import Network
-from .optim import Adam
+from .optim import Adam, OptimizerDiverged
 
 MONITORS = ("val_loss", "val_f2")
 
@@ -132,11 +132,14 @@ def train(
             stop = starts[i + 1] if i + 1 < len(starts) else n
             idx = order[start:stop]
             loss, grads = network.loss_and_gradients(x[idx], y[idx], train=True, rng=rng)
-            if not np.isfinite(loss) or any(not np.isfinite(g).all() for g in grads):
-                raise TrainingDiverged(
-                    f"non-finite loss/gradient at epoch {epoch}", network.get_state(), history
-                )
-            optimizer.step(network.params, grads)
+            if not np.isfinite(loss):
+                state = network.get_state()
+                raise TrainingDiverged(f"epoch {epoch}: non-finite loss", state, history)
+            try:
+                optimizer.step(network.params, grads)  # checks every gradient before any write
+            except OptimizerDiverged as exc:
+                state = network.get_state()
+                raise TrainingDiverged(f"epoch {epoch}: {exc}", state, history) from exc
             batch_losses.append(loss)
 
         val_logits = network.forward(x_val, train=False)

@@ -1,9 +1,12 @@
+import argparse
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
-from canopy.cli import main
+from canopy.cli import Manifest, main
 from canopy.data import (
     LabelMatrix,
     ProbMatrix,
@@ -42,6 +45,10 @@ def workspace(tmp_path, monkeypatch):
     return tmp_path, ids, vocab, truth, probs
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def one_line_error(code, capsys):
     """The stderr of a run that must fail with exit 1 and one line."""
     err = capsys.readouterr().err
@@ -66,8 +73,9 @@ class TestMetricsCommand:
         manifest = json.loads((tmp / "report.csv.manifest.json").read_text())
         assert manifest["command"] == "metrics"
         assert set(manifest["inputs"]) == {"truth.csv", "probs.csv"}
-        assert manifest["outputs"] == ["report.csv"]
+        assert manifest["outputs"] == {"report.csv": sha256(tmp / "report.csv")}
         assert "version" in manifest and "started" in manifest
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == ("ok", 0, None)
 
     def test_pred_rows_may_be_permuted(self, workspace, capsys):
         tmp, ids, vocab, truth, probs = workspace
@@ -106,6 +114,51 @@ class TestMetricsCommand:
         with pytest.raises(SystemExit) as err:
             main(["metrics", "--pred", "probs.csv"])  # --truth missing
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--pred", "probs.csv", "--truth", "truth.csv", "--cutoff", "x"],
+        ["tune-thresholds", "--probs", "probs.csv", "--truth", "truth.csv", "--beta", "x"],
+    ])
+    def test_typed_flag_rejected_by_parser_exits_two(self, workspace, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert not list(workspace[0].glob("*.manifest.json"))
+
+
+BAD_FLAG_VALUES = [
+    (["split", "--tags", "missing.csv", "--k", "x"], "--k", None),
+    (["split", "--tags", "missing.csv", "--seed", "abc"], "--seed", None),
+    (["split", "--tags", "missing.csv", "--k", "2.5"], "--k", None),
+    (["vote", "--pred", "missing.csv", "--weights", "a"], "--weights", None),
+    (["vote", "--pred", "missing.csv", "--weights", "1,,2"], "--weights", None),
+    (["cv", "--tags", "missing.csv", "--features", "missing.csv", "--learner", "tree",
+      "--k", "three"], "--k", None),
+    (["train", "--tags", "missing.csv", "--features", "missing.csv", "--learner", "tree",
+      "--seed", "1e3"], "--seed", None),
+    (["preprocess", "--in", "missing.npy", "--out", "o.npy", "--seed", "s"], "--seed", None),
+    *[(["stack", "--truth", "missing.csv", "--folds", "missing.csv", option, value], option, None)
+      for option, value in [("--val-fold", "x"), ("--hidden", "64,a"), ("--dropout", "half"),
+                            ("--batch-size", "1.5"), ("--epochs", "x"), ("--patience", "p")]],
+    (["tune-thresholds", "--probs", "missing.csv", "--truth", "missing.csv"], "--beta",
+     "beta = abc"),
+    (["metrics", "--pred", "missing.csv", "--truth", "missing.csv"], "--cutoff", "cutoff = x"),
+    (["split", "--tags", "missing.csv"], "--k", "k = x"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,config", BAD_FLAG_VALUES,
+    ids=[f"{a[0]} {c or ' '.join(a[-2:])}" for a, _, c in BAD_FLAG_VALUES],
+)
+def test_bad_flag_value_named_before_reading(workspace, capsys, argv, flag, config):
+    """A value that does not convert is a one-line error naming its flag."""
+    tmp, *_ = workspace
+    if config is not None:
+        (tmp / "run.cfg").write_text(config + "\n")
+        argv = argv + ["--config", "run.cfg"]
+    err = one_line_error(main(argv), capsys)
+    assert flag in err and "missing" not in err
 
 
 class TestTuneThresholdsCommand:
@@ -177,6 +230,15 @@ class TestSplitAndCvCommands:
         fold_ids, folds = load_folds(tmp / "folds.csv")
         assert fold_ids == ids
         assert folds.k == 4
+
+    @pytest.mark.parametrize("command", ["split", "cv"])
+    @pytest.mark.parametrize("k", ["1", "41"])
+    def test_fold_count_out_of_range_names_flag(self, workspace, capsys, command, k):
+        argv = [command, "--tags", "truth.csv", "--k", k]
+        if command == "cv":
+            argv += ["--features", "features.csv", "--learner", "tree"]
+        err = one_line_error(main(argv), capsys)
+        assert "--k" in err and "truth.csv" in err
 
     def test_oversized_field_names_file(self, workspace, capsys):
         tmp, *_ = workspace
@@ -340,6 +402,72 @@ class TestPreprocessCommand:
         assert (got == want).all()
 
 
+    def test_augment_only_without_mode(self, workspace, capsys):
+        tmp, *_ = workspace
+        img = make_rng(9).uniform(-5, 300, size=(2, 3, 3))  # any values: no convention applies
+        np.save(tmp / "raw.npy", img)
+        (tmp / "run.cfg").write_text("seed = 4\n")
+        assert main(["preprocess", "--in", "raw.npy", "--out", "flip.npy", "--augment", "flip_lr",
+                     "--config", "run.cfg"]) == 0
+        assert (np.load(tmp / "flip.npy") == img[:, ::-1, :]).all()
+        (tmp / "run.cfg").write_text("mode = torch\n")
+        assert main(["preprocess", "--in", "raw.npy", "--out", "x.npy", "--config", "run.cfg"]) == 1
+
+    def test_npy_output_is_a_real_npy_file(self, workspace, capsys):
+        tmp, *_ = workspace
+        from canopy.imageprep import save_image_array
+
+        img = make_rng(8).uniform(0, 255, size=(3, 5, 3))
+        save_image_array(tmp / "raw.npy", img)
+        assert main(["preprocess", "--mode", "caffe", "--in", "raw.npy", "--out", "x.npy"]) == 0
+        assert (tmp / "x.npy").read_bytes()[:6] == b"\x93NUMPY"
+        from canopy.imageprep import preprocess
+
+        assert (np.load(tmp / "x.npy") == preprocess(img, "caffe")).all()
+        assert sorted(p.name for p in tmp.glob("x.*")) == ["x.npy", "x.npy.manifest.json"]
+
+    @pytest.mark.parametrize("content,message", [
+        ("#canopy-pixels-v1,1,1,3\n1,2,300\n", "[0, 255]"),
+        ("#canopy-pixels-v1,1,1,3\n1,nan,3\n", "[0, 255]"),
+        ("#canopy-pixels-v1,1,1,2\n1,2\n", "3 channels"),
+        ("#canopy-pixels-v1,1,1,3\n1,2\n", "channels"),
+        ("#canopy-pixels-v1,-1,-1,3\n1,2,3\n", "height,width"),
+        ("#canopy-pixels-v1,1,1,x\n1,2,3\n", "malformed"),
+        ("#canopy-pixels-v1,0,1,3\n", None),
+    ])
+    def test_bad_pixel_values_name_file(self, workspace, capsys, content, message):
+        tmp, *_ = workspace
+        (tmp / "raw.csv").write_text(content)
+        code = main(["preprocess", "--mode", "tf", "--in", "raw.csv", "--out", "pre.csv"])
+        if message is None:  # an empty image is valid
+            assert code == 0
+            return
+        err = one_line_error(code, capsys)
+        assert "raw.csv" in err and message in err
+
+    @pytest.mark.parametrize("defect", ["truncated", "empty", "npz", "pickle", "2-D", "nan"])
+    @pytest.mark.parametrize("command", ["preprocess", "cv"])
+    def test_npy_input_without_a_usable_array_names_file(self, workspace, capsys, command, defect):
+        tmp, *_ = workspace
+        good = np.zeros((4, 4, 3)) if command == "preprocess" else np.zeros((40, 3))
+        bad = {"2-D": np.zeros((4, 3)), "nan": np.full(good.shape, np.nan)}.get(defect, good)
+        np.save(tmp / "in.npy", bad)
+        data = (tmp / "in.npy").read_bytes()
+        if defect == "truncated":
+            (tmp / "in.npy").write_bytes(data[: len(data) // 2])
+        elif defect == "empty":
+            (tmp / "in.npy").write_bytes(b"")
+        elif defect == "npz":
+            np.savez(tmp / "in", a=good)
+            (tmp / "in.npz").replace(tmp / "in.npy")
+        elif defect == "pickle":
+            (tmp / "in.npy").write_bytes(b"not an array")
+        if command == "preprocess":
+            argv = ["preprocess", "--mode", "tf", "--in", "in.npy", "--out", "pre.npy"]
+        else:
+            argv = ["cv", "--tags", "truth.csv", "--features", "in.npy", "--learner", "tree"]
+        assert "in.npy" in one_line_error(main(argv), capsys)
+
     def test_blank_first_line_of_pixel_csv(self, workspace, capsys):
         tmp, *_ = workspace
         (tmp / "raw.csv").write_text("\n#canopy-pixels-v1,1,1,3\n1,2,3\n")
@@ -383,3 +511,122 @@ class TestConfigAndSeeds:
             assert main(["split", "--tags", "truth.csv", "--k", "5",
                          "--seed", "11", "--out", name]) == 0
         assert (tmp / "x.csv").read_text() == (tmp / "y.csv").read_text()
+
+
+class TestManifestFiles:
+    """Every file a run reads or writes goes through the manifest."""
+
+    def manifest(self):
+        return Manifest(argparse.Namespace(command="test"), [])
+
+    @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+    def test_failing_writer_leaves_destination_untouched(self, tmp_path, existing):
+        dest = tmp_path / "out.csv"
+        if existing is not None:
+            dest.write_bytes(existing)
+
+        def writer(path, text):
+            with open(path, "w") as fh:
+                fh.write(text)
+                fh.flush()
+                raise RuntimeError("disk on fire")
+
+        manifest = self.manifest()
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            manifest.output(str(dest), writer, "half a file")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if existing is None else ["out.csv"])
+        if existing is not None:
+            assert dest.read_bytes() == existing
+        assert manifest.doc["outputs"] == {}
+
+    @pytest.mark.parametrize("name", ["out.csv", "image.npy", "no_suffix", "a.b.json"])
+    def test_temporary_file_sits_beside_destination_with_its_suffix(self, tmp_path, name):
+        seen = []
+
+        def writer(path, text):
+            seen.append(os.path.abspath(path))
+            with open(path, "w") as fh:
+                fh.write(text)
+
+        dest = tmp_path / name
+        old = os.umask(0o027)
+        try:
+            self.manifest().output(str(dest), writer, "x")
+        finally:
+            os.umask(old)
+        (tmp,) = seen
+        assert os.path.dirname(tmp) == str(tmp_path) and tmp != str(dest)
+        assert os.path.splitext(tmp)[1] == os.path.splitext(name)[1]
+        assert dest.stat().st_mode & 0o777 == 0o640  # the umask's, not mkstemp's 0600
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_unset_path_writes_nothing(self, tmp_path):
+        calls = []
+        manifest = self.manifest()
+        manifest.output(None, lambda *a: calls.append(a))
+        manifest.output("", lambda *a: calls.append(a))
+        assert calls == [] and manifest.doc["outputs"] == {}
+
+    def test_input_digest_recorded_after_load(self, workspace):
+        tmp, *_ = workspace
+        manifest = self.manifest()
+        ids, truth = manifest.load("truth.csv", load_tags, "infer")
+        assert manifest.doc["inputs"] == {"truth.csv": sha256(tmp / "truth.csv")}
+
+    def test_failed_cv_run_leaves_error_manifest(self, workspace, capsys):
+        tmp, *_ = workspace
+        code = main([
+            "cv", "--tags", "truth.csv", "--features", "features.csv", "--learner", "tree",
+            "--k", "3", "--out", "cv.csv", "--oof-out", "oof.csv", "--folds-out", "nodir/f.csv",
+        ])
+        err = one_line_error(code, capsys)
+        assert "nodir/f.csv" in err
+        manifest = json.loads((tmp / "cv.csv.manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["exit_code"] == 1
+        assert err.strip() == f"canopy cv: error: {manifest['error']}"
+        assert manifest["outputs"] == {"cv.csv": sha256(tmp / "cv.csv"),
+                                       "oof.csv": sha256(tmp / "oof.csv")}
+        assert set(manifest["inputs"]) == {"truth.csv", "features.csv"}
+        assert not (tmp / "nodir").exists()
+        assert not [p.name for p in tmp.iterdir() if "-tmp-" in p.name]
+
+    def test_error_without_out_writes_command_manifest(self, workspace, capsys):
+        tmp, *_ = workspace
+        err = one_line_error(main(["split", "--tags", "missing.csv"]), capsys)
+        manifest = json.loads((tmp / "split.manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"]) == ("error", 1)
+        assert manifest["inputs"] == {} and manifest["outputs"] == {}
+        assert "missing.csv" in manifest["error"] and "missing.csv" in err
+
+    def test_unwritable_manifest_on_error_path_keeps_one_line(self, workspace, capsys):
+        code = main(["split", "--tags", "missing.csv", "--out", "nodir/folds.csv"])
+        err = one_line_error(code, capsys)
+        assert "missing.csv" in err and "manifest" not in err
+
+    def test_unwritable_manifest_after_success_is_an_error(self, workspace, capsys):
+        tmp, *_ = workspace
+        (tmp / "folds.csv.manifest.json").mkdir()
+        code = main(["split", "--tags", "truth.csv", "--out", "folds.csv"])
+        assert "folds.csv.manifest.json" in one_line_error(code, capsys)
+        assert (tmp / "folds.csv").exists()
+        assert not [p.name for p in tmp.iterdir() if "-tmp-" in p.name]
+
+    def test_unexpected_exception_still_recorded(self, workspace, monkeypatch):
+        import canopy.cli
+
+        def broken(*args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(canopy.cli, "stratified_kfold", broken)
+        with pytest.raises(KeyError):
+            main(["split", "--tags", "truth.csv", "--out", "folds.csv"])
+        manifest = json.loads((workspace[0] / "folds.csv.manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"]) == ("error", 1)
+        assert manifest["error"] == "KeyError: 'bug'"
+
+    def test_argv_records_the_command_line_run(self, workspace):
+        argv = ["split", "--tags", "truth.csv", "--k", "4", "--out", "folds.csv"]
+        assert main(argv) == 0
+        manifest = json.loads((workspace[0] / "folds.csv.manifest.json").read_text())
+        assert manifest["argv"] == argv
+        assert manifest["config"]["k"] == 4 and manifest["config"]["seed"] == 0

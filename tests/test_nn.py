@@ -383,6 +383,32 @@ class TestTraining:
             train(net, x, y, x, y, cfg)
         assert all(np.isfinite(s).all() for s in err.value.last_state)
 
+    def test_non_finite_gradient_with_finite_loss_aborts(self):
+        """Adam.step's gradient check stops training before it writes."""
+        from canopy.nn import TrainConfig, TrainingDiverged, train
+
+        rng = make_rng(7)
+        x, y = self.separable_problem(rng)
+        net = Network.init(NetworkSpec(in_dim=3, out_dim=3, hidden=(4,), loss="bce"), seed=7)
+        original = net.loss_and_gradients
+        calls = []
+        states = []
+
+        def poisoned(*args, **kwargs):
+            loss, grads = original(*args, **kwargs)
+            calls.append(1)
+            states.append(net.get_state())
+            if len(calls) == 12:  # epoch 3 of 5 batches per epoch
+                grads[1][0] = np.inf
+            return loss, grads
+
+        net.loss_and_gradients = poisoned
+        cfg = TrainConfig(batch_size=16, max_epochs=10, patience=10, seed=7)
+        with pytest.raises(TrainingDiverged, match="epoch 3: non-finite gradient") as err:
+            train(net, x, y, x, y, cfg)
+        assert len(err.value.history["val_f2"]) == 2
+        assert all((a == b).all() for a, b in zip(err.value.last_state, states[-1]))
+
     def test_batch_norm_dropout_network_trains(self):
         from canopy.nn import TrainConfig, train
 
