@@ -43,7 +43,7 @@ from .data import (
 )
 from .ensemble import MetaLearnerConfig, StackedFeatures, stack_train, weighted_vote
 from .imageprep import MODES, augment, load_image_array, preprocess, random_augment, save_image_array
-from .metrics import report, sample_fbeta
+from .metrics import check_beta, report, sample_fbeta
 from .nn import TrainConfig, save_checkpoint
 from .splits import cv_evaluate, load_folds, save_folds, stratified_kfold
 from .thresholds import apply_thresholds, load_thresholds, optimize_thresholds, save_thresholds
@@ -55,14 +55,23 @@ def _int_list(value) -> tuple[int, ...]:
     return tuple(int(v) for v in str(value).split(","))
 
 
-KINDS = {float: "a number", int: "an integer", _int_list: "comma-separated integers"}
+def _beta(value) -> float:
+    return check_beta(float(value))
+
+
+KINDS = {
+    float: "a number",
+    int: "an integer",
+    _int_list: "comma-separated integers",
+    _beta: "a finite number > 0",
+}
 
 # option -> (hard default, conversion). Defaults apply only after --config
 # merging, so a config file can fill any flag the user left unset (explicit
 # flags always win); then every value is converted, once.
 OPTIONS = {
     "cutoff": (0.5, float),
-    "beta": (2.0, float),
+    "beta": (2.0, _beta),
     "mode": ("coordinate", str),
     "vocab": ("infer", str),
     "k": (5, int),
@@ -78,10 +87,10 @@ OPTIONS = {
 }
 
 
-def _resolve_options(args: argparse.Namespace) -> None:
+def _resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Merge --config, fill defaults, and convert every option; a value that
     does not convert is an error naming its flag."""
-    _apply_config(args)
+    _apply_config(args, parser)
     if getattr(args, "seed", 0) is None:
         args.seed = _default_seed()
     for key, (default, convert) in OPTIONS.items():
@@ -103,9 +112,10 @@ def _default_seed() -> int:
         raise DataError(f"CANOPY_SEED must be an integer, got {env!r}") from None
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """key = value lines; '#' comments; keys use the long flag names."""
-    out: dict[str, str] = {}
+def _read_config_file(path: str) -> dict[str, list[str]]:
+    """key = value lines; '#' comments; keys use the long flag names. Each
+    key maps to its values in file order (a repeatable flag takes them all)."""
+    out: dict[str, list[str]] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -117,21 +127,29 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise DataError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
+        out.setdefault(key.strip().replace("-", "_"), []).append(value.strip())
     return out
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Config-file values fill in flags the user did not set explicitly."""
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Config-file values fill in flags the user did not set explicitly. Each
+    key obeys its flag's own ``choices``; a repeatable (``append``) flag takes
+    every value of its key, any other flag the last."""
     if not getattr(args, "config", None):
         return
-    cfg = _read_config_file(args.config)
-    for key, raw in cfg.items():
-        if not hasattr(args, key):
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in commands.choices[args.command]._actions}
+    for key, values in _read_config_file(args.config).items():
+        action = actions.get(key)
+        if action is None or not hasattr(args, key):
             raise DataError(f"{args.config}: unknown config key {key!r}")
-        if getattr(args, key) is not None:
-            continue  # explicit flag wins
-        setattr(args, key, raw)
+        for raw in values:
+            if action.choices is not None and raw not in action.choices:
+                allowed = ", ".join(action.choices)
+                raise DataError(f"{args.config}: {key} must be one of {allowed}, got {raw!r}")
+        if getattr(args, key) is None:  # an explicit flag wins
+            repeatable = isinstance(action, argparse._AppendAction)
+            setattr(args, key, values if repeatable else values[-1])
 
 
 def _digest(path: str | Path) -> str:
@@ -541,10 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     manifest = Manifest(args, argv)
     try:
-        _resolve_options(args)
+        _resolve_options(args, parser)
         code = args.func(args, manifest)
         manifest.write(args, code, None)
         return code

@@ -9,12 +9,19 @@ Conventions, applied uniformly:
 * the report's Total row uses sample averaging for P/R/F1/F2 and
   exact-match (subset) accuracy. Mean-of-F over samples is NOT the same
   number as F applied to mean-P and mean-R, so the Total F cells are not
-  recomputable from the Total P/R cells; per-class rows are.
+  recomputable from the Total P/R cells; per-class rows are;
+* beta must be a finite number > 0 (``check_beta``).
+
+F-beta has two forms that differ in the last bit on ~40% of small counts:
+``fbeta`` from precision and recall, pinned by the tests' loop oracle and
+the report digests, serves ``averaged`` and ``report``; ``fbeta_from_counts``
+from TP/FP/FN, pinned by the tuning digests, serves threshold tuning.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -77,15 +84,11 @@ def confusion(pred, truth, orientation: str = "per_class") -> ConfusionTable:
     return ConfusionTable(orientation=orientation, tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def fbeta(precision: float, recall: float, beta: float) -> float:
-    """F-beta = (1 + b^2) p r / (b^2 p + r); 0 whenever the denominator is 0."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    b2 = beta * beta
-    den = b2 * precision + recall
-    if den == 0.0:
-        return 0.0
-    return (1.0 + b2) * precision * recall / den
+def check_beta(beta: float) -> float:
+    """``beta`` itself when it is a finite number > 0; ValueError otherwise."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be a finite number > 0, got {beta!r}")
+    return beta
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -95,31 +98,40 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _fbeta_vec(p: np.ndarray, r: np.ndarray, beta: float) -> np.ndarray:
-    b2 = beta * beta
-    return _ratio((1.0 + b2) * p * r, b2 * p + r)
+def fbeta(precision, recall, beta: float):
+    """F-beta = (1 + b^2) p r / (b^2 p + r); 0 wherever the denominator is 0.
+    Elementwise over arrays; scalar precision and recall give a float."""
+    b2 = check_beta(beta) * beta
+    p = np.asarray(precision, dtype=np.float64)
+    f = _ratio((1.0 + b2) * p * recall, b2 * p + recall)
+    return float(f) if f.ndim == 0 else f
+
+
+def fbeta_from_counts(tp, fp, fn, beta: float) -> np.ndarray:
+    """F-beta = (1 + b^2) tp / ((1 + b^2) tp + fp + b^2 fn), elementwise over
+    count arrays; 0 wherever the denominator is 0."""
+    b2 = check_beta(beta) * beta
+    num = (1.0 + b2) * np.asarray(tp)
+    return _ratio(num, num + fp + b2 * fn)
 
 
 def _prf_from_counts(tp, fp, fn, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = _ratio(tp, tp + fp)
     r = _ratio(tp, tp + fn)
-    return p, r, _fbeta_vec(p, r, beta)
+    return p, r, fbeta(p, r, beta)
 
 
-def _seq_mean(values: np.ndarray) -> float:
+def _seq_sum(values: np.ndarray) -> float:
     # left-to-right accumulation: bit-identical to a plain loop/sum oracle,
     # unlike numpy reductions whose SIMD order varies
     acc = 0.0
     for v in values.tolist():
         acc += v
-    return acc / len(values)
-
-
-def _seq_sum(values: np.ndarray) -> float:
-    acc = 0.0
-    for v in values.tolist():
-        acc += v
     return acc
+
+
+def _seq_mean(values: np.ndarray) -> float:
+    return _seq_sum(values) / len(values)
 
 
 class AveragedScores(NamedTuple):
@@ -142,8 +154,7 @@ def averaged(
     the scores per instance from that instance's label-level counts and
     averages over instances.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    check_beta(beta)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")
     p, t = _check_pair(pred, truth)
@@ -168,10 +179,8 @@ def averaged(
             _seq_sum(w * prec), _seq_sum(w * rec), _seq_sum(w * f)
         )
     # micro: pool counts, then one ratio each; micro-F is F of the pooled p, r
-    tp, fp, fn = int(c.tp.sum()), int(c.fp.sum()), int(c.fn.sum())
-    mp = tp / (tp + fp) if tp + fp else 0.0
-    mr = tp / (tp + fn) if tp + fn else 0.0
-    return AveragedScores(mp, mr, fbeta(mp, mr, beta))
+    mp, mr, mf = _prf_from_counts(c.tp.sum(), c.fp.sum(), c.fn.sum(), beta)
+    return AveragedScores(float(mp), float(mr), mf)
 
 
 def sample_fbeta(pred, truth, beta: float = 2.0) -> float:
@@ -242,7 +251,7 @@ def report(pred: LabelMatrix, truth: LabelMatrix) -> MetricsReport:
     p, t = _check_pair(pred, truth)
     c = confusion(p, t, "per_class")
     prec, rec, f1 = _prf_from_counts(c.tp, c.fp, c.fn, 1.0)
-    f2 = _fbeta_vec(prec, rec, 2.0)
+    f2 = fbeta(prec, rec, 2.0)
     acc = _ratio(c.tp + c.tn, c.tp + c.fp + c.tn + c.fn)
 
     sp = averaged(p, t, "sample", beta=1.0)

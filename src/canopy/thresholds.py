@@ -2,6 +2,8 @@
 
 The classification rule is inclusive everywhere: score >= cutoff means
 positive, so a returned cutoff can always be one of the observed scores.
+Candidate cutoffs are counted with one sort per label (``_sweep``), and
+every tuned score is the counts form of F-beta, ``metrics.fbeta_from_counts``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FLOAT_FMT, DataError, LabelMatrix, LabelVocabulary, ProbMatrix, read_table
+from .metrics import check_beta, fbeta_from_counts
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,17 @@ class PrCurve:
     positive_count: int
 
 
+def _sweep(scores: np.ndarray, truth: np.ndarray):
+    """The distinct scores in ascending order, each with the TP and the
+    predicted-positive count of ``score >= cutoff`` at that cutoff."""
+    order = np.argsort(scores)
+    ranked = scores[order]
+    cuts = np.unique(ranked)
+    below = np.searchsorted(ranked, cuts, side="left")  # samples scoring under each cutoff
+    positives_below = np.concatenate(([0], np.cumsum(truth[order])))
+    return cuts, positives_below[-1] - positives_below[below], len(scores) - below
+
+
 def pr_curve(scores, truth) -> PrCurve:
     """Sweep all candidate thresholds for one label column."""
     s = np.asarray(scores, dtype=np.float64)
@@ -40,18 +54,10 @@ def pr_curve(scores, truth) -> PrCurve:
     if n_pos == 0:
         raise ValueError("pr_curve requires at least one positive sample")
 
-    cands = np.unique(s)
-    if cands[0] > 0.0:
-        cands = np.concatenate(([0.0], cands))
-    prec = np.empty_like(cands)
-    rec = np.empty_like(cands)
-    for i, th in enumerate(cands):
-        pred = s >= th
-        tp = int((pred & t).sum())
-        pp = int(pred.sum())
-        prec[i] = tp / pp if pp else 0.0
-        rec[i] = tp / n_pos
-    return PrCurve(thresholds=cands, precision=prec, recall=rec, positive_count=n_pos)
+    cuts, tp, pp = _sweep(s, t)
+    if cuts[0] > 0.0:  # the sentinel 0 predicts what the lowest score does
+        cuts, tp, pp = np.r_[0.0, cuts], np.r_[tp[0], tp], np.r_[pp[0], pp]
+    return PrCurve(thresholds=cuts, precision=tp / pp, recall=tp / n_pos, positive_count=n_pos)
 
 
 def apply_thresholds(probs: ProbMatrix, cutoffs) -> LabelMatrix:
@@ -61,27 +67,6 @@ def apply_thresholds(probs: ProbMatrix, cutoffs) -> LabelMatrix:
         raise ValueError(f"expected {probs.n_labels} cutoffs, got {th.shape[0]}")
     values = (probs.values >= th[None, :]).astype(np.int8)
     return LabelMatrix(values=values, vocab=probs.vocab)
-
-
-def _sample_fbeta_fast(pred: np.ndarray, truth: np.ndarray, beta: float) -> float:
-    # hot loop of the coordinate sweep; bool-array twin of metrics.sample_fbeta
-    b2 = beta * beta
-    tp = (pred & truth).sum(axis=1)
-    fp = (pred & ~truth).sum(axis=1)
-    fn = (~pred & truth).sum(axis=1)
-    num = (1.0 + b2) * tp
-    den = (1.0 + b2) * tp + fp + b2 * fn
-    per_sample = np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
-    return float(per_sample.mean())
-
-
-def _class_fbeta(pred: np.ndarray, truth: np.ndarray, beta: float) -> float:
-    tp = int((pred & truth).sum())
-    fp = int((pred & ~truth).sum())
-    fn = int((~pred & truth).sum())
-    b2 = beta * beta
-    den = (1.0 + b2) * tp + fp + b2 * fn
-    return (1.0 + b2) * tp / den if den else 0.0
 
 
 def optimize_thresholds(
@@ -97,13 +82,15 @@ def optimize_thresholds(
     F-beta, sweeping each class over its distinct observed scores while the
     others stay fixed, until a full pass improves by <= 1e-12 (at most
     ``max_passes`` passes). per-class mode maximizes each class's own binary
-    F-beta independently. Ties always break toward the smallest cutoff.
-    Classes without a single positive keep the default cutoff 0.5.
+    F-beta independently, scoring all of a class's cutoffs from one sorted
+    sweep. Ties always break toward the smallest cutoff. Classes without a
+    single positive keep the default cutoff 0.5.
 
     The returned score is the objective the mode optimizes: sample-averaged
     F-beta for coordinate mode, mean per-class F-beta for per-class mode.
     Either way it is never below the same objective at uniform 0.5 cutoffs.
     """
+    check_beta(beta)
     if mode not in ("coordinate", "per-class"):
         raise ValueError("mode must be 'coordinate' or 'per-class'")
     if probs.n_samples == 0:
@@ -116,24 +103,26 @@ def optimize_thresholds(
     n_labels = scores.shape[1]
     cutoffs = np.full(n_labels, 0.5)
     optimizable = [j for j in range(n_labels) if y[:, j].any()]
-    candidates = {j: np.unique(scores[:, j]) for j in optimizable}
 
     if mode == "per-class":
+        best = np.zeros(n_labels)  # a class without positives scores 0
         for j in optimizable:
-            best_s, best_t = -1.0, 0.5
-            for th in candidates[j]:
-                s = _class_fbeta(scores[:, j] >= th, y[:, j], beta)
-                if s > best_s:
-                    best_s, best_t = s, float(th)
-            cutoffs[j] = best_t
-        per_class = [
-            _class_fbeta(scores[:, j] >= cutoffs[j], y[:, j], beta)
-            for j in range(n_labels)
-        ]
-        return cutoffs, float(np.mean(per_class))
+            cuts, tp, pp = _sweep(scores[:, j], y[:, j])
+            # the lowest cutoff predicts every sample, so tp[0] is the positive count
+            f = fbeta_from_counts(tp, pp - tp, tp[0] - tp, beta)
+            i = int(np.argmax(f))  # the first maximum is the smallest cutoff
+            cutoffs[j], best[j] = cuts[i], f[i]
+        return cutoffs, float(best.mean())
 
+    def sample_score(pred: np.ndarray) -> float:
+        tp = (pred & y).sum(axis=1)
+        fp = (pred & ~y).sum(axis=1)
+        fn = (~pred & y).sum(axis=1)
+        return float(fbeta_from_counts(tp, fp, fn, beta).mean())
+
+    candidates = {j: np.unique(scores[:, j]) for j in optimizable}
     pred = scores >= cutoffs[None, :]
-    current = _sample_fbeta_fast(pred, y, beta)
+    current = sample_score(pred)
     for _ in range(max_passes):
         improved = False
         for j in optimizable:
@@ -141,7 +130,7 @@ def optimize_thresholds(
             col = scores[:, j]
             for th in candidates[j]:
                 pred[:, j] = col >= th
-                s = _sample_fbeta_fast(pred, y, beta)
+                s = sample_score(pred)
                 if s > best_s or (s == best_s and th < best_t):
                     best_s, best_t = s, float(th)
             pred[:, j] = col >= best_t

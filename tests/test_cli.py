@@ -144,6 +144,13 @@ BAD_FLAG_VALUES = [
      "beta = abc"),
     (["metrics", "--pred", "missing.csv", "--truth", "missing.csv"], "--cutoff", "cutoff = x"),
     (["split", "--tags", "missing.csv"], "--k", "k = x"),
+    *[(["tune-thresholds", "--probs", "missing.csv", "--truth", "missing.csv", "--beta", beta],
+       "--beta", None) for beta in ["0", "-2", "nan", "inf"]],
+    (["split", "--tags", "missing.csv"], "run.cfg: vocab", "vocab = amazn"),
+    (["tune-thresholds", "--probs", "missing.csv", "--truth", "missing.csv"], "run.cfg: mode",
+     "mode = bogus"),
+    (["stack", "--truth", "missing.csv", "--folds", "missing.csv"], "run.cfg: optimizer",
+     "optimizer = bogus"),
 ]
 
 
@@ -213,6 +220,20 @@ class TestVoteCommand:
         ]) == 0
         _, voted = load_probs(tmp / "voted.csv", vocab)
         assert (voted.values == 1.0).all()  # v=3 > 5/2 everywhere
+
+    def test_config_pred_and_weights_lines_match_flags(self, workspace, capsys):
+        tmp, ids, vocab, truth, _ = workspace
+        rng = make_rng(5)
+        for name in ("a.csv", "b.csv", "c.csv"):
+            hard = (rng.random((len(ids), 4)) < 0.5).astype(float)
+            save_probs(tmp / name, ids, ProbMatrix(values=hard, vocab=vocab))
+        (tmp / "vote.cfg").write_text(
+            "pred = a.csv\npred = b.csv\npred = c.csv\nweights = 2,1,1\n"
+        )
+        assert main(["vote", "--config", "vote.cfg", "--out", "from_config.csv"]) == 0
+        assert main(["vote", "--pred", "a.csv", "--pred", "b.csv", "--pred", "c.csv",
+                     "--weights", "2,1,1", "--out", "from_flags.csv"]) == 0
+        assert (tmp / "from_config.csv").read_bytes() == (tmp / "from_flags.csv").read_bytes()
 
     def test_soft_probabilities_rejected(self, workspace, capsys):
         code = main(["vote", "--pred", "probs.csv", "--out", "voted.csv"])

@@ -9,6 +9,7 @@ from canopy.metrics import (
     averaged,
     confusion,
     fbeta,
+    fbeta_from_counts,
     report,
     sample_fbeta,
     subset_accuracy,
@@ -75,7 +76,38 @@ class TestFbeta:
         assert 1.0 / f2 == pytest.approx(4.0 / (5.0 * r) + 1.0 / (5.0 * p), abs=1e-9)
 
 
+    def test_scalars_give_a_float_and_arrays_match_scalars(self):
+        assert type(fbeta(0.5, 0.25, 2.0)) is float
+        rng = make_rng(4)
+        p, r = rng.random(20), rng.random(20)
+        p[:3] = r[:2] = 0.0
+        got = fbeta(p, r, 2.0)
+        assert got.tolist() == [fbeta(float(a), float(b), 2.0) for a, b in zip(p, r)]
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_counts_form_agrees_with_precision_recall_form(self, beta):
+        tp, fp, fn = np.meshgrid(np.arange(6), np.arange(6), np.arange(6), indexing="ij")
+        got = fbeta_from_counts(tp, fp, fn, beta)
+        assert got[0, :, :].max() == 0.0  # no true positive, no credit; 0/0 is 0 too
+        p = np.divide(tp, tp + fp, out=np.zeros(tp.shape), where=tp + fp > 0)
+        r = np.divide(tp, tp + fn, out=np.zeros(tp.shape), where=tp + fn > 0)
+        np.testing.assert_allclose(got, fbeta(p, r, beta), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("beta", [0.0, -2.0, float("nan"), float("inf")])
+    def test_bad_beta_rejected_by_both_forms(self, beta):
+        with pytest.raises(ValueError, match="beta must be a finite number > 0"):
+            fbeta(0.5, 0.5, beta)
+        with pytest.raises(ValueError, match="beta must be a finite number > 0"):
+            fbeta_from_counts(1, 1, 1, beta)
+
+
 class TestAveraged:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("beta", [0.0, -2.0, float("nan"), float("inf")])
+    def test_bad_beta_rejected(self, scheme, beta):
+        with pytest.raises(ValueError, match="beta must be a finite number > 0"):
+            averaged(PRED, TRUTH, scheme, beta=beta, class_weights=[1 / 3] * 3)
+
     def test_micro_pooled_counts(self):
         s = averaged(PRED, TRUTH, "micro", beta=2)
         assert s.precision == pytest.approx(2 / 3)

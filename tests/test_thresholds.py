@@ -190,6 +190,15 @@ class TestOptimizeThresholds:
         cutoffs, _ = optimize_thresholds(probs, truth, beta=2.0)
         assert cutoffs[1] == 0.5
 
+    @pytest.mark.parametrize("mode", ["coordinate", "per-class"])
+    @pytest.mark.parametrize("beta", [0.0, -2.0, float("nan"), float("inf")])
+    def test_bad_beta_rejected_before_any_work(self, mode, beta):
+        vocab = make_vocab(1)
+        probs = ProbMatrix(values=np.zeros((0, 1)), vocab=vocab)  # empty: any work would fail
+        truth = LabelMatrix(values=np.zeros((0, 1)), vocab=vocab)
+        with pytest.raises(ValueError, match="beta must be a finite number > 0"):
+            optimize_thresholds(probs, truth, beta=beta, mode=mode)
+
     def test_empty_dataset_rejected(self):
         vocab = make_vocab(1)
         probs = ProbMatrix(values=np.zeros((0, 1)), vocab=vocab)
