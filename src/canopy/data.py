@@ -10,12 +10,13 @@ sequences on the same build.
 from __future__ import annotations
 
 import csv
+import itertools
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from tokenize import TokenError
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -214,17 +215,24 @@ def validate_weather_block(labels: LabelMatrix) -> None:
 
 
 @contextmanager
-def open_csv(path: str | Path) -> Iterator[Iterator[list[str]]]:
-    """A csv.reader over a UTF-8 file; open, decode and CSV errors (such as
-    a field over the csv module's size limit) become a DataError naming
-    the file."""
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle that keeps line endings as written; open, decode
+    and CSV errors (such as a field over the csv module's size limit) become
+    a DataError naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield csv.reader(fh)
+            yield fh
     except (OSError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
+@contextmanager
+def open_csv(path: str | Path) -> Iterator[Iterator[list[str]]]:
+    """A csv.reader over :func:`open_text`."""
+    with open_text(path) as fh:
+        yield csv.reader(fh)
 
 
 def load_npy(path: str | Path, build):
@@ -261,10 +269,96 @@ def read_table(
     Blank lines are skipped. Every other row has ``width`` cells (default:
     the header's width), and its stripped first cell is a non-empty key
     unique in the file. With ``bounds=(lo, hi)``, ``values`` is a float64
-    (rows, width - 1) array of the other cells, parsed with ``float()`` and
-    required finite and in [lo, hi]; without, it lists each row's stripped
-    second cell. Errors name the file and the line of the offending row.
+    (rows, width - 1) array of the other cells, parsed as ``float()`` parses
+    them and required finite and in [lo, hi]; without, it lists each row's
+    stripped second cell. Errors name the file and the line of the offending
+    row.
+
+    A numeric table is read in bulk by numpy's C reader. A file the bulk
+    read refuses or whose result fails a check is streamed again by
+    :func:`_stream_table`, which raises the error naming its first bad row,
+    or returns the table for the forms only ``float()`` accepts (``1_000``,
+    non-ASCII digits).
     """
+    if bounds is not None:
+        table = _bulk_table(path, fixed, width, bounds)
+        if table is not None:
+            return table
+    return _stream_table(path, fixed, width, bounds)
+
+
+def _bulk_table(
+    path: str | Path, fixed: tuple[str, ...], width: int | None, bounds: tuple[float, float]
+) -> Table | None:
+    """A numeric table through one ``np.loadtxt`` over the file handle, or
+    None unless the streaming reader would return the same table.
+
+    loadtxt splits cells as csv.reader does (a quote opens a quoted cell
+    only at its start, doubled quotes escape, a bare CR ends a line), and
+    its float parser accepts a subset of ``float()`` with the same
+    whitespace stripping. The rest is checked on the whole result: the row
+    width (loadtxt refuses rows of differing widths, so only the first is
+    compared), the keys, the bounds, and one row per physical line. That
+    last check sends blank lines and rows over several lines to the
+    streaming reader, as does a line long enough to hold a cell over csv's
+    size limit, which that reader rejects.
+    """
+    limit = csv.field_size_limit()
+    keys: list[str] = []
+    n_lines = 0
+
+    def counted(lines):
+        nonlocal n_lines
+        for n_lines, line in enumerate(lines, 1):
+            if len(line) > limit:
+                raise ValueError("line longer than the csv field limit")
+            yield line
+
+    def key(cell: str) -> float:  # called on each row's first cell, in order
+        keys.append(cell.strip())
+        return 0.0
+
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        header = [c.strip() for c in next(reader, [])]
+        # no row (loadtxt would warn on an empty input) or a blank first line
+        first = next(fh, "")
+        if header[: len(fixed)] != list(fixed) or not first.strip():
+            return None
+        try:
+            rows = np.loadtxt(
+                counted(itertools.chain([first], fh)),
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                dtype=np.float64,
+                converters={0: key},
+                encoding="utf-8",  # str to the converter; numpy 1.x defaults to bytes
+                ndmin=2,
+            )
+        except ValueError:
+            return None
+    n = len(keys)
+    if rows.shape != (n, width or len(header)) or n_lines != n:
+        return None
+    if not all(keys) or len(set(keys)) != n:
+        return None
+    lo, hi = bounds
+    values = rows[:, 1:]
+    if not (np.isfinite(values) & (values >= lo) & (values <= hi)).all():
+        return None
+    start = reader.line_num + 1
+    return Table(header, keys, array("l", range(start, start + n)), values)
+
+
+def _stream_table(
+    path: str | Path,
+    fixed: tuple[str, ...],
+    width: int | None,
+    bounds: tuple[float, float] | None,
+) -> Table:
+    """:func:`read_table` one csv.reader row at a time: the reader of tag
+    and fold files, and the error locator of numeric ones."""
     ids: list[str] = []
     seen: set[str] = set()
     lines = array("l")
@@ -390,8 +484,12 @@ def save_probs(path: str | Path, ids: Sequence[str], probs: ProbMatrix) -> None:
         raise ValueError("ids length must match the number of rows")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("image_name," + ",".join(probs.vocab.names) + "\n")
-        for sample_id, row in zip(ids, probs.values):
-            fh.write(sample_id + "," + ",".join(FLOAT_FMT % x for x in row) + "\n")
+        # one format per row, over Python floats converted a block at a time
+        # (the whole matrix as Python floats would cost ~25 MB at 40,479 x 17)
+        row_fmt = "%s" + ("," + FLOAT_FMT) * probs.n_labels + "\n"
+        v = probs.values
+        rows = itertools.chain.from_iterable(v[i : i + 4096].tolist() for i in range(0, len(v), 4096))
+        fh.writelines(row_fmt % (sample_id, *row) for sample_id, row in zip(ids, rows))
 
 
 def load_features(path: str | Path) -> tuple[list[str] | None, FeatureMatrix]:

@@ -173,6 +173,8 @@ def averaged(
         w = np.asarray(class_weights, dtype=np.float64)
         if w.shape != (p.shape[1],):
             raise ValueError(f"class_weights must have length {p.shape[1]}")
+        if not (np.isfinite(w) & (w >= 0)).all():
+            raise ValueError("class_weights must be finite and >= 0")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("class_weights must sum to 1 (tolerance 1e-9)")
         return AveragedScores(

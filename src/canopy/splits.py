@@ -73,31 +73,44 @@ def stratified_kfold(truth: LabelMatrix, k: int, seed: int) -> FoldAssignment:
     dense = np.nonzero(y.mean(axis=0) > 0.5)[0]
     if dense.size:
         y = np.concatenate([y, ~y[:, dense]], axis=1)
-    n_labels = y.shape[1]
 
-    fold_of = np.full(n, -1, dtype=np.int64)
+    # the per-sample loop runs on Python floats and lists: the same IEEE
+    # values and comparisons as float64 arrays, without numpy's per-call cost
     # demand[l][f]: how many positives of label l fold f still wants
-    demand = np.tile(y.sum(axis=0, dtype=np.float64)[:, None] / k, (1, k))
-    capacity = np.full(k, n / k)
-    unassigned = np.ones(n, dtype=bool)
+    demand = [[count / k] * k for count in y.sum(axis=0, dtype=np.float64).tolist()]
+    capacity = [n / k] * k
+    folds = range(k)
+    # labels_of[start[i]:start[i + 1]]: the labels of sample i
+    labels_of = np.nonzero(y)[1].tolist()
+    start = np.concatenate([[0], np.cumsum(y.sum(axis=1))]).tolist()
 
-    def pick_fold(label: int | None) -> int:
+    def pick_fold(want: list[float] | None) -> int:
         # folds at their size quota stop receiving until every fold is full,
         # keeping sizes within one sample so label proportions track counts
-        cand = np.arange(k)
-        open_folds = cand[capacity[cand] > 0]
-        if open_folds.size:
-            cand = open_folds
-        if label is not None:
-            d = demand[label]
-            cand = cand[d[cand] == d[cand].max()]
+        cand = [f for f in folds if capacity[f] > 0] or list(folds)
+        if want is not None:
+            top = max(map(want.__getitem__, cand))
+            cand = [f for f in cand if want[f] == top]
         if len(cand) > 1:
-            c = capacity[cand]
-            cand = cand[c == c.max()]
+            top = max(map(capacity.__getitem__, cand))
+            cand = [f for f in cand if capacity[f] == top]
         if len(cand) > 1:
-            cand = cand[[rng.integers(len(cand))]]
-        return int(cand[0])
+            return cand[rng.integers(len(cand))]
+        return cand[0]
 
+    def assign(samples: np.ndarray, want: list[float] | None) -> None:
+        chosen = []
+        for i in samples.tolist():
+            f = pick_fold(want)
+            chosen.append(f)
+            for label in labels_of[start[i] : start[i + 1]]:
+                demand[label][f] -= 1.0
+            capacity[f] -= 1.0
+        fold_of[samples] = chosen
+        unassigned[samples] = False
+
+    fold_of = np.full(n, -1, dtype=np.int64)
+    unassigned = np.ones(n, dtype=bool)
     labels_per_sample = y.sum(axis=1)
     while True:
         remaining_pos = (y & unassigned[:, None]).sum(axis=0)
@@ -109,18 +122,9 @@ def stratified_kfold(truth: LabelMatrix, k: int, seed: int) -> FoldAssignment:
         # most-constrained samples first: their many demand counters are
         # still informative early in the sweep
         members = members[np.argsort(-labels_per_sample[members], kind="stable")]
-        for i in members:
-            f = pick_fold(label)
-            fold_of[i] = f
-            unassigned[i] = False
-            demand[y[i], f] -= 1.0
-            capacity[f] -= 1.0
+        assign(members, demand[label])
 
-    for i in np.nonzero(unassigned)[0]:  # samples with no positive labels
-        f = pick_fold(None)
-        fold_of[i] = f
-        capacity[f] -= 1.0
-
+    assign(np.nonzero(unassigned)[0], None)  # samples with no positive labels
     return FoldAssignment(fold_of=fold_of, k=k)
 
 

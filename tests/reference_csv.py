@@ -4,16 +4,23 @@ kept as an oracle: each loader opens, decodes and checks its own file.
 ``test_csv_oracle.py`` writes valid files and requires the shared-reader
 loaders to return the same ids and byte-identical arrays as these, and
 requires both to reject the same malformed files.
+
+``read_table`` is the shared reader as it was before numeric files moved to
+numpy's bulk reader: one csv.reader row at a time, for every format. The
+bulk path must return the same table, or raise the same message, for every
+file.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from canopy.data import DataError, FeatureMatrix, LabelMatrix, LabelVocabulary, ProbMatrix
+from canopy.data import DataError, FeatureMatrix, LabelMatrix, LabelVocabulary, ProbMatrix, Table
 from canopy.splits import FoldAssignment
 
 
@@ -214,3 +221,77 @@ def load_thresholds(path: str | Path, vocab: LabelVocabulary) -> np.ndarray:
         return np.array([seen[name] for name in vocab.names])
     except KeyError as exc:
         raise DataError(f"{path}: missing threshold for label {exc.args[0]!r}") from None
+
+
+@contextmanager
+def _open_csv(path):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield csv.reader(fh)
+    except (OSError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
+def read_table(
+    path: str | Path,
+    fixed: tuple[str, ...],
+    width: int | None = None,
+    bounds: tuple[float, float] | None = None,
+) -> Table:
+    """Read a CSV whose stripped header starts with ``fixed``.
+
+    Blank lines are skipped. Every other row has ``width`` cells (default:
+    the header's width), and its stripped first cell is a non-empty key
+    unique in the file. With ``bounds=(lo, hi)``, ``values`` is a float64
+    (rows, width - 1) array of the other cells, parsed with ``float()`` and
+    required finite and in [lo, hi]; without, it lists each row's stripped
+    second cell. Errors name the file and the line of the offending row.
+    """
+    ids: list[str] = []
+    seen: set[str] = set()
+    lines = array("l")
+    cells: list[str] = []
+    buf = array("d")
+    with _open_csv(path) as reader:
+        header = [c.strip() for c in next(reader, [])]
+        if header[: len(fixed)] != list(fixed):
+            raise DataError(f"{path}: expected header starting with {','.join(fixed)!r}")
+        width = width or len(header)
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            line = reader.line_num
+            if len(row) != width:
+                raise DataError(f"{path}: row {line}: expected {width} columns, got {len(row)}")
+            key = row[0].strip()
+            if not key:
+                raise DataError(f"{path}: row {line}: empty {header[0]}")
+            if key in seen:
+                raise DataError(f"{path}: row {line}: duplicate {header[0]} {key!r}")
+            seen.add(key)
+            ids.append(key)
+            lines.append(line)
+            if bounds is None:
+                cells.append(row[1].strip())
+                continue
+            for cell in row[1:]:
+                try:
+                    buf.append(float(cell.strip()))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {line}: non-numeric value {cell.strip()!r}"
+                    ) from None
+    if bounds is None:
+        return Table(header, ids, lines, cells)
+    lo, hi = bounds
+    values = np.frombuffer(buf, dtype=np.float64).reshape(len(ids), width - 1)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= lo) & (values <= hi)))
+    if bad.size:
+        i, j = divmod(int(bad[0]), width - 1)
+        raise DataError(
+            f"{path}: row {lines[i]}: column {header[j + 1]!r} value {float(values[i, j])!r} "
+            f"is not a finite number in [{lo:g}, {hi:g}]"
+        )
+    return Table(header, ids, lines, values)

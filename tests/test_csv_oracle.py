@@ -1,14 +1,27 @@
 """The shared-reader CSV loaders against the per-format loaders they
 replaced (reference_csv.py): valid files load to the same ids and
 byte-identical arrays, malformed files are rejected by both, and the new
-error names the file and the line of the bad row."""
+error names the file and the line of the bad row. Numeric files read in
+bulk against the streaming reader: same table or same error text."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canopy.data
 import reference_csv as ref
-from canopy.data import DataError, LabelVocabulary, load_features, load_probs, load_tags
+from canopy.data import (
+    DataError,
+    LabelVocabulary,
+    ProbMatrix,
+    load_features,
+    load_probs,
+    load_tags,
+    make_rng,
+    read_table,
+    save_probs,
+)
 from canopy.splits import load_folds
 from canopy.thresholds import load_thresholds
 
@@ -229,3 +242,155 @@ def test_duplicate_or_empty_key_rejected(path, data, fmt, duplicate):
     with pytest.raises(DataError, match="duplicate" if duplicate else "empty") as err:
         LOADERS[fmt][0](path)
     assert f"{path}: row {row_lines[r]}: " in str(err.value)
+
+
+# -- numeric files: numpy's bulk reader against the streaming reader -------
+#
+# read_table reads probabilities, features and thresholds through one
+# np.loadtxt call and falls back to streaming the file through csv.reader.
+# reference_csv.read_table is the streaming reader as it was before; every
+# file must give the same table (header, ids, lines and value bytes) or the
+# same error text.
+
+NUMERIC = {  # read_table's fixed header, width and bounds per format
+    "probs": (("image_name",), None, (0.0, 1.0)),
+    "features": (("image_name",), None, (-np.inf, np.inf)),
+    "thresholds": (("label", "threshold"), 2, (0.0, 1.0)),
+}
+
+
+def table_outcome(read, path, fmt):
+    try:
+        t = read(path, *NUMERIC[fmt])
+    except DataError as exc:
+        return str(exc)
+    values = t.values
+    return t.header, t.ids, t.lines.tolist(), values.dtype.str, values.shape, values.tobytes()
+
+
+HEADER = "image_name,a,b\n"
+DIVERGENT = {  # where numpy's reader and csv.reader + float() could part
+    "extra trailing cell": HEADER + "s1,0.1,0.2\ns2,0.3,0.4,0.5\n",
+    "extra cell on every row": HEADER + "s1,0.1,0.2,0.3\ns2,0.3,0.4,0.5\n",
+    "missing cell": HEADER + "s1,0.1\n",
+    "# inside a key": HEADER + "s#1,0.1,0.2\n",
+    "# inside a value": HEADER + "s1,0.1#,0.2\n",
+    "# starting a row": HEADER + "#s1,0.1,0.2\n",
+    "whitespace-only blank line": HEADER + "s1,0.1,0.2\n   \ns2,0.3,0.4\n",
+    "tab-only blank line": HEADER + "s1,0.1,0.2\n\t\ns2,0.3,0.4\n",
+    "empty line": HEADER + "\ns1,0.1,0.2\n\ns2,0.3,0.4\n\n",
+    "quoted empty line": HEADER + 's1,0.1,0.2\n""\ns2,0.3,0.4\n',
+    "bare CR endings": HEADER.replace("\n", "\r") + "s1,0.1,0.2\rs2,0.3,0.4\r",
+    "CRLF endings": HEADER.replace("\n", "\r\n") + "s1,0.1,0.2\r\ns2,0.3,0.4\r\n",
+    "space before an opening quote (value)": HEADER + 's1, "0.1",0.2\n',
+    "space before an opening quote (key)": HEADER + ' "s1",0.1,0.2\n',
+    "text after a closing quote": HEADER + '"s1" ,"0.1" ,0.2\n',
+    "quote inside an unquoted cell": HEADER + 's"1",0."1",0.2\n',
+    "doubled quote in a key": HEADER + '"s""1",0.1,0.2\n',
+    "unterminated quote": HEADER + 's1,0.1,"0.2\n',
+    "underscore digits": HEADER + "s1,0_1,0.2_5\n",
+    "Arabic-Indic digit": HEADER + "s1,١,٠.٥\n",
+    "full-width digit": HEADER + "s1,０.5,0.2\n",
+    "NBSP padding": HEADER + "s1,\xa00.1\xa0,0.2\n",
+    "vertical-tab padding": HEADER + "s1,\x0b0.1\x0b,0.2\n",
+    "zero-width space": HEADER + "s1,\u200b0.1,0.2\n",
+    "UTF-8 BOM": "\ufeff" + HEADER + "s1,0.1,0.2\n",
+    "BOM inside a value": HEADER + "s1,\ufeff0.1,0.2\n",
+    "header only": HEADER,
+    "header only, no newline": HEADER.rstrip("\n"),
+    "header then blank lines": HEADER + "\n \n",
+    "empty file": "",
+    "quoted key with a comma": HEADER + '"s,1",0.1,0.2\n',
+    "key over two lines": HEADER + '"s\n1",0.1,0.2\ns2,0.3,0.4\n',
+    "value over two lines": HEADER + 's1,"0.1\n",0.2\n',
+    "NUL in a key": HEADER + "s\x001,0.1,0.2\n",
+    "empty value": HEADER + "s1,,0.2\n",
+    "empty key": HEADER + ",0.1,0.2\n",
+    "duplicate key": HEADER + "s1,0.1,0.2\n s1 ,0.3,0.4\n",
+    "nan": HEADER + "s1,0.1,nan\n",
+    "infinity": HEADER + "s1,0.1,-Infinity\n",
+    "overflow": HEADER + "s1,1e500,0.2\n",
+    "out of range": HEADER + "s1,0.1,1.5\n",
+    "negative zero": HEADER + "s1,-0,0.2\n",
+    "hex float": HEADER + "s1,0x1p-1,0.2\n",
+    "cell over the csv field limit": HEADER + "s1," + " " * 140_000 + "0.1,0.2\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(NUMERIC))
+@pytest.mark.parametrize("case", sorted(DIVERGENT))
+def test_bulk_reader_matches_streaming_reader(path, case, fmt):
+    text = DIVERGENT[case]
+    if fmt == "thresholds":  # a two-column file of the same shape
+        text = text.replace("image_name,a,b", "label,threshold").replace(",0.2", "")
+    path.write_bytes(text.encode("utf-8"))
+    assert table_outcome(read_table, path, fmt) == table_outcome(ref.read_table, path, fmt)
+
+
+TWISTED_NUMBERS = ["1_000", "0_1", "١", "٠.٥", "0.5#", "#", " 0.5", '"0.5"x', "", "nan", "1e500"]
+TWISTS = (
+    "extra cell", "missing cell", "number", "# in key", "odd key",
+    "blank lines", "bare CR", "space before quote", "odd padding", "BOM", "no rows",
+)
+
+
+@st.composite
+def twisted_file(draw, fmt):
+    """A file of ``fmt`` with up to three forms the two readers may treat
+    differently, or none (then the bulk path must return the table)."""
+    header, rows = draw(MODELS[fmt])
+    twists = draw(st.sets(st.sampled_from(TWISTS), max_size=3))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if "extra cell" in twists:
+        row.append(draw(unit_numbers))
+    if "missing cell" in twists and len(row) > 1:
+        row.pop()
+    if "number" in twists and len(row) > 1:
+        row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(TWISTED_NUMBERS))
+    if "# in key" in twists:
+        row[0] += "#"
+    if "odd key" in twists:
+        row[0] = draw(st.sampled_from(["s,1", "s 1", "s\n1", 's"1']))
+    if "no rows" in twists:
+        rows = []
+    newline = "\r" if "bare CR" in twists else draw(st.sampled_from(["\n", "\r\n"]))
+    pads = ["", " ", "\t"] + (["\xa0", "\x0b"] if "odd padding" in twists else [])
+    quoting = ["none", "quoted"] + (["space before quote"] if "space before quote" in twists else [])
+
+    def cell(text):
+        text = draw(st.sampled_from(pads)) + text + draw(st.sampled_from(pads))
+        how = draw(st.sampled_from(quoting))
+        if how == "none":
+            return text
+        text = '"' + text.replace('"', '""') + '"'
+        return text if how == "quoted" else " " + text
+
+    lines = [",".join(cell(c) for c in header)]
+    for r in rows:
+        if "blank lines" in twists:
+            lines += draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=1))
+        lines.append(",".join(cell(c) for c in r))
+    bom = "\ufeff" if "BOM" in twists else ""
+    return bom + newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(sorted(NUMERIC)))
+def test_bulk_reader_matches_streaming_reader_on_twisted_files(path, data, fmt):
+    path.write_bytes(data.draw(twisted_file(fmt)).encode("utf-8"))
+    assert table_outcome(read_table, path, fmt) == table_outcome(ref.read_table, path, fmt)
+
+
+def test_plain_probability_file_takes_the_bulk_path(path, monkeypatch):
+    """A file as save_probs writes it never reaches the streaming reader."""
+    ids = [f"s{i}" for i in range(50)]
+    probs = ProbMatrix(values=make_rng(0).random((50, 3)), vocab=VOCAB)
+    save_probs(path, ids, probs)
+
+    def refuse(*args):
+        raise AssertionError("streaming reader called on a plain file")
+
+    monkeypatch.setattr(canopy.data, "_stream_table", refuse)
+    got_ids, got = load_probs(path, VOCAB)
+    assert got_ids == ids
+    assert np.array_equal(got.values, np.round(probs.values, 6))

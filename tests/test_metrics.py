@@ -129,6 +129,13 @@ class TestAveraged:
         with pytest.raises(ValueError, match="length"):
             averaged(PRED, TRUTH, "weighted", beta=2, class_weights=[1.0])
 
+    @pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [2.0, -0.5, -0.5]])
+    def test_weighted_rejects_nan_or_negative_weights(self, weights):
+        # both once passed the sum check: a NaN sum compares False, and
+        # [2, -.5, -.5] sums to 1 (it scored 1.5)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            averaged(PRED, TRUTH, "weighted", beta=2, class_weights=weights)
+
     def test_weighted_uniform_equals_macro(self):
         w = [1 / 3] * 3
         assert averaged(PRED, TRUTH, "weighted", 2.0, w).fbeta == pytest.approx(
