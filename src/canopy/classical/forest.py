@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import make_rng, spawn_seeds
-from .tree import DecisionTree, check_tree_params, tree_fit
+from .tree import DecisionTree, check_int, check_tree_params, tree_fit
 
 
 @dataclass
@@ -28,10 +28,8 @@ class ForestModel:
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         out = np.zeros((len(X), len(self.classes)))
-        for tree in self.trees:
-            probs = tree.predict_proba(X)
-            for j, c in enumerate(tree.classes):
-                out[:, int(np.searchsorted(self.classes, c))] += probs[:, j]
+        for tree in self.trees:  # a tree that saw fewer classes fills fewer columns
+            out[:, np.searchsorted(self.classes, tree.classes)] += tree.predict_proba(X)
         return out / len(self.trees)
 
     def predict(self, X) -> np.ndarray:
@@ -47,15 +45,17 @@ class ForestModel:
 CUTPOINTS = {"rf": "best", "extra": "random"}  # variant -> tree_fit cutpoint
 
 
-def check_forest_params(n_estimators, variant, criterion, max_depth, feature_rule) -> None:
+def check_forest_params(
+    n_estimators, variant, max_depth, min_samples_split, feature_rule, bootstrap
+) -> None:
     """forest_fit's checks on its settings, and on those it hands to
     tree_fit; they need no data."""
-    if n_estimators < 1:
-        raise ValueError("n_estimators must be >= 1")
+    check_int("n_estimators", n_estimators, 1)
     if variant not in ("rf", "extra"):
         raise ValueError("variant must be 'rf' or 'extra'")
-    rule = "sqrt" if feature_rule is None else feature_rule
-    check_tree_params(criterion, max_depth, rule, CUTPOINTS[variant])
+    if bootstrap is not None and not isinstance(bootstrap, bool):
+        raise TypeError(f"bootstrap must be true or false, got {bootstrap!r}")
+    check_tree_params("gini", max_depth, min_samples_split, feature_rule, CUTPOINTS[variant])
 
 
 def forest_fit(
@@ -63,54 +63,28 @@ def forest_fit(
     y,
     n_estimators: int = 200,
     variant: str = "rf",
-    criterion: str = "gini",
     max_depth: int | None = None,
     min_samples_split: int = 2,
-    feature_rule: str | None = None,
+    feature_rule: str = "sqrt",
     bootstrap: bool | None = None,
     seed: int = 0,
 ) -> ForestModel:
-    """Fit a forest; defaults follow the variant (rf bootstraps and scans
-    best cuts, extra uses the full sample and random cuts). feature_rule
-    and bootstrap may be overridden, e.g. a single rf tree with
+    """Fit a forest of gini trees; bootstrap follows the variant unless set
+    (rf resamples, extra uses the full sample). A single rf tree with
     feature_rule='all' and bootstrap=False reduces to the plain tree."""
-    check_forest_params(n_estimators, variant, criterion, max_depth, feature_rule)
+    check_forest_params(n_estimators, variant, max_depth, min_samples_split, feature_rule, bootstrap)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if len(X) < 2:
         raise ValueError("forest training needs at least 2 samples")
     if bootstrap is None:
         bootstrap = variant == "rf"
-    if feature_rule is None:
-        feature_rule = "sqrt"
-    cutpoint = CUTPOINTS[variant]
-    classes = np.unique(y)
-
     rng = make_rng(seed)
-    tree_seeds = spawn_seeds(seed, n_estimators)
     trees: list[DecisionTree] = []
-    for t in range(n_estimators):
-        if bootstrap:
-            idx = rng.integers(0, len(X), size=len(X))
-        else:
-            idx = np.arange(len(X))
-        trees.append(
-            tree_fit(
-                X[idx],
-                y[idx],
-                criterion=criterion,
-                max_depth=max_depth,
-                min_samples_split=min_samples_split,
-                feature_rule=feature_rule,
-                cutpoint=cutpoint,
-                seed=tree_seeds[t],
-            )
-        )
-    return ForestModel(
-        trees=trees,
-        classes=classes,
-        variant=variant,
-        bootstrap=bootstrap,
-        feature_rule=feature_rule,
-        seed=seed,
-    )
+    for tree_seed in spawn_seeds(seed, n_estimators):
+        idx = rng.integers(0, len(X), size=len(X)) if bootstrap else np.arange(len(X))
+        trees.append(tree_fit(X[idx], y[idx], max_depth=max_depth, feature_rule=feature_rule,
+                              min_samples_split=min_samples_split, cutpoint=CUTPOINTS[variant],
+                              seed=tree_seed))
+    return ForestModel(trees=trees, classes=np.unique(y), variant=variant, bootstrap=bootstrap,
+                       feature_rule=feature_rule, seed=seed)

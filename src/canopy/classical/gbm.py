@@ -14,11 +14,12 @@ scalar gamma per stage is available via gamma_mode="stage".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from ..nn.activations import sigmoid
-from .tree import DecisionTree, check_tree_params, tree_fit
+from .tree import DecisionTree, check_int, check_tree_params, tree_fit
 
 CLAMP = 1e-12
 
@@ -57,18 +58,17 @@ def _newton_leaf_gamma(loss: str, residual: np.ndarray, p: np.ndarray | None) ->
     return float(residual.sum() / max(hess, CLAMP))
 
 
-def check_gbm_params(n_stages, learning_rate, max_depth, loss, gamma_mode) -> None:
+def check_gbm_params(n_stages, learning_rate, max_depth, min_samples_split, loss, gamma_mode) -> None:
     """gbm_fit's checks on its settings, and on those it hands to tree_fit;
     they need no data."""
-    if n_stages < 1:
-        raise ValueError("n_stages must be >= 1")
-    if not 0.0 < learning_rate <= 1.0:
-        raise ValueError("learning_rate must lie in (0, 1]")
+    check_int("n_stages", n_stages, 1)
+    if not (isinstance(learning_rate, Real) and 0.0 < learning_rate <= 1.0):
+        raise ValueError(f"learning_rate must lie in (0, 1], got {learning_rate!r}")
     if loss not in ("squared", "logistic"):
         raise ValueError("loss must be 'squared' or 'logistic'")
     if gamma_mode not in ("leaf", "stage"):
         raise ValueError("gamma_mode must be 'leaf' or 'stage'")
-    check_tree_params("mse", max_depth, "all", "best")
+    check_tree_params("mse", max_depth, min_samples_split, "all", "best")
 
 
 def gbm_fit(
@@ -82,7 +82,7 @@ def gbm_fit(
     min_samples_split: int = 2,
     seed: int = 0,
 ) -> GbmModel:
-    check_gbm_params(n_stages, learning_rate, max_depth, loss, gamma_mode)
+    check_gbm_params(n_stages, learning_rate, max_depth, min_samples_split, loss, gamma_mode)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
@@ -99,42 +99,27 @@ def gbm_fit(
     F = np.full(len(y), f0)
     stages: list[tuple[DecisionTree, float]] = []
     for m in range(n_stages):
-        if loss == "squared":
-            p = None
-            residual = y - F
-        else:
-            p = sigmoid(F)
-            residual = y - p
+        p = None if loss == "squared" else sigmoid(F)
+        residual = y - (F if p is None else p)
         if not np.isfinite(residual).all():
             raise RuntimeError(f"stage {m}: non-finite pseudo-residuals")
 
-        tree = tree_fit(
-            X,
-            residual,
-            criterion="mse",
-            max_depth=max_depth,
-            min_samples_split=min_samples_split,
-            seed=seed,
-        )
+        tree = tree_fit(X, residual, criterion="mse", max_depth=max_depth,
+                        min_samples_split=min_samples_split, seed=seed)
 
         if gamma_mode == "leaf":
             # replace each leaf mean with the Newton-optimal region value
             leaf = tree.apply(X)
             for k in np.unique(leaf):
                 rows = leaf == k
-                tree.value[k] = _newton_leaf_gamma(
-                    loss, residual[rows], p[rows] if p is not None else None
-                )
+                p_k = None if p is None else p[rows]
+                tree.value[k] = _newton_leaf_gamma(loss, residual[rows], p_k)
             gamma = 1.0
             h = tree.value[leaf]
         else:
-            h = tree.predict_value(X)
-            if loss == "squared":
-                denom = float((h * h).sum())
-                gamma = float((h * residual).sum() / denom) if denom > 0 else 0.0
-            else:
-                denom = float((p * (1.0 - p) * h * h).sum())
-                gamma = float((residual * h).sum() / denom) if denom > 0 else 0.0
+            h = tree.predict_value(X)  # one Newton step on the whole stage
+            denom = float(((1.0 if p is None else p * (1.0 - p)) * h * h).sum())
+            gamma = float((residual * h).sum() / denom) if denom > 0 else 0.0
 
         F = F + learning_rate * gamma * h
         stages.append((tree, gamma))

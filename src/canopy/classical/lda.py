@@ -12,8 +12,11 @@ two classes is the sigmoid of a signed margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
+
+from .tree import check_int
 
 
 @dataclass
@@ -48,11 +51,13 @@ class LdaModel:
         return p / p.sum(axis=1, keepdims=True)
 
 
-def check_lda_params(reg_lambda) -> None:
-    """lda_fit's check on its settings that needs no data (k_components
-    is checked against the data's classes and features)."""
-    if reg_lambda < 0:
-        raise ValueError("reg_lambda must be >= 0")
+def check_lda_params(k_components, reg_lambda) -> None:
+    """lda_fit's checks on its settings that need no data (k_components is
+    checked against the data's classes and features too)."""
+    if k_components is not None:
+        check_int("k_components", k_components, 1)
+    if not (isinstance(reg_lambda, Real) and 0 <= reg_lambda < np.inf):
+        raise ValueError(f"reg_lambda must be >= 0 and finite, got {reg_lambda!r}")
 
 
 def lda_fit(X, y, k_components: int | None = None, reg_lambda: float = 1e-6) -> LdaModel:
@@ -62,7 +67,7 @@ def lda_fit(X, y, k_components: int | None = None, reg_lambda: float = 1e-6) -> 
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n, f) with matching y")
-    check_lda_params(reg_lambda)
+    check_lda_params(k_components, reg_lambda)
     classes, counts = np.unique(y, return_counts=True)
     if len(classes) < 2:
         raise ValueError("LDA needs at least 2 classes")
@@ -70,7 +75,7 @@ def lda_fit(X, y, k_components: int | None = None, reg_lambda: float = 1e-6) -> 
         raise ValueError("every class needs at least 2 samples")
     n, f = X.shape
     max_k = min(len(classes) - 1, f)
-    k = max_k if k_components is None else int(k_components)
+    k = max_k if k_components is None else k_components
     if not 1 <= k <= max_k:
         raise ValueError(f"k_components must lie in [1, {max_k}]")
 
@@ -90,9 +95,7 @@ def lda_fit(X, y, k_components: int | None = None, reg_lambda: float = 1e-6) -> 
     try:
         m = np.linalg.solve(ridge, s_b)
     except np.linalg.LinAlgError:
-        raise ValueError(
-            "within-class scatter is singular; set reg_lambda > 0"
-        ) from None
+        raise ValueError("within-class scatter is singular; set reg_lambda > 0") from None
     eigvals, eigvecs = np.linalg.eig(m)
     order = np.argsort(eigvals.real)[::-1]
     eigvals = eigvals.real[order]
@@ -107,14 +110,6 @@ def lda_fit(X, y, k_components: int | None = None, reg_lambda: float = 1e-6) -> 
         pooled += (zc * zc).sum()
     pooled_var = max(pooled / (k * max(n - len(classes), 1)), 1e-12)
 
-    return LdaModel(
-        s_w=s_w,
-        s_b=s_b,
-        eigenvalues=eigvals,
-        projection=vectors,
-        class_means=class_means,
-        classes=classes,
-        priors=counts / n,
-        pooled_var=pooled_var,
-        reg_lambda=reg_lambda,
-    )
+    return LdaModel(s_w=s_w, s_b=s_b, eigenvalues=eigvals, projection=vectors,
+                    class_means=class_means, classes=classes, priors=counts / n,
+                    pooled_var=pooled_var, reg_lambda=reg_lambda)

@@ -1,148 +1,127 @@
 """Versioned JSON persistence for classical models (format version 2: each
-tree is stored as flat, depth-first node lists)."""
+tree is stored as flat, depth-first node lists).
+
+One table gives each model kind its class and its fields in document order,
+with the JSON type of each. A list field holds an array, except a forest's
+``trees`` and a gbm's ``stages`` (``{"gamma", "tree"}``), which hold trees.
+"""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any
-
 import numpy as np
 
-from ..data import LabelVocabulary
+from ..data import LabelVocabulary, load_json, save_json
 from .forest import ForestModel
 from .gbm import GbmModel
 from .lda import LdaModel
 from .multioutput import ConstantModel, LearnerSpec, MultiOutputModel
 from .tree import NODE_ARRAYS, DecisionTree
 
-FORMAT = "canopy-model"
-VERSION = 2
+FORMAT, VERSION = "canopy-model", 2
+NUM = (int, float)
+TREE = {"criterion": str, "classes": list | None, "n_features": int,
+        **dict.fromkeys(NODE_ARRAYS, list)}
+LDA_ARRAYS = ("s_w", "s_b", "eigenvalues", "projection", "class_means", "classes", "priors")
+KINDS = {
+    "constant": (ConstantModel, {"probability": NUM}),
+    "tree": (DecisionTree, TREE),
+    "forest": (ForestModel, {"variant": str, "bootstrap": bool, "feature_rule": str,
+                             "seed": int, "classes": list, "trees": list}),
+    "gbm": (GbmModel, {"f0": NUM, "learning_rate": NUM, "loss": str, "gamma_mode": str,
+                       "stages": list}),
+    "lda": (LdaModel, {**dict.fromkeys(LDA_ARRAYS, list), "pooled_var": NUM, "reg_lambda": NUM}),
+}
 
 
-def _tree_dict(tree: DecisionTree) -> dict:
-    return {
-        "criterion": tree.criterion,
-        "classes": None if tree.classes is None else tree.classes.tolist(),
-        "n_features": tree.n_features,
-        **{name: getattr(tree, name).tolist() for name in NODE_ARRAYS},
-    }
+def _encode(value):
+    """A field's JSON form: arrays become lists, trees and (tree, gamma) stages objects."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, DecisionTree):
+        return {name: _encode(getattr(value, name)) for name in TREE}
+    if isinstance(value, tuple):
+        return {"gamma": value[1], "tree": _encode(value[0])}
+    return [_encode(v) for v in value] if isinstance(value, list) else value
 
 
-def _tree_from_dict(d: dict) -> DecisionTree:
-    classes = None if d["classes"] is None else np.asarray(d["classes"])
-    return DecisionTree(
-        **{name: np.asarray(d[name]) for name in NODE_ARRAYS},
-        criterion=d["criterion"],
-        classes=classes,
-        n_features=d["n_features"],
-    )
-
-
-def _model_dict(model: Any) -> dict:
-    if isinstance(model, ConstantModel):
-        return {"kind": "constant", "probability": model.probability}
-    if isinstance(model, DecisionTree):
-        return {"kind": "tree", **_tree_dict(model)}
-    if isinstance(model, ForestModel):
-        return {
-            "kind": "forest",
-            "variant": model.variant,
-            "bootstrap": model.bootstrap,
-            "feature_rule": model.feature_rule,
-            "seed": model.seed,
-            "classes": model.classes.tolist(),
-            "trees": [_tree_dict(t) for t in model.trees],
-        }
-    if isinstance(model, GbmModel):
-        return {
-            "kind": "gbm",
-            "f0": model.f0,
-            "learning_rate": model.learning_rate,
-            "loss": model.loss,
-            "gamma_mode": model.gamma_mode,
-            "stages": [{"gamma": g, "tree": _tree_dict(t)} for t, g in model.stages],
-        }
-    if isinstance(model, LdaModel):
-        return {
-            "kind": "lda",
-            "s_w": model.s_w.tolist(),
-            "s_b": model.s_b.tolist(),
-            "eigenvalues": model.eigenvalues.tolist(),
-            "projection": model.projection.tolist(),
-            "class_means": model.class_means.tolist(),
-            "classes": model.classes.tolist(),
-            "priors": model.priors.tolist(),
-            "pooled_var": model.pooled_var,
-            "reg_lambda": model.reg_lambda,
-        }
+def _model_dict(model) -> dict:
+    for kind, (cls, fields) in KINDS.items():
+        if type(model) is cls:
+            return {"kind": kind, **{name: _encode(getattr(model, name)) for name in fields}}
     raise TypeError(f"cannot serialize model {type(model).__name__}")
 
 
-def _model_from_dict(d: dict) -> Any:
-    kind = d["kind"]
-    if kind == "constant":
-        return ConstantModel(probability=d["probability"])
+def _field(d: dict, name: str, kind):
+    """``d[name]``, which must be of JSON type ``kind``."""
+    if not isinstance(d[name], kind):
+        raise ValueError(f"field {name!r} holds a {type(d[name]).__name__}")
+    return d[name]
+
+
+def _decode(d: dict, name: str, kind):
+    """Field ``name`` of ``d``: the inverse of :func:`_encode`."""
+    value = _field(d, name, kind)
+    if name == "trees":
+        return [_model(t, "tree") for t in value]
+    if name == "stages":
+        return [(_model(s["tree"], "tree"), _field(s, "gamma", NUM)) for s in value]
+    if isinstance(value, list):
+        value = np.asarray(value)
+        if value.dtype.kind not in "biuf":
+            raise ValueError(f"field {name!r} must hold numbers")
+    return value
+
+
+def _model(d: dict, kind: str | None = None):
+    """The model of ``kind`` (by default ``d["kind"]``) that ``d`` encodes."""
+    kind = _field(d, "kind", str) if kind is None else kind
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    cls, fields = KINDS[kind]
+    model = cls(**{name: _decode(d, name, typ) for name, typ in fields.items()})
     if kind == "tree":
-        return _tree_from_dict(d)
-    if kind == "forest":
-        return ForestModel(
-            trees=[_tree_from_dict(t) for t in d["trees"]],
-            classes=np.asarray(d["classes"]),
-            variant=d["variant"],
-            bootstrap=d["bootstrap"],
-            feature_rule=d["feature_rule"],
-            seed=d["seed"],
-        )
-    if kind == "gbm":
-        return GbmModel(
-            f0=d["f0"],
-            stages=[(_tree_from_dict(s["tree"]), s["gamma"]) for s in d["stages"]],
-            learning_rate=d["learning_rate"],
-            loss=d["loss"],
-            gamma_mode=d["gamma_mode"],
-        )
-    if kind == "lda":
-        return LdaModel(
-            s_w=np.asarray(d["s_w"]),
-            s_b=np.asarray(d["s_b"]),
-            eigenvalues=np.asarray(d["eigenvalues"]),
-            projection=np.asarray(d["projection"]),
-            class_means=np.asarray(d["class_means"]),
-            classes=np.asarray(d["classes"]),
-            priors=np.asarray(d["priors"]),
-            pooled_var=d["pooled_var"],
-            reg_lambda=d["reg_lambda"],
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+        _check_nodes(model)
+    return model
 
 
-def save_model(path: str | Path, model: MultiOutputModel) -> None:
-    doc = {
-        "format": FORMAT,
-        "version": VERSION,
+def _check_nodes(tree: DecisionTree) -> None:
+    """Node arrays agree in length, and each split names one of the tree's
+    features and two child nodes after its own (ids run depth-first, so a
+    walk down the tree always ends)."""
+    n = len(tree.feature)
+    width = () if tree.classes is None else (len(tree.classes),)
+    shapes = {getattr(tree, a).shape for a in NODE_ARRAYS if a != "value"}
+    if shapes != {(n,)} or tree.value.shape != (n, *width):
+        raise ValueError("tree node arrays disagree in length")
+    if any(getattr(tree, a).dtype.kind != "i" for a in ("feature", "left", "right")):
+        raise ValueError("tree node ids and features must be integers")
+    split = np.flatnonzero(tree.feature >= 0)
+    children = np.concatenate([tree.left[split], tree.right[split]])
+    if (tree.feature >= tree.n_features).any() or not (
+        (children > np.tile(split, 2)) & (children < n)
+    ).all():
+        raise ValueError("a tree split names a feature or node outside the tree")
+
+
+def _multioutput(doc: dict) -> MultiOutputModel:
+    learner, vocab = doc["learner"], doc["vocab"]
+    vocab = LabelVocabulary(tuple(_field(vocab, "names", list)), _field(vocab, "weather_count", int))
+    models = [_model(m) for m in _field(doc, "models", list)]
+    if len(models) != len(vocab):
+        raise ValueError(f"{len(models)} models for {len(vocab)} labels")
+    spec = LearnerSpec(kind=learner["kind"], params=_field(learner, "params", dict))
+    return MultiOutputModel(spec, vocab, models, _field(doc, "n_features", int))
+
+
+def save_model(path, model: MultiOutputModel) -> None:
+    save_json(path, FORMAT, VERSION, {
         "learner": {"kind": model.spec.kind, "params": model.spec.params},
         "vocab": {"names": list(model.vocab.names), "weather_count": model.vocab.weather_count},
         "n_features": model.n_features,
         "models": [_model_dict(m) for m in model.models],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    })
 
 
-def load_model(path: str | Path) -> MultiOutputModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT:
-        raise ValueError(f"{path}: not a {FORMAT} file")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
-    vocab = LabelVocabulary(
-        names=tuple(doc["vocab"]["names"]), weather_count=doc["vocab"]["weather_count"]
-    )
-    return MultiOutputModel(
-        spec=LearnerSpec(kind=doc["learner"]["kind"], params=doc["learner"]["params"]),
-        vocab=vocab,
-        models=[_model_from_dict(m) for m in doc["models"]],
-        n_features=doc["n_features"],
-    )
+def load_model(path) -> MultiOutputModel:
+    """The model saved at ``path``; a damaged file is a ValueError naming it."""
+    return load_json(path, FORMAT, VERSION, _multioutput)

@@ -151,7 +151,16 @@ def _random_splits(block, rows, y, onehot, counts, criterion: str, rng):
     return ok, (nl * gl + nr * gr) / n, threshold[ok]
 
 
-def check_tree_params(criterion, max_depth, feature_rule, cutpoint) -> None:
+def check_int(name: str, value, least: int) -> None:
+    """A count setting is an int (numpy ints too; not a bool, float or NaN)
+    no smaller than ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def check_tree_params(criterion, max_depth, min_samples_split, feature_rule, cutpoint) -> None:
     """tree_fit's checks on its settings; they need no data."""
     if criterion not in ("gini", "mse"):
         raise ValueError("criterion must be 'gini' or 'mse'")
@@ -159,8 +168,9 @@ def check_tree_params(criterion, max_depth, feature_rule, cutpoint) -> None:
         raise ValueError("cutpoint must be 'best' or 'random'")
     if feature_rule not in ("all", "sqrt"):
         raise ValueError("feature_rule must be 'all' or 'sqrt'")
-    if max_depth is not None and max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    if max_depth is not None:
+        check_int("max_depth", max_depth, 1)
+    check_int("min_samples_split", min_samples_split, 2)
 
 
 def tree_fit(
@@ -180,7 +190,7 @@ def tree_fit(
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
         raise ValueError("X must be (n, f) with a matching non-empty y")
-    check_tree_params(criterion, max_depth, feature_rule, cutpoint)
+    check_tree_params(criterion, max_depth, min_samples_split, feature_rule, cutpoint)
 
     n_features = X.shape[1]
     rng = make_rng(seed)

@@ -409,6 +409,9 @@ def cmd_train(args, manifest: Manifest) -> int:
 
 
 def cmd_stack(args, manifest: Manifest) -> int:
+    train = TrainConfig(batch_size=args.batch_size, max_epochs=args.epochs,
+                        patience=args.patience, optimizer=args.optimizer, seed=args.seed)
+    config = MetaLearnerConfig(hidden_units=args.hidden, dropout=args.dropout, train=train)
     truth_ids, truth = manifest.load(args.truth, load_tags, _vocab_from_arg(args))
     if not args.probs:
         raise DataError("stack needs at least one --probs file")
@@ -424,9 +427,6 @@ def cmd_stack(args, manifest: Manifest) -> int:
         raise DataError(f"{args.folds}: sample ids/order differ from {args.truth}")
     if not 0 <= args.val_fold < folds.k:
         raise DataError(f"--val-fold must lie in [0, {folds.k})")
-    train = TrainConfig(batch_size=args.batch_size, max_epochs=args.epochs,
-                        patience=args.patience, optimizer=args.optimizer, seed=args.seed)
-    config = MetaLearnerConfig(hidden_units=args.hidden, dropout=args.dropout, train=train)
     va = folds.fold_indices(args.val_fold)
     model = stack_train(features, truth, config, seed=args.seed, val_indices=va)
     val_probs = model.predict(features.values[va])

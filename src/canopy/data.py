@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -247,6 +248,32 @@ def load_npy(path: str | Path, build):
         return build(arr)
     except (ValueError, TypeError, EOFError, SyntaxError, TokenError) as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def save_json(path: str | Path, fmt: str, version: int, body: dict) -> None:
+    """Write ``body`` as one JSON object after its ``format``/``version`` header."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format": fmt, "version": version, **body}, fh)
+
+
+def load_json(path: str | Path, fmt: str, version: int, build):
+    """``build(document)`` for a JSON object written by :func:`save_json` with
+    this header. Invalid JSON or UTF-8, another header, a missing key, a value
+    of the wrong type, or anything ``build`` rejects is a ValueError that
+    starts with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != fmt:
+            raise ValueError(f"not a {fmt} file")
+        if doc.get("version") != version:
+            what = fmt.rsplit("-", 1)[-1]  # "canopy-model" -> "model"
+            raise ValueError(f"unsupported {what} version {doc.get('version')}")
+        return build(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError, AttributeError, IndexError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class Table(NamedTuple):

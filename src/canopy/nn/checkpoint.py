@@ -5,12 +5,12 @@ Floats round-trip exactly through JSON's repr encoding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from ..data import load_json, save_json
 from .layers import Activation, BatchNorm, Dense, Dropout
 from .network import Network, NetworkSpec
 
@@ -63,26 +63,20 @@ def _layer_from_dict(d: dict):
 
 
 def save_checkpoint(path: str | Path, network: Network, meta: dict | None = None) -> None:
-    doc = {
-        "format": FORMAT,
-        "version": VERSION,
+    save_json(path, FORMAT, VERSION, {
         "spec": asdict(network.spec),
         "layers": [_layer_dict(layer) for layer in network.layers],
         "meta": dict(meta or {}),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    })
+
+
+def _network(doc: dict) -> tuple[Network, dict]:
+    spec = NetworkSpec(**{**doc["spec"], "hidden": tuple(doc["spec"]["hidden"])})
+    layers = [_layer_from_dict(d) for d in doc["layers"]]
+    return Network(spec, layers), doc.get("meta", {})
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT:
-        raise ValueError(f"{path}: not a {FORMAT} file")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    spec_d = dict(doc["spec"])
-    spec_d["hidden"] = tuple(spec_d["hidden"])
-    spec = NetworkSpec(**spec_d)
-    layers = [_layer_from_dict(d) for d in doc["layers"]]
-    return Network(spec, layers), doc.get("meta", {})
+    """The network and metadata saved at ``path``; a damaged file is a
+    ValueError naming it."""
+    return load_json(path, FORMAT, VERSION, _network)

@@ -39,6 +39,10 @@ class NetworkSpec:
         if self.loss == "hybrid" and not 1 <= self.weather_count < self.out_dim:
             raise ValueError("hybrid loss requires 1 <= weather_count < out_dim")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
 def _init_weight(rng, fan_in: int, fan_out: int, activation: str) -> np.ndarray:

@@ -362,7 +362,7 @@ class TestMultioutput:
             LearnerSpec(kind=kind, params=params)
 
     def test_spec_accepts_fit_keywords(self):
-        LearnerSpec(kind="rf", params={"n_estimators": 3, "criterion": "gini"})
+        LearnerSpec(kind="rf", params={"n_estimators": 3, "bootstrap": False})
         LearnerSpec(kind="gbm", params={"n_stages": 3, "gamma_mode": "stage"})
         LearnerSpec(kind="lda", params={"reg_lambda": 0.0})
 

@@ -311,7 +311,9 @@ class TestLearnerParamErrors:
         return one_line_error(code, capsys)
 
     @pytest.mark.parametrize("command", ["cv", "train"])
-    @pytest.mark.parametrize("learner,param", [("rf", "n_trees=5"), ("tree", "seed=3")])
+    @pytest.mark.parametrize("learner,param", [
+        ("rf", "n_trees=5"), ("tree", "seed=3"), ("rf", "criterion=mse"), ("extra", "criterion=mse"),
+    ])
     def test_unknown_key_rejected_before_data_work(
         self, workspace, capsys, data_work, command, learner, param
     ):
@@ -329,6 +331,12 @@ class TestLearnerParamErrors:
         ("tree", "max_depth=0"), ("rf", "max_depth=0"), ("gbm", "max_depth=0"),
         ("rf", "n_estimators=0"), ("extra", "n_estimators=0"), ("gbm", "n_stages=0"),
         ("gbm", "learning_rate=2"), ("lda", "reg_lambda=-1"),
+        ("rf", "n_estimators=2.5"), ("extra", "n_estimators=true"), ("gbm", "n_stages=2.5"),
+        ("rf", "max_depth=NaN"), ("tree", "max_depth=1.5"), ("gbm", "max_depth=false"),
+        ("tree", "min_samples_split=-4"), ("rf", "min_samples_split=1"),
+        ("gbm", "min_samples_split=2.0"), ("lda", "k_components=1.5"), ("lda", "k_components=0"),
+        ("lda", "reg_lambda=NaN"), ("lda", "reg_lambda=Infinity"), ("gbm", "learning_rate=NaN"),
+        ("rf", 'bootstrap="no"'),
     ])
     def test_bad_value_rejected_before_data_work(
         self, workspace, capsys, data_work, command, learner, param
@@ -396,6 +404,18 @@ class TestStackCommand:
         val_ids, val_probs = load_probs(tmp / "meta.csv", vocab)
         assert len(val_ids) == len(folds.fold_indices(1))
 
+    @pytest.mark.parametrize("option,named", [
+        ("--hidden=0", "hidden"), ("--hidden=-3", "hidden"), ("--hidden=4,0", "hidden"),
+        ("--dropout=nan", "dropout"), ("--dropout=1", "dropout"), ("--dropout=-0.5", "dropout"),
+        ("--epochs=0", "epochs"), ("--epochs=-1", "epochs"),
+    ])
+    def test_bad_network_setting_is_one_line_error(self, workspace, capsys, option, named):
+        assert main(["split", "--tags", "truth.csv", "--k", "4", "--out", "folds.csv"]) == 0
+        capsys.readouterr()
+        code = main(["stack", "--truth", "truth.csv", "--probs", "probs.csv",
+                     "--folds", "folds.csv", "--checkpoint", "meta.json", option])
+        assert named in one_line_error(code, capsys)
+        assert not (workspace[0] / "meta.json").exists()
 
     def test_undecodable_folds_file_named(self, workspace, capsys):
         tmp, *_ = workspace

@@ -7,6 +7,10 @@ nan/inf/negative cell, or emptied. Every subcommand must then exit 0 or 1
 without a traceback, fail with one stderr line that names a file or a flag,
 and leave a manifest whose status matches its exit and whose output
 digests match the files on disk.
+
+Numeric flags and learner parameters get the same contract for edge values
+(0, -1, 2.5, nan, inf, true, null, 1e309): a run either works or fails with
+one stderr line that names the flag or parameter.
 """
 
 import contextlib
@@ -24,8 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canopy.classical import load_model
 from canopy.cli import main
-from canopy.data import AMAZON_LABELS, load_features, load_tags
+from canopy.data import AMAZON_LABELS, LabelMatrix, LabelVocabulary, load_features, load_tags, save_tags
 from canopy.imageprep import save_image_array
 from canopy.splits import save_folds, stratified_kfold
 from canopy.thresholds import save_thresholds
@@ -192,3 +197,103 @@ def test_damaged_input_fails_cleanly(demo, data, command):
             assert sorted(manifest["outputs"]) == sorted(str(work / n) for _, n in outputs)
         # no temporary file survives, whatever the outcome
         assert not [p.name for p in work.iterdir() if "-tmp-" in p.name]
+
+
+EDGE_VALUES = ["0", "-1", "2.5", "nan", "inf", "true", "null", "1e309"]
+
+# flag -> (subcommand, words of which an error about the flag names one)
+FLAGS = {
+    "--hidden": ("stack", ("--hidden", "hidden widths")),
+    "--dropout": ("stack", ("--dropout", "dropout")),
+    "--epochs": ("stack", ("--epochs", "max_epochs")),
+    "--batch-size": ("stack", ("--batch-size", "batch_size")),
+    "--patience": ("stack", ("--patience", "patience")),
+    "--val-fold": ("stack", ("--val-fold",)),
+    "--k": ("split", ("--k",)),
+    "--cutoff": ("metrics", ("--cutoff",)),
+    "--beta": ("tune-thresholds", ("--beta",)),
+    "--weights": ("vote", ("--weights", "weights")),
+}
+PARSER_TYPED = ("--cutoff", "--beta")  # argparse converts these: a non-number exits 2
+STACK_OPTIONS = {"--hidden": "4", "--epochs": "2", "--batch-size": "8"}
+
+# learner -> (settings that keep a fit small, parameters to set to an edge value)
+PARAMS = {
+    "rf": ("n_estimators=3", ("n_estimators", "max_depth", "min_samples_split")),
+    "gbm": ("n_stages=3", ("n_stages", "learning_rate", "max_depth", "min_samples_split")),
+    "lda": ("reg_lambda=1e-6", ("k_components", "reg_lambda")),
+}
+SETTINGS = [(flag, None) for flag in FLAGS] + [
+    ("--param", (learner, key)) for learner, (_, keys) in PARAMS.items() for key in keys
+]
+
+
+@pytest.fixture(scope="module")
+def learnable(demo):
+    """Tags and features every learner can fit: two labels, each with many
+    samples of both classes (LDA needs two of each)."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 3)).round(6)
+    ids = [f"s{i:02d}" for i in range(30)]
+    truth = LabelMatrix(values=(X[:, :2] > 0).astype(np.int8), vocab=LabelVocabulary(("a", "b")))
+    save_tags(demo / "learn_tags.csv", ids, truth)
+    rows = [f"{i}," + ",".join(f"{v:.6f}" for v in x) for i, x in zip(ids, X)]
+    (demo / "learn_features.csv").write_text("\n".join(["image_name,f0,f1,f2", *rows]) + "\n")
+    return demo
+
+
+def _flag_argv(flag: str, value: str, demo: Path, work: Path) -> tuple[list[str], tuple]:
+    command, names = FLAGS[flag]
+    if command == "vote":
+        value = f"{value},1"  # one weight per --pred
+    inputs, options, outputs = COMMANDS[command]
+    # flag=value, so a value such as -1,1 is not taken for a flag
+    if command == "stack":
+        options = [f"{f}={v}" for f, v in {**STACK_OPTIONS, flag: value}.items()]
+    else:
+        options = [*options, f"{flag}={value}"]
+    argv = [command, "--vocab", "amazon", *options]  # the demo tags miss some labels
+    for opt, name in inputs:
+        argv += [opt, str(demo / name)]
+    return argv + [outputs[0][0], str(work / outputs[0][1])], names
+
+
+@settings(max_examples=100, deadline=None)
+@given(setting=st.sampled_from(SETTINGS), value=st.sampled_from(EDGE_VALUES))
+def test_edge_flag_value_fails_cleanly(learnable, setting, value):
+    flag, param = setting
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        if param is None:
+            argv, names = _flag_argv(flag, value, learnable, work)
+        else:
+            learner, key = param
+            argv = [
+                "train", "--tags", str(learnable / "learn_tags.csv"),
+                "--features", str(learnable / "learn_features.csv"), "--learner", learner,
+                "--param", PARAMS[learner][0], "--param", f"{key}={value}",
+                "--out", str(work / "model.json"),
+            ]
+            names = (key,)
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        except SystemExit as exc:  # argparse refused the value: a usage error
+            code = exc.code
+        err = stderr.getvalue()
+        out = argv[argv.index("--out") + 1]
+
+        assert "Traceback" not in err
+        assert any(name in err for name in names) or code == 0, err
+        if code == 2:  # only flags argparse converts itself, and no manifest
+            assert flag in PARSER_TYPED and not Path(out + ".manifest.json").exists()
+            return
+        assert code in (0, 1)
+        if code == 1:
+            assert len(err.strip().splitlines()) == 1, err
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["status"] == ("ok" if code == 0 else "error")
+        assert manifest["exit_code"] == code
+        if code == 0 and param is not None:
+            load_model(out)  # the model train saved loads back
