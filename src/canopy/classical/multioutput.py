@@ -100,7 +100,8 @@ class MultiOutputModel:
 def fit_multioutput(
     spec: LearnerSpec, features: FeatureMatrix, truth: LabelMatrix, seed: int = 0
 ) -> MultiOutputModel:
-    """One independent binary model per label."""
+    """One independent binary model per label. A learner that cannot fit a
+    label is a ValueError naming the learner and the label."""
     if features.n_samples != truth.n_samples:
         raise ValueError("features and truth disagree on the number of samples")
     X = features.values
@@ -110,8 +111,11 @@ def fit_multioutput(
         y = truth.values[:, j].astype(np.int64)
         if y.min() == y.max():
             models.append(ConstantModel(probability=float(y[0])))
-        else:
+            continue
+        try:
             models.append(_fit_binary(spec, X, y, seeds[j]))
+        except ValueError as exc:
+            raise ValueError(f"{spec.kind} on label {truth.vocab.names[j]!r}: {exc}") from None
     return MultiOutputModel(
         spec=spec, vocab=truth.vocab, models=models, n_features=features.n_features
     )

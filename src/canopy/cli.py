@@ -30,6 +30,7 @@ from . import __version__
 from .classical import LEARNER_KINDS, LearnerSpec, fit_multioutput, predict_multioutput, save_model
 from .data import (
     AMAZON_LABELS,
+    FLOAT_FMT,
     DataError,
     FeatureMatrix,
     LabelMatrix,
@@ -47,9 +48,6 @@ from .metrics import check_beta, report, sample_fbeta
 from .nn import TrainConfig, save_checkpoint
 from .splits import cv_evaluate, load_folds, save_folds, stratified_kfold
 from .thresholds import apply_thresholds, load_thresholds, optimize_thresholds, save_thresholds
-
-FMT = "%.6f"
-
 
 def _int_list(value) -> tuple[int, ...]:
     return tuple(int(v) for v in str(value).split(","))
@@ -305,7 +303,7 @@ def cmd_tune_thresholds(args, manifest: Manifest) -> int:
     prob_ids, probs = manifest.load(args.probs, load_probs, truth.vocab)
     probs = _align_rows(truth_ids, prob_ids, probs, args.probs, "predictions", extra_ok=False)
     cutoffs, score = optimize_thresholds(probs, truth, beta=args.beta, mode=args.mode)
-    print(f"achieved {args.mode} F{args.beta:g} = {FMT % score}")
+    print(f"achieved {args.mode} F{args.beta:g} = {FLOAT_FMT % score}")
     manifest.output(args.out, save_thresholds, truth.vocab, cutoffs)
     return 0
 
@@ -383,8 +381,8 @@ def cmd_cv(args, manifest: Manifest) -> int:
     result = cv_evaluate(spec, features, truth, k=args.k, seed=args.seed)
     lines = ["fold,precision,recall,accuracy,f1_score,f2_score"]
     for f, rep in enumerate(result.fold_reports):
-        lines.append(f"{f}," + ",".join(FMT % v for v in rep.total))
-    lines.append("average," + ",".join(FMT % v for v in result.average_total))
+        lines.append(f"{f}," + ",".join(FLOAT_FMT % v for v in rep.total))
+    lines.append("average," + ",".join(FLOAT_FMT % v for v in result.average_total))
     table = "\n".join(lines) + "\n"
     print(table, end="")
     manifest.output(args.out, _write_text, table)
@@ -402,7 +400,7 @@ def cmd_train(args, manifest: Manifest) -> int:
     model = fit_multioutput(spec, features, truth, seed=args.seed)
     probs = predict_multioutput(model, features)
     pred = apply_thresholds(probs, np.full(truth.n_labels, 0.5))
-    print(f"training sample-F2 at cutoff 0.5: {FMT % sample_fbeta(pred, truth)}")
+    print(f"training sample-F2 at cutoff 0.5: {FLOAT_FMT % sample_fbeta(pred, truth)}")
     manifest.output(args.out, save_model, model)
     manifest.output(args.probs_out, save_probs, ids, probs)
     return 0
@@ -434,8 +432,8 @@ def cmd_stack(args, manifest: Manifest) -> int:
     cutoffs, tuned = optimize_thresholds(val_probs, val_truth, beta=2.0)
     base = sample_fbeta(apply_thresholds(val_probs, np.full(truth.n_labels, 0.5)), val_truth)
     print(
-        f"meta-learner val fold {args.val_fold}: F2@0.5 = {FMT % base}, "
-        f"tuned F2 = {FMT % tuned} (best epoch {model.best_epoch})"
+        f"meta-learner val fold {args.val_fold}: F2@0.5 = {FLOAT_FMT % base}, "
+        f"tuned F2 = {FLOAT_FMT % tuned} (best epoch {model.best_epoch})"
     )
     manifest.output(args.out, save_probs, [truth_ids[i] for i in va], val_probs)
     manifest.output(args.thresholds_out, save_thresholds, truth.vocab, cutoffs)

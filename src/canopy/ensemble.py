@@ -110,13 +110,13 @@ def assemble_oof(
 
 @dataclass(frozen=True)
 class MetaLearnerConfig:
-    """Meta-learner architecture and training settings for stacking."""
+    """Meta-learner architecture and training settings for stacking. A
+    hybrid head's softmax block is the truth vocabulary's weather labels."""
 
     hidden_units: tuple[int, ...] = (64,)
     batch_norm: bool = True
     dropout: float = 0.25
     loss: str = "bce"
-    weather_count: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
@@ -181,7 +181,7 @@ def stack_train(
         batch_norm=config.batch_norm,
         dropout=config.dropout,
         loss=config.loss,
-        weather_count=config.weather_count,
+        weather_count=truth.vocab.weather_count if config.loss == "hybrid" else 0,
     )
     network = Network.init(spec, seed=seed)
     y = truth.values.astype(np.float64)

@@ -28,22 +28,17 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return np.asarray(x, dtype=np.float64)
-    if name == "relu":
-        return relu(x)
-    if name == "sigmoid":
-        return sigmoid(x)
-    raise ValueError(f"unknown activation {name!r}")
+# name -> (forward, backward); backward(out, grad) backprops ``grad``
+# through the activation given its forward OUTPUT
+ACTIVATIONS = {
+    "identity": (lambda x: np.asarray(x, dtype=np.float64), lambda out, grad: grad),
+    "relu": (relu, lambda out, grad: grad * (out > 0)),
+    "sigmoid": (sigmoid, lambda out, grad: grad * out * (1.0 - out)),
+}
 
 
-def activation_grad(name: str, out: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Backprop through an activation given its forward OUTPUT."""
-    if name == "identity":
-        return grad
-    if name == "relu":
-        return grad * (out > 0)
-    if name == "sigmoid":
-        return grad * out * (1.0 - out)
-    raise ValueError(f"unknown activation {name!r}")
+def activation_fns(name: str):
+    """The (forward, backward) pair of activation ``name``."""
+    if name not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+    return ACTIVATIONS[name]

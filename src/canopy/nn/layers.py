@@ -1,33 +1,38 @@
 """Network layers: dense (optionally fused with an activation), batch
 normalization with running statistics, standalone activation, and inverted
 dropout. Each layer caches what its own backward pass needs; parameter
-gradients accumulate into ``.grads`` aligned with ``.params``.
+gradients accumulate into ``.grads`` aligned with ``.params``. ``ARRAYS``
+names every array a layer carries (parameters and running statistics), in
+the order a checkpoint saves them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .activations import activation_grad, apply_activation
+from .activations import activation_fns
 
 
 class Dense:
     """y = activation(x @ W + b). W has shape (in_dim, out_dim)."""
+
+    ARRAYS = ("W", "b")
 
     def __init__(self, W: np.ndarray, b: np.ndarray, activation: str = "identity"):
         self.W = np.asarray(W, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[1],):
             raise ValueError("W must be (in_dim, out_dim) and b (out_dim,)")
-        if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
-            raise ValueError("dense parameters must be finite")
-        if activation not in ("identity", "relu", "sigmoid"):
-            raise ValueError(f"unsupported dense activation {activation!r}")
+        self._act, self._act_grad = activation_fns(activation)
         self.activation = activation
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self._x = None
         self._out = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.W.shape
 
     @property
     def params(self):
@@ -39,11 +44,11 @@ class Dense:
 
     def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
         self._x = x
-        self._out = apply_activation(self.activation, x @ self.W + self.b)
+        self._out = self._act(x @ self.W + self.b)
         return self._out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        dz = activation_grad(self.activation, self._out, grad)
+        dz = self._act_grad(self._out, grad)
         self.dW[...] = self._x.T @ dz
         self.db[...] = dz.sum(axis=0)
         return dz @ self.W.T
@@ -52,9 +57,10 @@ class Dense:
 class Activation:
     """Standalone elementwise activation (used between BN and dropout)."""
 
+    ARRAYS = ()
+
     def __init__(self, name: str):
-        if name not in ("identity", "relu", "sigmoid"):
-            raise ValueError(f"unsupported activation {name!r}")
+        self._act, self._act_grad = activation_fns(name)
         self.name = name
         self._out = None
 
@@ -62,11 +68,11 @@ class Activation:
     grads: list = []
 
     def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
-        self._out = apply_activation(self.name, x)
+        self._out = self._act(x)
         return self._out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return activation_grad(self.name, self._out, grad)
+        return self._act_grad(self._out, grad)
 
 
 class BatchNorm:
@@ -77,6 +83,8 @@ class BatchNorm:
     statistics, so repeated calls are pure. Running stats follow
     running = momentum * running + (1 - momentum) * batch.
     """
+
+    ARRAYS = ("gamma", "beta", "running_mean", "running_var")
 
     def __init__(
         self,
@@ -141,6 +149,8 @@ class BatchNorm:
 
 class Dropout:
     """Inverted dropout: train scales kept units by 1/(1-rate); infer is identity."""
+
+    ARRAYS = ()
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:

@@ -42,6 +42,18 @@ def _softmax_ce(logits: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarra
     return float(loss), (p - truth) / n
 
 
+def check_head(kind: str, weather_count: int, width: int) -> None:
+    """The one check of a loss kind and of the hybrid head's weather block:
+    ``1 <= weather_count < width`` softmax columns, so at least one sigmoid
+    column follows them. Other heads ignore ``weather_count``."""
+    if kind not in ("bce", "softmax_ce", "hybrid"):
+        raise ValueError(f"unknown loss kind {kind!r}")
+    if kind == "hybrid" and not 1 <= weather_count < width:
+        raise ValueError(
+            f"hybrid head needs 1 <= weather_count < {width} (its width), got {weather_count}"
+        )
+
+
 def loss_and_grad(
     kind: str, logits: np.ndarray, truth: np.ndarray, weather_count: int = 0
 ) -> tuple[float, np.ndarray]:
@@ -50,34 +62,24 @@ def loss_and_grad(
     truth = np.asarray(truth, dtype=np.float64)
     if logits.shape != truth.shape:
         raise ValueError(f"logits {logits.shape} and truth {truth.shape} differ")
+    check_head(kind, weather_count, logits.shape[-1])
     if kind == "bce":
         return _bce(logits, truth)
     if kind == "softmax_ce":
         return _softmax_ce(logits, truth)
-    if kind == "hybrid":
-        if weather_count <= 0:
-            raise ValueError("hybrid loss requires weather_count >= 1")
-        if weather_count >= logits.shape[1]:
-            raise ValueError("hybrid loss needs at least one non-weather column")
-        wl, wg = _softmax_ce(logits[:, :weather_count], truth[:, :weather_count])
-        gl, gg = _bce(logits[:, weather_count:], truth[:, weather_count:])
-        grad = np.concatenate([wg, gg], axis=1)
-        return wl + gl, grad
-    raise ValueError(f"unknown loss kind {kind!r}")
+    wl, wg = _softmax_ce(logits[:, :weather_count], truth[:, :weather_count])
+    gl, gg = _bce(logits[:, weather_count:], truth[:, weather_count:])
+    return wl + gl, np.concatenate([wg, gg], axis=1)
 
 
 def predict_head(kind: str, logits: np.ndarray, weather_count: int = 0) -> np.ndarray:
     """Map logits to probabilities with the head matching the loss kind."""
     logits = np.asarray(logits, dtype=np.float64)
+    check_head(kind, weather_count, logits.shape[-1])
     if kind == "bce":
         return sigmoid(logits)
     if kind == "softmax_ce":
         return softmax(logits)
-    if kind == "hybrid":
-        if weather_count <= 0:
-            raise ValueError("hybrid head requires weather_count >= 1")
-        return np.concatenate(
-            [softmax(logits[:, :weather_count]), sigmoid(logits[:, weather_count:])],
-            axis=1,
-        )
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return np.concatenate(
+        [softmax(logits[:, :weather_count]), sigmoid(logits[:, weather_count:])], axis=1
+    )

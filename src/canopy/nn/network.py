@@ -11,7 +11,7 @@ import numpy as np
 
 from ..data import make_rng
 from .layers import Activation, BatchNorm, Dense, Dropout
-from .losses import loss_and_grad, predict_head
+from .losses import check_head, loss_and_grad, predict_head
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,7 @@ class NetworkSpec:
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("in_dim and out_dim must be >= 1")
-        if self.loss not in ("bce", "softmax_ce", "hybrid"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.loss == "hybrid" and not 1 <= self.weather_count < self.out_dim:
-            raise ValueError("hybrid loss requires 1 <= weather_count < out_dim")
+        check_head(self.loss, self.weather_count, self.out_dim)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
@@ -65,22 +62,13 @@ class Network:
     def init(cls, spec: NetworkSpec, seed: int) -> "Network":
         rng = make_rng(seed)
         layers: list = []
-        dim = spec.in_dim
+        dim, act = spec.in_dim, spec.hidden_activation
         for h in spec.hidden:
+            W, b = _init_weight(rng, dim, h, act), np.zeros(h)
             if spec.batch_norm:
-                layers.append(
-                    Dense(_init_weight(rng, dim, h, spec.hidden_activation), np.zeros(h))
-                )
-                layers.append(BatchNorm(h))
-                layers.append(Activation(spec.hidden_activation))
+                layers += [Dense(W, b), BatchNorm(h), Activation(act)]
             else:
-                layers.append(
-                    Dense(
-                        _init_weight(rng, dim, h, spec.hidden_activation),
-                        np.zeros(h),
-                        activation=spec.hidden_activation,
-                    )
-                )
+                layers.append(Dense(W, b, activation=act))
             if spec.dropout > 0.0:
                 layers.append(Dropout(spec.dropout))
             dim = h
@@ -97,24 +85,17 @@ class Network:
     def grads(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads]
 
+    def _arrays(self) -> list[np.ndarray]:
+        """Every layer's ``ARRAYS``: parameters and BN running statistics."""
+        return [getattr(layer, name) for layer in self.layers for name in layer.ARRAYS]
+
     def get_state(self) -> list[np.ndarray]:
-        """Deep copy of all parameters plus BN running statistics."""
-        state = [p.copy() for p in self.params]
-        for layer in self.layers:
-            if isinstance(layer, BatchNorm):
-                state.append(layer.running_mean.copy())
-                state.append(layer.running_var.copy())
-        return state
+        """Deep copy of every layer array."""
+        return [a.copy() for a in self._arrays()]
 
     def set_state(self, state: list[np.ndarray]) -> None:
-        n = len(self.params)
-        for p, s in zip(self.params, state[:n]):
-            p[...] = s
-        rest = iter(state[n:])
-        for layer in self.layers:
-            if isinstance(layer, BatchNorm):
-                layer.running_mean[...] = next(rest)
-                layer.running_var[...] = next(rest)
+        for a, s in zip(self._arrays(), state):
+            a[...] = s
 
     # -- computation ---------------------------------------------------------
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..data import make_rng
 from ..metrics import sample_fbeta
-from .layers import BatchNorm
 from .losses import loss_and_grad, predict_head
 from .network import Network
 from .optim import Adam, OptimizerDiverged
@@ -117,7 +116,7 @@ def train(
     stale = 0
     epochs_run = 0
 
-    has_bn = any(isinstance(layer, BatchNorm) for layer in network.layers)
+    has_bn = network.spec.batch_norm
     if has_bn and n < 2:
         raise ValueError("batch-normalized networks need at least 2 training samples")
     starts = list(range(0, n, config.batch_size))

@@ -37,16 +37,17 @@ from canopy.thresholds import save_thresholds
 
 DEMO_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_data.py"
 
-# subcommand (and variant) -> (input flags and files, other options, output flags and files)
+# subcommand (and variant) -> (input flags and files, other options, output flags and files);
+# each runs to exit 0 on the demo inputs, so damage to any of its files is reached
 COMMANDS = {
     "metrics": (
         [("--pred", "model_a_probs.csv"), ("--truth", "tags.csv"), ("--thresholds", "cutoffs.csv")],
-        [],
+        ["--vocab", "amazon"],
         [("--out", "out.csv")],
     ),
     "tune-thresholds": (
         [("--probs", "model_a_probs.csv"), ("--truth", "tags.csv")],
-        [],
+        ["--vocab", "amazon"],
         [("--out", "out.csv")],
     ),
     "vote": (
@@ -73,7 +74,7 @@ COMMANDS = {
     "stack": (
         [("--truth", "tags.csv"), ("--probs", "model_a_probs.csv"),
          ("--probs", "model_b_probs.csv"), ("--folds", "folds.csv")],
-        ["--hidden", "4", "--epochs", "2", "--batch-size", "8"],
+        ["--vocab", "amazon", "--hidden", "4", "--epochs", "2", "--batch-size", "8"],
         [("--out", "out.csv"), ("--thresholds-out", "stack_cutoffs.csv"),
          ("--checkpoint", "meta.json")],
     ),
@@ -160,26 +161,42 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _run(command: str, work: Path) -> tuple[int, str]:
+    """Exit code and stderr of ``command`` on the inputs in ``work``."""
+    inputs, options, outputs = COMMANDS[command]
+    argv = [command.split()[0], *options]
+    for flag, name in inputs + outputs:
+        argv += [flag, str(work / name)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+def _copy_inputs(command: str, demo: Path, work: Path) -> list[str]:
+    names = sorted({name for _, name in COMMANDS[command][0]})
+    for name in names:
+        shutil.copyfile(demo / name, work / name)
+    return names
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_undamaged_input_succeeds(demo, tmp_path, command):
+    _copy_inputs(command, demo, tmp_path)
+    assert _run(command, tmp_path) == (0, "")
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), command=st.sampled_from(sorted(COMMANDS)))
 def test_damaged_input_fails_cleanly(demo, data, command):
-    inputs, options, outputs = COMMANDS[command]
-    names = sorted({name for _, name in inputs})
-    victim = data.draw(st.sampled_from(names), label="file")
+    outputs = COMMANDS[command][2]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name in names:
-            shutil.copyfile(demo / name, work / name)
+        names = _copy_inputs(command, demo, work)
+        victim = data.draw(st.sampled_from(names), label="file")
         broken = damage((demo / victim).read_bytes(), binary=victim.endswith(".npy"))
         (work / victim).write_bytes(data.draw(broken, label="bytes"))
-
-        argv = [command.split()[0], *options]
-        for flag, name in inputs + outputs:
-            argv += [flag, str(work / name)]
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-        err = stderr.getvalue()
+        code, err = _run(command, work)
 
         assert code in (0, 1)
         assert "Traceback" not in err
@@ -197,6 +214,16 @@ def test_damaged_input_fails_cleanly(demo, data, command):
             assert sorted(manifest["outputs"]) == sorted(str(work / n) for _, n in outputs)
         # no temporary file survives, whatever the outcome
         assert not [p.name for p in work.iterdir() if "-tmp-" in p.name]
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_learner_that_cannot_fit_a_label_names_it(demo, tmp_path, command, capsys):
+    """LDA needs two samples of each class; one demo label has a single positive."""
+    code = main([command, "--tags", str(demo / "tags.csv"), "--features",
+                 str(demo / "features.csv"), "--learner", "lda", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.strip().splitlines()) == 1, err
+    assert "lda on label 'conventional_mine': every class needs at least 2 samples" in err
 
 
 EDGE_VALUES = ["0", "-1", "2.5", "nan", "inf", "true", "null", "1e309"]

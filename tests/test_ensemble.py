@@ -234,6 +234,21 @@ class TestStackTrain:
         model = stack_train(stacked, truth, config, seed=1, val_indices=np.arange(30))
         assert len(model.history["val_f2"]) >= 1
 
+    def test_hybrid_head_takes_the_vocabulary_weather_block(self):
+        rng = make_rng(12)
+        vocab = make_vocab(5, weather=2)
+        truth, models = synthetic_base_models(rng, 40, vocab, [0.3])
+        weather = np.zeros((40, 2), dtype=np.int8)
+        weather[np.arange(40), rng.integers(0, 2, size=40)] = 1
+        values = np.concatenate([weather, truth.values[:, 2:]], axis=1)
+        truth = LabelMatrix(values=values, vocab=vocab)
+        stacked = StackedFeatures(values=models[0].values, n_models=1, vocab=vocab)
+        train = TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=2)
+        for loss, weather_count in (("hybrid", 2), ("bce", 0)):
+            config = MetaLearnerConfig(loss=loss, train=train)
+            model = stack_train(stacked, truth, config, seed=2)
+            assert model.network.spec.weather_count == weather_count
+
     def test_vocabulary_mismatch_rejected(self):
         rng = make_rng(11)
         vocab = make_vocab(3)

@@ -126,9 +126,15 @@ class TestLosses:
         gl, _ = loss_and_grad("bce", logits[:, 4:], ground)
         assert total == pytest.approx(wl + gl, abs=1e-12)
 
-    def test_hybrid_requires_weather_block(self):
+    @pytest.mark.parametrize("weather_count", [0, 5])
+    @pytest.mark.parametrize("head", [
+        lambda z, wc: loss_and_grad("hybrid", z, z, weather_count=wc),
+        lambda z, wc: predict_head("hybrid", z, weather_count=wc),
+        lambda z, wc: NetworkSpec(in_dim=2, out_dim=z.shape[1], loss="hybrid", weather_count=wc),
+    ], ids=["loss_and_grad", "predict_head", "NetworkSpec"])
+    def test_hybrid_requires_weather_block(self, head, weather_count):
         with pytest.raises(ValueError, match="weather_count"):
-            loss_and_grad("hybrid", np.zeros((2, 5)), np.zeros((2, 5)), weather_count=0)
+            head(np.zeros((2, 5)), weather_count)
 
     def test_softmax_ce_requires_one_hot(self):
         with pytest.raises(ValueError, match="one-hot"):

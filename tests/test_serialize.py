@@ -210,6 +210,13 @@ DAMAGE = {
     "short value array": ("tree", lambda raw, doc: _get(doc, (*TREE, "value")).pop()),
     "short stage tree": ("gbm", lambda raw, doc: _get(doc, (*STAGE_TREE, "right")).pop()),
     "short bias": (None, lambda raw, doc: _get(doc, ("layers", 0, "b")).pop()),
+    "non-finite running mean": (None, lambda raw, doc: _set(
+        doc, ("layers", 1, "running_mean", 0), float("nan"))),
+    "dropped batch-norm layer": (None, lambda raw, doc: _get(doc, ("layers",)).pop(1)),
+    "dropped dropout layer": (None, lambda raw, doc: _get(doc, ("layers",)).pop(3)),
+    "hidden width disagrees with spec": (None, lambda raw, doc: _set(doc, ("spec", "hidden"), [7])),
+    "activation disagrees with spec": (None, lambda raw, doc: _set(
+        doc, ("layers", 2, "name"), "sigmoid")),
     "empty tree": ("tree", lambda raw, doc: [_set(doc, (*TREE, a), []) for a in
                                              ("feature", "threshold", "left", "right",
                                               "value", "n_samples")]),
@@ -243,6 +250,13 @@ def test_damaged_document_is_a_value_error_naming_the_file(tmp_path, case):
         load(path)
     message = str(info.value)
     assert message.startswith(f"{path}: ") and "\n" not in message
+
+
+def test_damage_table_starts_from_a_full_hidden_block(tmp_path):
+    """The layer cases above drop or edit the layer they name."""
+    save_checkpoint(tmp_path / "c.json", make_network(0, **NETWORKS[0])[0])
+    kinds = [d["kind"] for d in json.loads((tmp_path / "c.json").read_text())["layers"]]
+    assert kinds == ["dense", "batch_norm", "activation", "dropout", "dense"]
 
 
 def test_damage_table_starts_from_trees_that_split(tmp_path):

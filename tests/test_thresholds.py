@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canopy.data import LabelMatrix, ProbMatrix, make_rng
@@ -131,7 +131,10 @@ class TestOptimizeThresholds:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
-    def test_coordinate_mode_matches_grid_oracle(self, seed):
+    @example(1307)  # n=8, k=3: a coordinate-wise optimum below the grid optimum
+    def test_coordinate_mode_reaches_a_coordinate_wise_optimum(self, seed):
+        """Cyclic coordinate ascent promises a coordinate-wise optimum, not the
+        global one: no single label's cutoff can move to a better score."""
         rng = make_rng(seed)
         n = int(rng.integers(4, 31))
         k = int(rng.integers(1, 4))
@@ -143,8 +146,22 @@ class TestOptimizeThresholds:
         vocab = make_vocab(k)
         pm = ProbMatrix(values=probs, vocab=vocab)
         tm = LabelMatrix(values=truth.astype(np.int8), vocab=vocab)
-        _, score = optimize_thresholds(pm, tm, beta=2.0, mode="coordinate")
-        assert score == pytest.approx(grid_search_oracle(probs, truth, 2.0), abs=1e-9)
+        cutoffs, score = optimize_thresholds(pm, tm, beta=2.0, mode="coordinate")
+
+        def f2_at(c):
+            return sample_fbeta(apply_thresholds(pm, c), tm, 2.0)
+
+        grid = grid_search_oracle(probs, truth, 2.0)
+        assert score == pytest.approx(f2_at(cutoffs), abs=1e-12)
+        assert score >= f2_at(np.full(k, 0.5)) - 1e-12
+        assert score <= grid + 1e-12
+        for j in range(k):
+            for th in np.unique(probs[:, j]):
+                moved = cutoffs.copy()
+                moved[j] = th
+                assert f2_at(moved) <= score + 1e-12
+        if k == 1:
+            assert score == pytest.approx(grid, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
