@@ -18,33 +18,37 @@ import numpy as np
 from ..data import make_rng
 
 
-def _gini_weighted(onehot_sorted: np.ndarray) -> np.ndarray:
+def _gini_weighted(member: np.ndarray) -> np.ndarray:
     """Weighted gini impurity at every boundary position of every row of a
-    (features, n, classes) block of one-hot labels, each row in sorted order."""
-    n = onehot_sorted.shape[1]
-    cum = np.cumsum(onehot_sorted, axis=1)
-    left = cum[:, :-1]
-    right = cum[:, -1:] - left
+    (classes, features, n) block of class memberships, each row in sorted
+    order."""
+    n = member.shape[2]
+    cum = np.cumsum(member, axis=2)  # integer counts: every sum below is exact
+    left = cum[:, :, :-1]
+    right = cum[:, :, -1:] - left
     n_left = np.arange(1, n, dtype=np.float64)
-    ones = np.ones(cum.shape[2])  # sums of squared counts: exact in any order
-    sq_left = (left * left) @ ones / n_left
-    sq_right = (right * right) @ ones / (n - n_left)
+    sq_left = np.add.reduce(left * left) / n_left
+    sq_right = np.add.reduce(right * right) / (n - n_left)
     return 1.0 - (sq_left + sq_right) / n
 
 
 def _mse_weighted(y_sorted: np.ndarray) -> np.ndarray:
     """Weighted child variance at every boundary position of every row of a
-    (features, n) block of targets, each row in sorted order."""
+    (features, n) block of targets, each row in sorted order. In place, as a
+    freed large temporary goes back to the OS and faults in again on reuse."""
     n = y_sorted.shape[1]
     cs = np.cumsum(y_sorted, axis=1)
     cs2 = np.cumsum(y_sorted * y_sorted, axis=1)
     n_left = np.arange(1, n, dtype=np.float64)
-    n_right = n - n_left
     sl, sl2 = cs[:, :-1], cs2[:, :-1]
     sr, sr2 = cs[:, -1:] - sl, cs2[:, -1:] - sl2
-    var_left = sl2 - sl * sl / n_left
-    var_right = sr2 - sr * sr / n_right
-    return (var_left + var_right) / n
+    for s, s2, size in ((sl, sl2, n_left), (sr, sr2, n - n_left)):
+        s *= s
+        s /= size
+        s2 -= s  # the variance of that side
+    sl2 += sr2
+    sl2 /= n
+    return sl2
 
 
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples")
@@ -101,17 +105,18 @@ class DecisionTree:
         return self.classes[np.argmax(self.predict_proba(X), axis=1)]
 
 
-def _best_splits(xs, rows, y, onehot, criterion: str):
+def _best_splits(xs, rows, y, n_classes: int):
     """Best midpoint split of every row of a (features, n) node block.
 
     Each row of ``xs`` is one feature's values in ascending order and the
-    same row of ``rows`` holds their sample ids. Returns the non-constant
-    rows with their scores and thresholds; ties go to the smallest
-    threshold.
+    same row of ``rows`` holds their sample ids. ``y`` is each sample's
+    class index for gini (``n_classes`` > 0), its target for mse. Returns
+    the non-constant rows with their scores, thresholds (ties go to the
+    smallest) and, unlike :func:`_random_splits`, no left masks.
     """
     boundary = xs[:, :-1] < xs[:, 1:]
-    if criterion == "gini":
-        scores = _gini_weighted(onehot[rows])
+    if n_classes:
+        scores = _gini_weighted(y[rows] == np.arange(n_classes)[:, None, None])
     else:
         scores = _mse_weighted(y[rows])
     scores = np.where(boundary, scores, np.inf)
@@ -120,35 +125,38 @@ def _best_splits(xs, rows, y, onehot, criterion: str):
     k = np.where(boundary[r, k], k, boundary.argmax(axis=1))  # every score inf
     ok = np.flatnonzero(boundary.any(axis=1))
     threshold = (xs[r, k] + xs[r, k + 1]) / 2.0
-    return ok, scores[r, k][ok], threshold[ok]
+    return ok, scores[r, k][ok].tolist(), threshold[ok].tolist(), [None] * len(ok)
 
 
-def _random_splits(block, rows, y, onehot, counts, criterion: str, rng):
+def _random_splits(block, rows, y, n_classes: int, rng):
     """One uniform cut-point per non-constant row of a (features, n) node
-    block, drawn in row order. ``rows`` are the node's sample ids in block
-    column order. Returns the rows whose cut leaves neither side empty,
-    with their scores and thresholds.
+    block, drawn in row order as ``lo + span * rng.random(k)`` (the oracle
+    tests pin it to ``rng.uniform(lo, hi)``). ``rows`` are the node's sample
+    ids in block column order, and ``y`` is as in :func:`_best_splits`.
+    Returns the rows whose cut leaves neither side empty, with their scores,
+    thresholds and left masks.
     """
     n = block.shape[1]
     lo, hi = block.min(axis=1), block.max(axis=1)
     live = lo != hi
     threshold = hi.copy()  # a constant row's cut sends every sample left
-    threshold[live] = rng.uniform(lo[live], hi[live])
+    low, span = lo[live], hi[live] - lo[live]
+    if not np.isfinite(span).all():  # as uniform() checks
+        raise OverflowError("Range exceeds valid bounds")
+    threshold[live] = low + span * rng.random(len(span))
     left = block <= threshold[:, None]
-    n_left = left.sum(axis=1)
-    ok = np.flatnonzero(n_left < n)  # n_left >= 1: every cut is >= lo
-    left, nl = left[ok], n_left[ok]
-    nr = n - nl
-    if criterion == "gini":
-        cl = left @ onehot[rows]
-        cr = counts - cl
-        gl = 1.0 - (cl * cl).sum(axis=1) / (nl * nl)
-        gr = 1.0 - (cr * cr).sum(axis=1) / (nr * nr)
+    ok = np.flatnonzero(left.sum(axis=1) < n)  # the left is never empty: every cut is >= lo
+    left = left[ok]
+    sides = np.concatenate((left, ~left))  # every row's left side, then every right side
+    if n_classes:
+        c = sides @ np.eye(n_classes)[y[rows]]
+        m = c.sum(axis=1)  # side sizes: sums of whole numbers, so exact
+        g = 1.0 - (c * c).sum(axis=1) / (m * m)
     else:
         yn = y[rows]
-        gl = np.array([yn[m].var() for m in left])
-        gr = np.array([yn[~m].var() for m in left])
-    return ok, (nl * gl + nr * gr) / n, threshold[ok]
+        m, g = sides.sum(axis=1), np.array([yn[side].var() for side in sides])
+    w = m * g
+    return ok, ((w[: len(ok)] + w[len(ok) :]) / n).tolist(), threshold[ok].tolist(), left
 
 
 def check_int(name: str, value, least: int) -> None:
@@ -194,81 +202,73 @@ def tree_fit(
 
     n_features = X.shape[1]
     rng = make_rng(seed)
-    if criterion == "gini":
-        classes, label = np.unique(y, return_inverse=True)
-        onehot = np.eye(len(classes))[label]
-        y_num = None
+    if criterion == "gini":  # target: class index
+        classes, target = np.unique(y, return_inverse=True)
+        n_classes = len(classes)
     else:
-        classes = onehot = None
-        y_num = y.astype(np.float64)
+        classes, target, n_classes = None, y.astype(np.float64), 0
 
-    n_candidates = (
-        n_features if feature_rule == "all" else max(1, int(np.sqrt(n_features)))
-    )
+    n_candidates = n_features if feature_rule == "all" else max(1, int(np.sqrt(n_features)))
 
     nodes: list = []  # [feature, threshold, left, right, value, n_samples] per node
     split_value = 0.0 if classes is None else np.zeros(len(classes))
     XT = np.ascontiguousarray(X.T)  # feature-major: a node block's rows are contiguous
+    order = None  # random cut-points need no sorted order
     if cutpoint == "best":
-        # Sorted once per tree: ``ranked[f]`` lists the sample ids in ascending
-        # order of feature f and ``rank[f, i]`` is sample i's position in it,
-        # so sorting a node's ranks sorts its samples. Gini scores count whole
-        # samples, so the order inside a run of tied values cannot change
-        # them; mse scores sum floats, so there ties stay in sample order.
-        ranked = np.argsort(XT, axis=1)
+        # Row f of a node's ``order`` lists its sample ids by feature f. One
+        # sort per tree gives the root's; a split partitions each row stably,
+        # so a child's rows stay sorted. Gini scores count whole samples, so
+        # the order inside a run of tied values cannot change them; mse scores
+        # sum floats, so there ties stay in sample order.
+        order = np.argsort(XT, axis=1)
         if criterion == "mse":
-            xs = np.take_along_axis(XT, ranked, axis=1)
+            xs = np.take_along_axis(XT, order, axis=1)
             tied = np.flatnonzero(~(xs[:, 1:] > xs[:, :-1]).all(axis=1))
-            ranked[tied] = np.argsort(XT[tied], axis=1, kind="stable")
-        rank = np.empty_like(ranked)
-        np.put_along_axis(rank, ranked, np.arange(len(y)), axis=1)
+            order[tied] = np.argsort(XT[tied], axis=1, kind="stable")
 
     # Depth-first, left child first: node ids and RNG draws follow this order.
-    # A pending node is (sample ids, depth, parent id, parent slot to fill).
-    pending = [(np.arange(len(y)), 0, -1, 0)]
+    # A pending node is (sample ids ascending, order, depth, parent id, slot).
+    pending = [(np.arange(len(y)), order, 0, -1, 0)]
     while pending:
-        idx, depth, parent, slot = pending.pop()
+        idx, order, depth, parent, slot = pending.pop()
         if parent >= 0:
             nodes[parent][slot] = len(nodes)
         n = len(idx)
         if criterion == "gini":
-            counts = np.bincount(label[idx], minlength=len(classes)).astype(np.float64)
-            p = counts / n
-            pure = 1.0 - (p * p).sum() <= 0.0
+            counts = np.bincount(target[idx], minlength=n_classes)
+            pure = np.count_nonzero(counts) == 1  # one class holds every sample
         else:
-            counts = None
-            pure = y_num[idx].var() <= 0.0
-        best = None  # (score, feature, threshold); features ascending
+            counts, pure = None, target[idx].var() <= 0.0
+        best = None  # (score, feature, threshold, left mask or None); features ascending
         if not (n < min_samples_split or (max_depth is not None and depth >= max_depth) or pure):
             if n_candidates < n_features:
                 feats = np.sort(rng.choice(n_features, size=n_candidates, replace=False))
             else:
                 feats = np.arange(n_features)
             if cutpoint == "best":
-                col = feats[:, None]
-                rows = ranked[col, np.sort(rank[col, idx], axis=1)]
-                ok, score, threshold = _best_splits(
-                    XT[col, rows], rows, y_num, onehot, criterion
-                )
+                block = order if n_candidates == n_features else order[feats]
+                found = _best_splits(XT[feats[:, None], block], block, target, n_classes)
             else:
-                ok, score, threshold = _random_splits(
-                    XT[feats[:, None], idx], idx, y_num, onehot, counts, criterion, rng
-                )
-            for j, s, t in zip(feats[ok].tolist(), score.tolist(), threshold.tolist()):
+                found = _random_splits(XT[feats[:, None], idx], idx, target, n_classes, rng)
+            for j, s, t, m in zip(feats[found[0]].tolist(), *found[1:]):
                 if best is None or s < best[0] - 1e-15:
-                    best = (s, j, t)
+                    best = (s, j, t, m)
         if best is not None:
-            mask = XT[best[1], idx] <= best[2]
+            mask = XT[best[1], idx] <= best[2] if best[3] is None else best[3]
             if not 0 < np.count_nonzero(mask) < n:  # an inf midpoint separates nothing
                 best = None
         if best is None:
-            value = counts if criterion == "gini" else float(y_num[idx].mean())
+            value = counts.astype(np.float64) if criterion == "gini" else float(target[idx].mean())
             nodes.append([-1, 0.0, -1, -1, value, n])
             continue
-        _, f, cut = best
+        _, f, cut, _ = best
         nodes.append([f, cut, -1, -1, split_value, n])
-        pending.append((idx[~mask], depth + 1, len(nodes) - 1, 3))
-        pending.append((idx[mask], depth + 1, len(nodes) - 1, 2))
+        kids = [None, None]
+        if order is not None:  # compress, unlike a boolean index, takes no branch per id
+            goes = (XT[f].take(order) <= cut).ravel()
+            kids = [order.compress(g).reshape(n_features, -1) for g in (goes, ~goes)]
+        pending.append((idx[~mask], kids[1], depth + 1, len(nodes) - 1, 3))
+        pending.append((idx[mask], kids[0], depth + 1, len(nodes) - 1, 2))
 
     arrays = dict(zip(NODE_ARRAYS, map(np.array, zip(*nodes))))
     return DecisionTree(**arrays, criterion=criterion, classes=classes, n_features=n_features)

@@ -484,14 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="probability CSV (hard 0/1 also fine)")
     p.add_argument("--truth", required=True, help="tag CSV with ground truth")
     p.add_argument("--thresholds", help="label,threshold CSV; default uniform cutoff")
-    p.add_argument("--cutoff", type=float, help="uniform cutoff in [0, 1] (default 0.5)")
+    p.add_argument("--cutoff", help="uniform cutoff in [0, 1] (default 0.5)")
     p.add_argument("--out", help="write the scoreboard as CSV here")
     _add_common(p, cmd_metrics, with_seed=False)
 
     p = sub.add_parser("tune-thresholds", help="optimize per-class cutoffs on a validation split")
     p.add_argument("--probs", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--beta", type=float, help="F-beta weight (default 2)")
+    p.add_argument("--beta", help="F-beta weight (default 2)")
     p.add_argument("--mode", choices=("coordinate", "per-class"), help="default coordinate")
     p.add_argument("--out", help="write label,threshold CSV here")
     _add_common(p, cmd_tune_thresholds, with_seed=False)

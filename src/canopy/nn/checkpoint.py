@@ -72,7 +72,10 @@ def _network(doc: dict) -> tuple[Network, dict]:
             if not np.isfinite(value).all():
                 raise ValueError(f"layer {i} {name} must be finite")
             array[...] = value
-    return network, doc.get("meta", {})
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta holds a {type(meta).__name__}, not an object")
+    return network, meta
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:

@@ -115,15 +115,18 @@ class TestMetricsCommand:
             main(["metrics", "--pred", "probs.csv"])  # --truth missing
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["metrics", "--pred", "probs.csv", "--truth", "truth.csv", "--cutoff", "x"],
-        ["tune-thresholds", "--probs", "probs.csv", "--truth", "truth.csv", "--beta", "x"],
+    @pytest.mark.parametrize("argv,flag", [
+        (["metrics", "--pred", "probs.csv", "--truth", "truth.csv", "--cutoff", "x"], "--cutoff"),
+        (["tune-thresholds", "--probs", "probs.csv", "--truth", "truth.csv", "--beta", "x"],
+         "--beta"),
     ])
-    def test_typed_flag_rejected_by_parser_exits_two(self, workspace, argv):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
-        assert not list(workspace[0].glob("*.manifest.json"))
+    def test_numeric_flag_converted_once_exits_one(self, workspace, capsys, argv, flag):
+        """--cutoff and --beta convert like every other option: a bad value on
+        the command line is a one-line error naming the flag, with a manifest."""
+        assert flag in one_line_error(main(argv), capsys)
+        manifest = json.loads((workspace[0] / f"{argv[0]}.manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"]) == ("error", 1)
+        assert flag in manifest["error"]
 
 
 BAD_FLAG_VALUES = [

@@ -228,6 +228,8 @@ DAMAGE = {
     "fewer models than labels": ("tree", lambda raw, doc: _get(doc, ("models",)).pop()),
     "old model version": ("tree", lambda raw, doc: _set(doc, ("version",), 1)),
     "other format": (None, lambda raw, doc: _set(doc, ("format",), "canopy-model")),
+    "meta a number": (None, lambda raw, doc: _set(doc, ("meta",), 5)),
+    "meta a list": (None, lambda raw, doc: _set(doc, ("meta",), [])),
 }
 
 

@@ -30,6 +30,12 @@ EXAMPLES = [
     (25, 4, 4, 1, False, "multiclass"),
     (30, 12, 5, 1, 4, "binary"),
     (20, 9, 6, 0, 3, "multiclass"),
+    # cv scale: hundreds of samples, deep partitions, values rounded to 0-1
+    # decimals so nearly every feature has long runs of ties
+    (300, 24, 7, 1, 2, "binary"),
+    (667, 24, 8, 0, 0, "multiclass"),
+    (450, 12, 9, 1, 4, "single-positive"),
+    (200, 5, 10, 0, 1, "binary"),
 ]
 
 
@@ -113,6 +119,7 @@ def test_gbm_matches_reference(gamma_mode, loss, case):
 
 
 @settings(max_examples=60, deadline=None)
+@example(seed=0, bounds=[])
 @given(
     seed=st.integers(0, 2**32 - 1),
     bounds=st.lists(
@@ -120,15 +127,28 @@ def test_gbm_matches_reference(gamma_mode, loss, case):
     ),
 )
 def test_uniform_over_arrays_matches_scalar_draws(seed, bounds):
-    """The random cut-point rule draws a node's cuts in one uniform() call;
-    that must consume and return what one scalar draw per feature would."""
+    """The random cut-point rule draws a node's cuts as lo + span * random(k);
+    on this platform that must give the bits of one uniform() call over the
+    arrays and of one scalar uniform() per feature, and consume as much of
+    the stream."""
     lo = np.array([a for a, _ in bounds])
     hi = np.array([a + w for a, w in bounds])
-    batch, single = make_rng(seed), make_rng(seed)
+    batch, single, raw = make_rng(seed), make_rng(seed), make_rng(seed)
     drawn = batch.uniform(lo, hi)
-    one_by_one = [single.uniform(a, b) for a, b in zip(lo, hi)]
-    assert_bits(drawn, np.array(one_by_one, dtype=np.float64))
-    assert batch.random() == single.random()
+    one_by_one = np.array([single.uniform(a, b) for a, b in zip(lo, hi)], dtype=np.float64)
+    assert_bits(drawn, one_by_one)
+    assert_bits(lo + (hi - lo) * raw.random(len(lo)), drawn)
+    assert batch.random() == single.random() == raw.random()
+
+
+@pytest.mark.parametrize("column", [[0.0, 1.0, np.inf], [0.0, np.nan, 1.0], [-1e308, 0.0, 1e308]])
+@pytest.mark.parametrize("criterion", ["gini", "mse"])
+def test_random_rule_rejects_a_range_that_is_not_finite(column, criterion):
+    """A cut-point range that is not finite fails as rng.uniform fails on it."""
+    X = np.column_stack([column, [0.0, 1.0, 2.0]])
+    y = np.array([0, 1, 0])
+    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="Range exceeds"):
+        tree_fit(X, y if criterion == "gini" else y * 1.0, criterion=criterion, cutpoint="random")
 
 
 def test_best_rule_with_every_score_infinite():
