@@ -245,12 +245,13 @@ def _align_rows(
         if len(matrix.values) != len(ids):
             raise DataError(f"{path}: {len(matrix.values)} feature rows for {len(ids)} samples")
         return matrix
+    if file_ids == ids:
+        return matrix
     index = {s: i for i, s in enumerate(file_ids)}
-    rows = []
-    for s in ids:
-        if s not in index:
-            raise DataError(f"{path}: missing {what} for sample {s!r}")
-        rows.append(index[s])
+    try:
+        rows = list(map(index.__getitem__, ids))
+    except KeyError as exc:  # the first id in order without a row
+        raise DataError(f"{path}: missing {what} for sample {exc.args[0]!r}") from None
     if not extra_ok and len(file_ids) != len(ids):
         extra = (set(file_ids) - set(ids)).pop()
         raise DataError(f"{path}: sample {extra!r} not present in the truth file")

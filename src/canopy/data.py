@@ -281,7 +281,7 @@ class Table(NamedTuple):
 
     header: list[str]
     ids: list[str]
-    lines: array  # file line number of each row, for error messages
+    lines: Sequence[int]  # file line number of each row, for error messages
     values: np.ndarray | list[str]
 
 
@@ -301,17 +301,69 @@ def read_table(
     stripped second cell. Errors name the file and the line of the offending
     row.
 
-    A numeric table is read in bulk by numpy's C reader. A file the bulk
-    read refuses or whose result fails a check is streamed again by
+    A file is first read in bulk: a numeric table by numpy's C reader, a
+    two-column text table by str methods over the whole text. A file the
+    bulk read refuses or whose result fails a check is streamed again by
     :func:`_stream_table`, which raises the error naming its first bad row,
-    or returns the table for the forms only ``float()`` accepts (``1_000``,
-    non-ASCII digits).
+    or returns the table for the forms only it reads (quoted cells, blank
+    lines, ``1_000`` and non-ASCII digits for ``float()``).
     """
-    if bounds is not None:
+    if bounds is None:
+        table = _bulk_text(path, fixed, width)
+    else:
         table = _bulk_table(path, fixed, width, bounds)
-        if table is not None:
-            return table
-    return _stream_table(path, fixed, width, bounds)
+    return table if table is not None else _stream_table(path, fixed, width, bounds)
+
+
+def _keyed(
+    header: list[str], fixed: tuple[str, ...], keys: list[str], first_line: int, values
+) -> Table | None:
+    """The table of rows read in bulk, one per line from ``first_line`` on,
+    or None where the streaming reader raises: a header that does not start
+    with ``fixed``, or a key that is empty or repeated."""
+    n = len(keys)
+    if header[: len(fixed)] != list(fixed) or not all(keys) or len(set(keys)) != n:
+        return None
+    return Table(header, keys, range(first_line, first_line + n), values)
+
+
+#: every byte but the ones csv.reader treats specially; a UTF-8 multi-byte
+#: sequence never holds one of those
+_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
+
+
+def _bulk_text(path: str | Path, fixed: tuple[str, ...], width: int | None) -> Table | None:
+    """A two-column text table (tags, folds) split by str methods over the
+    whole text, or None unless the streaming reader would return the same
+    table.
+
+    In a text without a quote, CR or NUL (rejected by csv.reader before
+    Python 3.11), csv.reader ends lines at LF only and splits them at every
+    comma. So the file must end with LF and hold exactly one comma on every
+    line after the header, which also rules out the blank lines that reader
+    skips: row i is then on line i + 2. A cell over csv's field limit is
+    left to that reader, which rejects it.
+    """
+    try:
+        raw = Path(path).read_bytes()
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        return None  # the streaming reader words the error
+    head, _, body = text.partition("\n")
+    n = body.count("\n")
+    if not raw.endswith(b"\n"):
+        return None
+    if raw.translate(None, _PLAIN_BYTES) != b"," * head.count(",") + b"\n" + b",\n" * n:
+        return None
+    cells = body.replace("\n", ",").split(",")  # key, value, ... key, value, ""
+    raw_header = head.split(",")
+    if (width or len(raw_header)) != 2:
+        return None
+    if max(map(len, raw_header + cells)) > csv.field_size_limit():
+        return None
+    header = [c.strip() for c in raw_header]
+    keys = list(map(str.strip, cells[0:-1:2]))
+    return _keyed(header, fixed, keys, 2, list(map(str.strip, cells[1::2])))
 
 
 def _bulk_table(
@@ -325,10 +377,10 @@ def _bulk_table(
     its float parser accepts a subset of ``float()`` with the same
     whitespace stripping. The rest is checked on the whole result: the row
     width (loadtxt refuses rows of differing widths, so only the first is
-    compared), the keys, the bounds, and one row per physical line. That
-    last check sends blank lines and rows over several lines to the
-    streaming reader, as does a line long enough to hold a cell over csv's
-    size limit, which that reader rejects.
+    compared), the header, the keys, the bounds, and one row per physical
+    line. That last check sends blank lines and rows over several lines to
+    the streaming reader, as does a line long enough to hold a cell over
+    csv's size limit, which that reader rejects.
     """
     limit = csv.field_size_limit()
     keys: list[str] = []
@@ -350,7 +402,7 @@ def _bulk_table(
         header = [c.strip() for c in next(reader, [])]
         # no row (loadtxt would warn on an empty input) or a blank first line
         first = next(fh, "")
-        if header[: len(fixed)] != list(fixed) or not first.strip():
+        if not first.strip():
             return None
         try:
             rows = np.loadtxt(
@@ -368,14 +420,11 @@ def _bulk_table(
     n = len(keys)
     if rows.shape != (n, width or len(header)) or n_lines != n:
         return None
-    if not all(keys) or len(set(keys)) != n:
-        return None
     lo, hi = bounds
     values = rows[:, 1:]
     if not (np.isfinite(values) & (values >= lo) & (values <= hi)).all():
         return None
-    start = reader.line_num + 1
-    return Table(header, keys, array("l", range(start, start + n)), values)
+    return _keyed(header, fixed, keys, reader.line_num + 1, values)
 
 
 def _stream_table(
@@ -449,7 +498,10 @@ def load_tags(
     (weather_count 0); an explicit vocabulary makes unknown labels an error.
     """
     table = read_table(path, ("image_name", "tags"), width=2)
-    tag_sets = [cell.split() for cell in table.values]
+    # each distinct tags cell is mapped once, in order of first appearance:
+    # the first unknown label met is the one a walk over the rows meets first
+    row_of = {cell: r for r, cell in enumerate(dict.fromkeys(table.values))}
+    tag_sets = [cell.split() for cell in row_of]
 
     if isinstance(vocab, str):
         if vocab != "infer":
@@ -460,13 +512,15 @@ def load_tags(
         vocab = LabelVocabulary(names=tuple(distinct))
 
     index = {name: j for j, name in enumerate(vocab.names)}
-    values = np.zeros((len(table.ids), len(vocab)), dtype=np.int8)
-    for i, tags in enumerate(tag_sets):
-        for t in tags:
+    rows = np.zeros((len(row_of), len(vocab)), dtype=np.int8)
+    for cell, r in row_of.items():
+        for t in tag_sets[r]:
             j = index.get(t)
             if j is None:
-                raise DataError(f"{path}: row {table.lines[i]}: unknown label {t!r}")
-            values[i, j] = 1
+                line = table.lines[table.values.index(cell)]
+                raise DataError(f"{path}: row {line}: unknown label {t!r}")
+            rows[r, j] = 1
+    values = rows[list(map(row_of.__getitem__, table.values))]
     return table.ids, LabelMatrix(values=values, vocab=vocab)
 
 
@@ -475,11 +529,12 @@ def save_tags(path: str | Path, ids: Sequence[str], labels: LabelMatrix) -> None
     if len(ids) != labels.n_samples:
         raise ValueError("ids length must match the number of rows")
     names = labels.vocab.names
+    # each row as the bytes of its 0/1 cells; each distinct row is spelled once
+    rows = np.ascontiguousarray(labels.values).view((np.void, len(names))).ravel().tolist()
+    tags = {row: " ".join(name for name, bit in zip(names, row) if bit) for row in set(rows)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("image_name,tags\n")
-        for sample_id, row in zip(ids, labels.values):
-            tags = " ".join(names[j] for j in np.nonzero(row)[0])
-            fh.write(f"{sample_id},{tags}\n")
+        fh.writelines(f"{sample_id},{tags[row]}\n" for sample_id, row in zip(ids, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ class FoldAssignment:
             raise ValueError("k must be >= 2")
         if f.size and (f.min() < 0 or f.max() >= self.k):
             raise ValueError("fold indices must lie in [0, k)")
+        if self.k > f.size:  # before bincount, which would allocate k counts
+            raise ValueError(f"k={self.k} exceeds the number of samples ({f.size})")
         counts = np.bincount(f, minlength=self.k)
         if (counts == 0).any():
             raise ValueError("every fold must be non-empty")
@@ -134,20 +136,26 @@ def save_folds(path: str | Path, ids: Sequence[str], folds: FoldAssignment) -> N
         raise ValueError("ids length must match the number of samples")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("image_name,fold\n")
-        for sample_id, f in zip(ids, folds.fold_of):
-            fh.write(f"{sample_id},{int(f)}\n")
+        fh.writelines(f"{sample_id},{f}\n" for sample_id, f in zip(ids, folds.fold_of.tolist()))
 
 
 def load_folds(path: str | Path) -> tuple[list[str], FoldAssignment]:
     table = read_table(path, ("image_name", "fold"), width=2)
-    fold_of: list[int] = []
-    for line, cell in zip(table.lines, table.values):
-        try:
-            fold_of.append(int(cell))
-        except ValueError:
-            raise DataError(f"{path}: row {line}: non-integer fold {cell!r}") from None
-    if not fold_of:
+    try:
+        fold_of = list(map(int, table.values))
+    except ValueError:
+        for line, cell in zip(table.lines, table.values):
+            try:
+                int(cell)
+            except ValueError:
+                raise DataError(f"{path}: row {line}: non-integer fold {cell!r}") from None
+    n = len(fold_of)
+    if not n:
         raise DataError(f"{path}: no fold rows")
+    if not 0 <= min(fold_of) <= max(fold_of) < n:
+        i = next(i for i, f in enumerate(fold_of) if not 0 <= f < n)
+        line, cell = table.lines[i], table.values[i]
+        raise DataError(f"{path}: row {line}: fold {cell!r} is not in [0, {n}) for {n} rows")
     try:
         return table.ids, FoldAssignment(fold_of=np.array(fold_of), k=max(fold_of) + 1)
     except ValueError as exc:

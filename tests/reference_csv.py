@@ -5,10 +5,13 @@ kept as an oracle: each loader opens, decodes and checks its own file.
 loaders to return the same ids and byte-identical arrays as these, and
 requires both to reject the same malformed files.
 
-``read_table`` is the shared reader as it was before numeric files moved to
-numpy's bulk reader: one csv.reader row at a time, for every format. The
-bulk path must return the same table, or raise the same message, for every
-file.
+``read_table`` is the shared reader as it was before any file was read in
+bulk: one csv.reader row at a time, for every format. The bulk paths must
+return the same table, or raise the same message, for every file.
+``load_tags_by_row`` is the tag loader on that reader as it was before
+labels were mapped once per distinct tags cell; ``save_tags`` and
+``save_folds`` are the writers as they were before they lost their per-row
+numpy calls. Their output must stay byte-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import csv
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -295,3 +299,48 @@ def read_table(
             f"is not a finite number in [{lo:g}, {hi:g}]"
         )
     return Table(header, ids, lines, values)
+
+
+def load_tags_by_row(
+    path: str | Path, vocab: LabelVocabulary | str = "infer"
+) -> tuple[list[str], LabelMatrix]:
+    table = read_table(path, ("image_name", "tags"), width=2)
+    tag_sets = [cell.split() for cell in table.values]
+
+    if isinstance(vocab, str):
+        if vocab != "infer":
+            raise ValueError("vocab must be a LabelVocabulary or the string 'infer'")
+        distinct = sorted({t for tags in tag_sets for t in tags})
+        if not distinct:
+            raise DataError(f"{path}: cannot infer a vocabulary from a file with no tags")
+        vocab = LabelVocabulary(names=tuple(distinct))
+
+    index = {name: j for j, name in enumerate(vocab.names)}
+    values = np.zeros((len(table.ids), len(vocab)), dtype=np.int8)
+    for i, tags in enumerate(tag_sets):
+        for t in tags:
+            j = index.get(t)
+            if j is None:
+                raise DataError(f"{path}: row {table.lines[i]}: unknown label {t!r}")
+            values[i, j] = 1
+    return table.ids, LabelMatrix(values=values, vocab=vocab)
+
+
+def save_tags(path: str | Path, ids: Sequence[str], labels: LabelMatrix) -> None:
+    if len(ids) != labels.n_samples:
+        raise ValueError("ids length must match the number of rows")
+    names = labels.vocab.names
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("image_name,tags\n")
+        for sample_id, row in zip(ids, labels.values):
+            tags = " ".join(names[j] for j in np.nonzero(row)[0])
+            fh.write(f"{sample_id},{tags}\n")
+
+
+def save_folds(path: str | Path, ids: Sequence[str], folds: FoldAssignment) -> None:
+    if len(ids) != folds.n_samples:
+        raise ValueError("ids length must match the number of samples")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("image_name,fold\n")
+        for sample_id, f in zip(ids, folds.fold_of):
+            fh.write(f"{sample_id},{int(f)}\n")

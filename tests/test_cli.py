@@ -90,6 +90,18 @@ class TestMetricsCommand:
         assert main(["metrics", "--pred", "shuffled.csv", "--truth", "truth.csv"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_missing_and_extra_pred_rows_named(self, workspace, capsys):
+        tmp, ids, vocab, truth, probs = workspace
+        keep = [i for i in range(len(ids)) if i not in (5, 9)][::-1]  # img_009 first in file
+        save_probs(tmp / "short.csv", [ids[i] for i in keep],
+                   ProbMatrix(values=probs[keep], vocab=vocab))
+        code = main(["metrics", "--pred", "short.csv", "--truth", "truth.csv"])
+        assert "short.csv: missing predictions for sample 'img_005'" in one_line_error(code, capsys)
+        save_probs(tmp / "long.csv", ids + ["img_999"],
+                   ProbMatrix(values=np.vstack([probs, probs[:1]]), vocab=vocab))
+        code = main(["metrics", "--pred", "long.csv", "--truth", "truth.csv"])
+        assert "long.csv: sample 'img_999' not present in the truth file" in one_line_error(code, capsys)
+
     def test_missing_sample_is_data_error(self, workspace, capsys):
         tmp, ids, vocab, truth, probs = workspace
         save_probs(tmp / "short.csv", ids[:-1], ProbMatrix(values=probs[:-1], vocab=vocab))
@@ -419,6 +431,15 @@ class TestStackCommand:
                      "--folds", "folds.csv", "--checkpoint", "meta.json", option])
         assert named in one_line_error(code, capsys)
         assert not (workspace[0] / "meta.json").exists()
+
+    @pytest.mark.parametrize("fold", [10**30, 2**62])
+    def test_huge_fold_index_is_one_line_error(self, workspace, capsys, fold):
+        tmp, ids, *_ = workspace
+        rows = "".join(f"{s},{fold if i == 3 else i % 2}\n" for i, s in enumerate(ids))
+        (tmp / "folds.csv").write_text("image_name,fold\n" + rows)
+        code = main(["stack", "--truth", "truth.csv", "--probs", "probs.csv",
+                     "--folds", "folds.csv"])
+        assert "folds.csv: row 5: fold" in one_line_error(code, capsys)
 
     def test_undecodable_folds_file_named(self, workspace, capsys):
         tmp, *_ = workspace

@@ -1,8 +1,12 @@
 """The shared-reader CSV loaders against the per-format loaders they
 replaced (reference_csv.py): valid files load to the same ids and
 byte-identical arrays, malformed files are rejected by both, and the new
-error names the file and the line of the bad row. Numeric files read in
-bulk against the streaming reader: same table or same error text."""
+error names the file and the line of the bad row. Files read in bulk
+against the streaming reader: same table or same error text. Tag files
+mapped once per distinct tags cell against the loop over rows, and the
+writers against their old code: same matrix or error text, same bytes."""
+
+import csv
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ import canopy.data
 import reference_csv as ref
 from canopy.data import (
     DataError,
+    LabelMatrix,
     LabelVocabulary,
     ProbMatrix,
     load_features,
@@ -21,8 +26,9 @@ from canopy.data import (
     make_rng,
     read_table,
     save_probs,
+    save_tags,
 )
-from canopy.splits import load_folds
+from canopy.splits import FoldAssignment, load_folds, save_folds
 from canopy.thresholds import load_thresholds
 
 VOCAB = LabelVocabulary(names=("a", "b", "c"))
@@ -259,13 +265,24 @@ NUMERIC = {  # read_table's fixed header, width and bounds per format
 }
 
 
+TEXT = {  # two-column text tables, read by str methods over the whole text
+    "tags": (("image_name", "tags"), 2, None),
+    "folds": (("image_name", "fold"), 2, None),
+}
+TABLES = {**NUMERIC, **TEXT}
+TWO_COLUMN_HEADERS = {"thresholds": "label,threshold", "tags": "image_name,tags",
+                      "folds": "image_name,fold"}
+
+
 def table_outcome(read, path, fmt):
     try:
-        t = read(path, *NUMERIC[fmt])
+        t = read(path, *TABLES[fmt])
     except DataError as exc:
         return str(exc)
     values = t.values
-    return t.header, t.ids, t.lines.tolist(), values.dtype.str, values.shape, values.tobytes()
+    if fmt in TEXT:
+        return t.header, t.ids, list(t.lines), values
+    return t.header, t.ids, list(t.lines), values.dtype.str, values.shape, values.tobytes()
 
 
 HEADER = "image_name,a,b\n"
@@ -317,12 +334,12 @@ DIVERGENT = {  # where numpy's reader and csv.reader + float() could part
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(NUMERIC))
+@pytest.mark.parametrize("fmt", sorted(TABLES))
 @pytest.mark.parametrize("case", sorted(DIVERGENT))
 def test_bulk_reader_matches_streaming_reader(path, case, fmt):
     text = DIVERGENT[case]
-    if fmt == "thresholds":  # a two-column file of the same shape
-        text = text.replace("image_name,a,b", "label,threshold").replace(",0.2", "")
+    if fmt in TWO_COLUMN_HEADERS:  # a two-column file of the same shape
+        text = text.replace("image_name,a,b", TWO_COLUMN_HEADERS[fmt]).replace(",0.2", "")
     path.write_bytes(text.encode("utf-8"))
     assert table_outcome(read_table, path, fmt) == table_outcome(ref.read_table, path, fmt)
 
@@ -381,16 +398,164 @@ def test_bulk_reader_matches_streaming_reader_on_twisted_files(path, data, fmt):
     assert table_outcome(read_table, path, fmt) == table_outcome(ref.read_table, path, fmt)
 
 
+def refuse(*args):
+    raise AssertionError("streaming reader called on a plain file")
+
+
 def test_plain_probability_file_takes_the_bulk_path(path, monkeypatch):
     """A file as save_probs writes it never reaches the streaming reader."""
     ids = [f"s{i}" for i in range(50)]
     probs = ProbMatrix(values=make_rng(0).random((50, 3)), vocab=VOCAB)
     save_probs(path, ids, probs)
-
-    def refuse(*args):
-        raise AssertionError("streaming reader called on a plain file")
-
     monkeypatch.setattr(canopy.data, "_stream_table", refuse)
     got_ids, got = load_probs(path, VOCAB)
     assert got_ids == ids
     assert np.array_equal(got.values, np.round(probs.values, 6))
+
+
+# -- text files: str methods over the whole text against the streaming reader
+#
+# read_table reads tag and fold files by splitting the whole text at LF and
+# at commas, and falls back to the streaming reader wherever csv.reader could
+# split it otherwise. The cases above run on both formats; these add what
+# only that split can get wrong.
+
+LIMIT = csv.field_size_limit()
+TAGS_HEADER = "image_name,tags\n"
+TEXT_DIVERGENT = {
+    "no final newline": TAGS_HEADER + "s1,a\ns2,b",
+    "no final newline after a line without a comma": TAGS_HEADER + "s1,a\ns2",
+    "third header cell": "image_name,tags,x\ns1,a\n",
+    "one header cell": "image_name\ns1,a\n",
+    "comma-only line": TAGS_HEADER + "s1,a\n,\n",
+    "bare CR inside a cell": TAGS_HEADER + "s1,a\rb\n",
+    "CRLF on the last line only": TAGS_HEADER + "s1,a\ns2,b\r\n",
+    "quote inside a cell": TAGS_HEADER + 's1,a"b\n',
+    "quoted cell": TAGS_HEADER + 's1,"a b"\n',
+    "NUL in a cell": TAGS_HEADER + "s1,a\x00\n",
+    "line breaks only str.splitlines sees": TAGS_HEADER + "s1,\x0ca\u2028\n\x1cs2\x85,b\x0b\n",
+    "cell at the csv field limit": TAGS_HEADER + "s1," + "a" * LIMIT + "\n",
+    "cell over the csv field limit": TAGS_HEADER + "s1," + "a" * (LIMIT + 1) + "\n",
+    "key over the csv field limit": TAGS_HEADER + "s" * (LIMIT + 1) + ",a\n",
+    "header cell over the csv field limit": f"image_name,tags,{'x' * (LIMIT + 1)}\ns1,a\n",
+    "invalid UTF-8 past the first read chunk":
+        (TAGS_HEADER + "".join(f"s{i},a\n" for i in range(2000))).encode() + b"s,\xff\n",
+    "encoded surrogate": TAGS_HEADER.encode() + b"s1,\xed\xa0\x80\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TEXT))
+@pytest.mark.parametrize("case", sorted(TEXT_DIVERGENT))
+def test_text_reader_matches_streaming_reader(path, case, fmt):
+    text = TEXT_DIVERGENT[case]
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    path.write_bytes(text.replace(b"image_name,tags", TWO_COLUMN_HEADERS[fmt].encode()))
+    assert table_outcome(read_table, path, fmt) == table_outcome(ref.read_table, path, fmt)
+
+
+def test_text_reader_keeps_the_header_width(path):
+    """Without ``width``, a row needs as many cells as the header."""
+    path.write_text("image_name,a,b\ns1,x\n")
+    args = (("image_name",), None, None)
+    assert str(pytest.raises(DataError, read_table, path, *args).value) == str(
+        pytest.raises(DataError, ref.read_table, path, *args).value
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(sorted(TEXT)))
+def test_text_reader_matches_streaming_reader_on_twisted_files(path, data, fmt):
+    path.write_bytes(data.draw(twisted_file(fmt)).encode("utf-8"))
+    assert table_outcome(read_table, path, fmt) == table_outcome(ref.read_table, path, fmt)
+
+
+# -- tag files: each distinct tags cell mapped once against the row loop ------
+
+TAG_CELLS = ["", "a", "b c", "c  a", "a\tb", "b \t c", "a a", "zz", "a zz b", "yy zz", "b yy"]
+
+
+def tags_outcome(load, path, vocab):
+    try:
+        ids, labels = load(path, vocab)
+    except DataError as exc:
+        return str(exc)
+    values = labels.values
+    return ids, labels.vocab.names, values.dtype.str, values.shape, values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(st.sampled_from(TAG_CELLS), min_size=1, max_size=12),
+    blank=st.booleans(),
+    vocab=st.sampled_from([VOCAB, "infer"]),
+)
+def test_tag_cells_mapped_once_match_the_row_loop(path, cells, blank, vocab):
+    """Repeated cells, tabs and runs of spaces between tags, empty cells,
+    and unknown labels (zz, yy) whose cell repeats; a blank line sends the
+    file to the streaming reader and moves the later rows' line numbers."""
+    lines = ["image_name,tags", *(f"s{i},{cell}" for i, cell in enumerate(cells))]
+    if blank:
+        lines.insert(2, "")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got = tags_outcome(load_tags, path, vocab)
+    assert got == tags_outcome(ref.load_tags_by_row, path, vocab)
+
+
+def test_unknown_label_named_at_the_first_row_of_its_repeated_cell(path):
+    path.write_text("image_name,tags\ns1,a b\ns2,a\ns3,b yy zz\ns4,a\ns5,b yy zz\ns6,zz\n")
+    with pytest.raises(DataError) as err:
+        load_tags(path, VOCAB)
+    assert str(err.value) == f"{path}: row 4: unknown label 'yy'"
+
+
+def test_plain_tag_file_takes_the_bulk_path(path, monkeypatch):
+    """A file as save_tags writes it never reaches the streaming reader."""
+    ids = [f"s{i}" for i in range(50)]
+    labels = LabelMatrix(values=make_rng(0).random((50, 3)) < 0.4, vocab=VOCAB)
+    save_tags(path, ids, labels)
+    monkeypatch.setattr(canopy.data, "_stream_table", refuse)
+    for vocab in (VOCAB, "infer"):
+        got_ids, got = load_tags(path, vocab)
+        assert got_ids == ids
+        assert np.array_equal(got.values, labels.values)
+
+
+def test_plain_fold_file_takes_the_bulk_path(path, monkeypatch):
+    """A file as save_folds writes it never reaches the streaming reader."""
+    ids = [f"s{i}" for i in range(50)]
+    folds = FoldAssignment(fold_of=make_rng(0).permutation(np.arange(50) % 4), k=4)
+    save_folds(path, ids, folds)
+    monkeypatch.setattr(canopy.data, "_stream_table", refuse)
+    got_ids, got = load_folds(path)
+    assert got_ids == ids
+    assert np.array_equal(got.fold_of, folds.fold_of) and got.k == 4
+
+
+# -- writers against their old code ------------------------------------------
+
+sample_ids = st.text(alphabet="aZ0_ ñ-", min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 25), width=st.integers(1, 5), fortran=st.booleans())
+def test_tag_writer_matches_its_old_code(path, data, n, width, fortran):
+    cells = data.draw(st.lists(st.integers(0, 1), min_size=n * width, max_size=n * width))
+    values = np.array(cells, dtype=np.int8).reshape(n, width)
+    vocab = LabelVocabulary(names=tuple(f"l{j}" for j in range(width)))
+    labels = LabelMatrix(values=np.asfortranarray(values) if fortran else values, vocab=vocab)
+    ids = data.draw(st.lists(sample_ids, min_size=n, max_size=n))
+    save_tags(path, ids, labels)
+    ref.save_tags(path.with_name("old.csv"), ids, labels)
+    assert path.read_bytes() == path.with_name("old.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=st.integers(2, 5), extra=st.integers(0, 20))
+def test_fold_writer_matches_its_old_code(path, data, k, extra):
+    fold_of = data.draw(st.permutations([i % k for i in range(k + extra)]))
+    folds = FoldAssignment(fold_of=np.array(fold_of), k=k)
+    ids = data.draw(st.lists(sample_ids, min_size=k + extra, max_size=k + extra))
+    save_folds(path, ids, folds)
+    ref.save_folds(path.with_name("old.csv"), ids, folds)
+    assert path.read_bytes() == path.with_name("old.csv").read_bytes()

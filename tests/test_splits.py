@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canopy.classical import LearnerSpec
-from canopy.data import FeatureMatrix, LabelMatrix, make_rng
+from canopy.data import DataError, FeatureMatrix, LabelMatrix, make_rng
 from canopy.splits import (
     FoldAssignment,
     cv_evaluate,
@@ -158,6 +158,20 @@ class TestFoldIo:
         assert ids2 == ids
         assert (folds2.fold_of == folds.fold_of).all()
         assert folds2.k == 3
+
+    # never a value like 10**9 here: before the range checks, such a fold in
+    # a two-row file made FoldAssignment allocate k counts
+    @pytest.mark.parametrize("fold", [10**30, 2**62, -1])
+    def test_fold_outside_the_rows_names_its_row(self, tmp_path, fold):
+        path = tmp_path / "folds.csv"
+        path.write_text(f"image_name,fold\na,0\n\nb,{fold}\n")
+        with pytest.raises(DataError) as err:
+            load_folds(path)
+        assert str(err.value) == f"{path}: row 4: fold '{fold}' is not in [0, 2) for 2 rows"
+
+    def test_more_folds_than_samples_rejected_before_counting(self):
+        with pytest.raises(ValueError, match=r"k=4611686018427387905 exceeds .* \(2\)"):
+            FoldAssignment(fold_of=np.array([0, 2**62]), k=2**62 + 1)
 
 
 class _ConstantLearnerChecks:
