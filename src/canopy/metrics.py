@@ -123,11 +123,9 @@ def _prf_from_counts(tp, fp, fn, beta: float) -> tuple[np.ndarray, np.ndarray, n
 
 def _seq_sum(values: np.ndarray) -> float:
     # left-to-right accumulation: bit-identical to a plain loop/sum oracle,
-    # unlike numpy reductions whose SIMD order varies
-    acc = 0.0
-    for v in values.tolist():
-        acc += v
-    return acc
+    # unlike numpy reductions whose SIMD order varies; the leading 0.0 keeps
+    # the loop's 0.0 + -0.0 == 0.0
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 def _seq_mean(values: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 """Network layers: dense (optionally fused with an activation), batch
 normalization with running statistics, standalone activation, and inverted
-dropout. Each layer caches what its own backward pass needs; parameter
-gradients accumulate into ``.grads`` aligned with ``.params``. ``ARRAYS``
-names every array a layer carries (parameters and running statistics), in
-the order a checkpoint saves them.
+dropout. Each layer caches what its own backward pass needs. ``PARAMS``
+names its trainable arrays, whose gradients (``dW`` for ``W``, ...)
+``backward`` writes in place; ``ARRAYS`` is ``PARAMS`` and then any running
+statistics, in the order a checkpoint saves them. In a ``Network`` the
+``PARAMS`` arrays and their gradients are views into its ``theta`` and
+``grad`` vectors.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .activations import activation_fns
 class Dense:
     """y = activation(x @ W + b). W has shape (in_dim, out_dim)."""
 
-    ARRAYS = ("W", "b")
+    PARAMS = ARRAYS = ("W", "b")
 
     def __init__(self, W: np.ndarray, b: np.ndarray, activation: str = "identity"):
         self.W = np.asarray(W, dtype=np.float64)
@@ -34,14 +36,6 @@ class Dense:
     def shape(self) -> tuple[int, int]:
         return self.W.shape
 
-    @property
-    def params(self):
-        return [self.W, self.b]
-
-    @property
-    def grads(self):
-        return [self.dW, self.db]
-
     def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
         self._x = x
         self._out = self._act(x @ self.W + self.b)
@@ -57,15 +51,12 @@ class Dense:
 class Activation:
     """Standalone elementwise activation (used between BN and dropout)."""
 
-    ARRAYS = ()
+    PARAMS = ARRAYS = ()
 
     def __init__(self, name: str):
         self._act, self._act_grad = activation_fns(name)
         self.name = name
         self._out = None
-
-    params: list = []
-    grads: list = []
 
     def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
         self._out = self._act(x)
@@ -84,7 +75,8 @@ class BatchNorm:
     running = momentum * running + (1 - momentum) * batch.
     """
 
-    ARRAYS = ("gamma", "beta", "running_mean", "running_var")
+    PARAMS = ("gamma", "beta")
+    ARRAYS = (*PARAMS, "running_mean", "running_var")
 
     def __init__(
         self,
@@ -105,14 +97,6 @@ class BatchNorm:
         self.dgamma = np.zeros(n_features)
         self.dbeta = np.zeros(n_features)
         self._cache = None
-
-    @property
-    def params(self):
-        return [self.gamma, self.beta]
-
-    @property
-    def grads(self):
-        return [self.dgamma, self.dbeta]
 
     def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
         if train:
@@ -150,16 +134,13 @@ class BatchNorm:
 class Dropout:
     """Inverted dropout: train scales kept units by 1/(1-rate); infer is identity."""
 
-    ARRAYS = ()
+    PARAMS = ARRAYS = ()
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
         self.rate = float(rate)
         self._mask = None
-
-    params: list = []
-    grads: list = []
 
     def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
         if not train or self.rate == 0.0:

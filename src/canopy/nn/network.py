@@ -52,11 +52,29 @@ def _init_weight(rng, fan_in: int, fan_out: int, activation: str) -> np.ndarray:
 
 
 class Network:
-    """A trainable layer stack; single-writer on its own parameters."""
+    """A trainable layer stack; single-writer on its own parameters. Every
+    layer's ``PARAMS`` arrays (and their gradients ``dW``, ...) are reshaped
+    views into one vector, ``theta`` (``grad``), in layer order, so the
+    optimizer and every snapshot see one array. Batch-norm running
+    statistics stay outside: ``forward`` rebinds them.
+    """
 
     def __init__(self, spec: NetworkSpec, layers: list):
         self.spec = spec
         self.layers = layers
+        held = [(i, name, getattr(layer, name)) for i, layer in enumerate(layers)
+                for name in layer.PARAMS]
+        self.theta = np.concatenate([a.ravel() for _, _, a in held])
+        self.grad = np.zeros_like(self.theta)
+        self.params = [self.theta]
+        self.spans: list[tuple[int, str, int]] = []  # (layer index, name, stop) in theta
+        start = 0
+        for i, name, a in held:
+            stop = start + a.size
+            setattr(layers[i], name, self.theta[start:stop].reshape(a.shape))
+            setattr(layers[i], "d" + name, self.grad[start:stop].reshape(a.shape))
+            self.spans.append((i, name, stop))
+            start = stop
 
     @classmethod
     def init(cls, spec: NetworkSpec, seed: int) -> "Network":
@@ -77,24 +95,18 @@ class Network:
 
     # -- parameter plumbing -------------------------------------------------
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params]
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads]
-
-    def _arrays(self) -> list[np.ndarray]:
-        """Every layer's ``ARRAYS``: parameters and BN running statistics."""
-        return [getattr(layer, name) for layer in self.layers for name in layer.ARRAYS]
+    def _stats(self) -> list[np.ndarray]:
+        """The batch-norm running statistics: every layer array outside ``theta``."""
+        return [getattr(layer, name) for layer in self.layers
+                for name in layer.ARRAYS[len(layer.PARAMS):]]
 
     def get_state(self) -> list[np.ndarray]:
-        """Deep copy of every layer array."""
-        return [a.copy() for a in self._arrays()]
+        """Copies of ``theta`` and of the running statistics."""
+        return [self.theta.copy(), *(a.copy() for a in self._stats())]
 
     def set_state(self, state: list[np.ndarray]) -> None:
-        for a, s in zip(self._arrays(), state):
+        self.theta[...] = state[0]
+        for a, s in zip(self._stats(), state[1:]):
             a[...] = s
 
     # -- computation ---------------------------------------------------------
@@ -117,11 +129,11 @@ class Network:
     def loss_and_gradients(
         self, x: np.ndarray, y: np.ndarray, train: bool = True, rng=None
     ) -> tuple[float, list[np.ndarray]]:
-        """One forward/backward pass; returns (loss, flat gradient list)."""
+        """One forward/backward pass; returns (loss, [grad])."""
         logits = self.forward(x, train=train, rng=rng)
         loss, dlogits = loss_and_grad(self.spec.loss, logits, y, self.spec.weather_count)
         self.backward(dlogits)
-        return loss, self.grads
+        return loss, [self.grad]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward through the head; rows of probabilities."""

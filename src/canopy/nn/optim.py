@@ -20,7 +20,8 @@ class OptimizerDiverged(RuntimeError):
 
 
 class Adam:
-    """In-place Adam/AMSGrad over a fixed list of parameter arrays."""
+    """In-place Adam/AMSGrad over a fixed list of parameter arrays (a Network
+    passes one, ``theta``); ``alpha`` and ``epsilon`` must be positive, finite."""
 
     def __init__(
         self,
@@ -31,12 +32,12 @@ class Adam:
         epsilon: float = 1e-8,
         amsgrad: bool = False,
     ):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < np.inf:  # NaN fails too
+            raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
         self.alpha = float(alpha)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -52,10 +53,7 @@ class Adam:
             raise ValueError("params/grads do not match the optimizer state")
         for i, g in enumerate(grads):
             if not np.isfinite(g).all():
-                raise OptimizerDiverged(
-                    f"non-finite gradient in parameter {i} at step {self.t + 1} "
-                    f"(|g|max={np.abs(g[np.isfinite(g)]).max() if np.isfinite(g).any() else 'nan'})"
-                )
+                raise OptimizerDiverged(f"non-finite gradient in parameter {i} at step {self.t + 1}")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t

@@ -90,7 +90,8 @@ def train(
 
     History records per-epoch train loss (mean over batches), validation
     loss, and validation sample-F2. Raises TrainingDiverged on a non-finite
-    loss or gradient, with the parameters as of the last finite step.
+    loss or gradient, with the parameters as of the last finite step; a
+    gradient's message names the array of its first non-finite entry.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -139,8 +140,11 @@ def train(
             try:
                 optimizer.step(network.params, grads)  # checks every gradient before any write
             except OptimizerDiverged as exc:
-                state = network.get_state()
-                raise TrainingDiverged(f"epoch {epoch}: {exc}", state, history) from exc
+                k = np.flatnonzero(~np.isfinite(grads[0]))[0]
+                i, name, _ = next(span for span in network.spans if k < span[2])
+                message = (f"epoch {epoch}: non-finite gradient in layer {i} {name}"
+                           f" at step {optimizer.t + 1}")
+                raise TrainingDiverged(message, network.get_state(), history) from exc
             batch_losses.append(loss)
 
         val_logits = network.forward(x_val, train=False)

@@ -216,7 +216,7 @@ def test_c06_optimizer_first_step_convergence_and_monotone_max():
 
 
 def test_c07_gradient_check_50_random_configurations():
-    from test_nn import numeric_gradients, random_config
+    from test_nn import numeric_gradients, per_array, random_config
 
     with Budget(10.0):
         for seed in range(50):
@@ -224,7 +224,8 @@ def test_c07_gradient_check_50_random_configurations():
             _, analytic = net.loss_and_gradients(x, y, train=True)
             analytic = [g.copy() for g in analytic]
             numeric = numeric_gradients(net, x, y)
-            for a, n in zip(analytic, numeric):
+            # array by array, as before the parameters became one vector
+            for a, n in zip(per_array(net, analytic[0]), per_array(net, numeric[0])):
                 denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-4)
                 assert np.linalg.norm(a - n) / denom < 1e-4, f"config {seed}"
 

@@ -14,6 +14,7 @@ from canopy.metrics import (
     sample_fbeta,
     subset_accuracy,
 )
+from canopy.metrics import _seq_sum
 
 from conftest import make_vocab, oracle_averaged, random_label_matrix
 
@@ -184,6 +185,41 @@ class TestAveraged:
             got = averaged(pred, truth, scheme, beta=2.0, class_weights=w)
             want = oracle_averaged(pred.values, truth.values, scheme, 2.0, weights=w)
             assert (got.precision, got.recall, got.fbeta) == want, scheme
+
+
+def loop_sum(values: np.ndarray) -> float:
+    """The left-to-right loop ``_seq_sum`` replaced: the oracle."""
+    acc = 0.0
+    for v in values.tolist():
+        acc += v
+    return acc
+
+
+# signed magnitudes from 1e-300 to 1e300, and both zeros
+MIXED = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e, neg: (-m if neg else m) * 10.0**e,
+              st.floats(1.0, 9.999), st.integers(-300, 299), st.booleans()),
+)
+
+
+class TestSeqSum:
+    @staticmethod
+    def same_bits(values):
+        values = np.array(values, dtype=np.float64)
+        return np.float64(_seq_sum(values)).tobytes() == np.float64(loop_sum(values)).tobytes()
+
+    @pytest.mark.parametrize("values", [[2.5], [-0.0], [1e300, -1e300], [0.1, 0.2],
+                                        [0.0] * 7, [-0.0] * 7, []],
+                             ids=["n1", "n1-negzero", "n2-cancel", "n2", "zeros", "negzeros",
+                                  "empty"])
+    def test_edge_cases_match_loop(self, values):
+        assert self.same_bits(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(MIXED, min_size=1, max_size=40))
+    def test_matches_loop_bit_for_bit(self, values):
+        assert self.same_bits(values)
 
 
 class TestReport:

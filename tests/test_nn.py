@@ -164,6 +164,12 @@ class TestAdam:
         opt = Adam([np.zeros(1)])
         assert (opt.alpha, opt.beta1, opt.beta2, opt.epsilon) == (0.001, 0.9, 0.999, 1e-8)
 
+    @pytest.mark.parametrize("setting", ["alpha", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-3])
+    def test_non_finite_or_non_positive_setting_refused(self, setting, value):
+        with pytest.raises(ValueError, match=f"{setting} must be positive and finite"):
+            Adam([np.zeros(2)], **{setting: value})
+
     def test_non_finite_gradient_aborts(self):
         w = np.ones(3)
         opt = Adam([w])
@@ -272,6 +278,11 @@ def numeric_gradients(network: Network, x, y, h=1e-5):
     return grads
 
 
+def per_array(network: Network, vector: np.ndarray) -> list[np.ndarray]:
+    """``vector`` (laid out like ``theta``) cut into one piece per PARAMS array."""
+    return np.split(vector, [stop for _, _, stop in network.spans[:-1]])
+
+
 def random_config(seed: int):
     """A random small net + batch with relu pre-activations clear of 0."""
     rng = make_rng(seed)
@@ -311,7 +322,9 @@ class TestGradientCheck:
         _, analytic = net.loss_and_gradients(x, y, train=True)
         analytic = [g.copy() for g in analytic]
         numeric = numeric_gradients(net, x, y)
-        for a, n in zip(analytic, numeric):
+        # compare array by array: one norm over the whole vector would let a
+        # small array's error hide behind a large one
+        for a, n in zip(per_array(net, analytic[0]), per_array(net, numeric[0])):
             # floor the denominator: a bias feeding batch norm has an exactly
             # zero gradient, where both sides are pure rounding noise
             denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-4)
@@ -405,15 +418,32 @@ class TestTraining:
             calls.append(1)
             states.append(net.get_state())
             if len(calls) == 12:  # epoch 3 of 5 batches per epoch
-                grads[1][0] = np.inf
+                net.layers[0].db[0] = np.inf  # lands in grads[0], the gradient vector
             return loss, grads
 
         net.loss_and_gradients = poisoned
         cfg = TrainConfig(batch_size=16, max_epochs=10, patience=10, seed=7)
-        with pytest.raises(TrainingDiverged, match="epoch 3: non-finite gradient") as err:
+        with pytest.raises(TrainingDiverged,
+                           match="epoch 3: non-finite gradient in layer 0 b at step 12") as err:
             train(net, x, y, x, y, cfg)
         assert len(err.value.history["val_f2"]) == 2
         assert all((a == b).all() for a, b in zip(err.value.last_state, states[-1]))
+
+    @pytest.mark.parametrize("setting,value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("epsilon", math.nan), ("epsilon", math.inf),
+    ])
+    def test_non_finite_optimizer_setting_refused_before_training(self, setting, value):
+        from canopy.nn import TrainConfig, train
+
+        rng = make_rng(8)
+        x, y = self.separable_problem(rng, n=20)
+        net = Network.init(NetworkSpec(in_dim=3, out_dim=3, hidden=(4,)), seed=8)
+        start = net.get_state()
+        name = "alpha" if setting == "learning_rate" else setting
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            train(net, x, y, x, y, TrainConfig(max_epochs=2, **{setting: value}))
+        assert all((a == b).all() for a, b in zip(net.get_state(), start))
 
     def test_batch_norm_dropout_network_trains(self):
         from canopy.nn import TrainConfig, train
@@ -494,3 +524,77 @@ class TestCheckpoint:
         bad2.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(bad2)
+
+
+class TestParameterVector:
+    """Every layer's PARAMS arrays and their gradients are views into the
+    network's one parameter vector and one gradient vector, in layer order;
+    the batch-norm running statistics live outside both."""
+
+    SPEC = NetworkSpec(in_dim=4, out_dim=5, hidden=(6, 3), batch_norm=True, dropout=0.25,
+                       loss="hybrid", weather_count=2)
+
+    @staticmethod
+    def check_layout(net: Network) -> None:
+        assert len(net.params) == 1 and net.params[0] is net.theta
+        assert net.theta.shape == net.grad.shape and net.theta.ndim == 1
+        start, spans = 0, []
+        for i, layer in enumerate(net.layers):
+            for name in layer.PARAMS:
+                param, grad = getattr(layer, name), getattr(layer, "d" + name)
+                assert np.shares_memory(param, net.theta) and np.shares_memory(grad, net.grad)
+                stop = start + param.size
+                assert np.array_equal(net.theta[start:stop], param.ravel())
+                assert np.array_equal(net.grad[start:stop], grad.ravel())
+                spans.append((i, name, stop))
+                start = stop
+            for name in layer.ARRAYS[len(layer.PARAMS):]:
+                stat = getattr(layer, name)
+                assert not np.shares_memory(stat, net.theta)
+                assert not np.shares_memory(stat, net.grad)
+        assert start == net.theta.size and net.spans == spans
+
+    def trained(self) -> Network:
+        from canopy.nn import TrainConfig, train
+
+        rng = make_rng(12)
+        x = rng.normal(size=(40, 4))
+        y = np.zeros((40, 5))
+        y[np.arange(40), rng.integers(0, 2, size=40)] = 1.0
+        y[:, 2:] = rng.random((40, 3)) < 0.5
+        net = Network.init(self.SPEC, seed=12)
+        cfg = TrainConfig(batch_size=8, max_epochs=4, patience=4, optimizer="amsgrad", seed=12)
+        return train(net, x, y, x, y, cfg).network
+
+    def test_init(self):
+        net = Network.init(self.SPEC, seed=1)
+        self.check_layout(net)
+        _, grads = net.loss_and_gradients(make_rng(1).normal(size=(5, 4)),
+                                          np.tile([1.0, 0, 1, 0, 1], (5, 1)), rng=make_rng(1))
+        assert len(grads) == 1 and grads[0] is net.grad and net.grad.any()
+
+    def test_train(self):
+        net = self.trained()
+        self.check_layout(net)
+        assert (net.layers[1].running_mean != 0).all()  # forward rebound them
+
+    def test_set_state(self):
+        net = self.trained()
+        state = net.get_state()
+        assert len(state) == 1 + 2 * 2  # theta, then two BN layers' statistics
+        assert not np.shares_memory(state[0], net.theta)
+        net.set_state([np.zeros_like(s) for s in state])
+        self.check_layout(net)
+        assert not net.layers[0].W.any() and not net.theta.any()
+        net.set_state(state)
+        self.check_layout(net)
+        assert all((a == b).all() for a, b in zip(net.get_state(), state))
+
+    def test_checkpoint_save_load_save_is_byte_identical(self, tmp_path):
+        net = self.trained()
+        save_checkpoint(tmp_path / "a.json", net, meta={"seed": 12})
+        loaded, _ = load_checkpoint(tmp_path / "a.json")
+        self.check_layout(loaded)
+        assert (loaded.theta == net.theta).all()
+        save_checkpoint(tmp_path / "b.json", loaded, meta={"seed": 12})
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
