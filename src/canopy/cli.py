@@ -171,6 +171,8 @@ def _replace_file(path: str | Path, writer, *args) -> str:
         os.replace(tmp, dest)
     except OSError as exc:
         raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # the writer refused its data, such as an id it cannot write
+        raise DataError(f"{path}: {exc}") from None
     finally:
         tmp.unlink(missing_ok=True)  # already gone once replaced
     return digest

@@ -21,7 +21,8 @@ from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-FLOAT_FMT = "%.6f"  # all emitted floats carry 6 decimals
+DECIMALS = 6  # every float canopy writes or prints carries this many decimals
+FLOAT_FMT = f"%.{DECIMALS}f"
 
 
 class DataError(Exception):
@@ -56,6 +57,13 @@ class LabelVocabulary:
             raise ValueError("label names must be non-empty")
         if len(set(self.names)) != len(self.names):
             raise ValueError("label names must be unique")
+        for name in self.names:
+            # a tags cell splits at whitespace, a header at commas, and a
+            # leading quote opens a quoted cell; NUL ends the read before 3.11
+            if name.split() != [name] or "," in name or name[0] == '"' or "\0" in name:
+                raise ValueError(
+                    f"label name {name!r} holds whitespace, a comma, NUL or a leading quote"
+                )
         if not 0 <= self.weather_count <= len(self.names):
             raise ValueError(f"weather_count must be in [0, {len(self.names)}]")
 
@@ -484,6 +492,109 @@ def _stream_table(
 
 
 # ---------------------------------------------------------------------------
+# CSV output. Writers check that each key reads back as itself, and write
+# floats through one vectorized kernel that gives FLOAT_FMT's exact bytes.
+# ---------------------------------------------------------------------------
+
+#: characters a key may not hold: csv.reader splits, quotes or ends a row at
+#: them (and rejects NUL before Python 3.11)
+_KEY_BREAKERS = ',"\r\n\0'
+
+
+def written_ids(ids: Sequence, n: int) -> list[str]:
+    """``ids`` as the strings a writer puts in the key column of its n rows.
+
+    Raises ValueError for a count other than n, or naming the first id that
+    would not read back as itself: one that is empty, repeats an earlier id,
+    has whitespace around it, or holds a comma, a quote, CR, LF or NUL.
+    """
+    keys = list(map(str, ids))
+    if len(keys) != n:
+        raise ValueError("ids length must match the number of rows")
+    joined = "".join(keys)
+    if not (
+        all(keys)
+        and len(set(keys)) == n
+        and keys == list(map(str.strip, keys))
+        and not any(c in joined for c in _KEY_BREAKERS)
+    ):
+        seen: set[str] = set()
+        for key in keys:  # name the first bad id
+            if not key:
+                fault = "is empty"
+            elif key in seen:
+                fault = "repeats an earlier id"
+            elif key != key.strip():
+                fault = "has whitespace around it"
+            elif (bad := next((c for c in _KEY_BREAKERS if c in key), None)) is not None:
+                fault = f"holds {bad!r}"
+            else:
+                seen.add(key)
+                continue
+            raise ValueError(f"id {key!r} {fault}, so it would not read back as written")
+    return keys
+
+
+_SCALE = 10.0**DECIMALS  # exact, and 5**DECIMALS fits in 26 bits
+_SPLIT = 2.0**27 + 1  # Dekker's splitter for float64
+# two ASCII bytes per uint16 in native order: the digit pairs 00..99, the
+# leads "0." and "1.", and a cell's comma with no sign (NUL, deleted) or "-"
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
+_LEADS = np.frombuffer(b"0.1.", dtype=np.uint16)
+_SIGNS = np.frombuffer(b",\0,-", dtype=np.uint16)
+_CELL = DECIMALS + 4  # ",", sign, units, ".", decimals; DECIMALS is even
+
+
+def _scaled(v: np.ndarray) -> np.ndarray:
+    """int32 round-half-even of the exact ``v * 10**DECIMALS``: the digits
+    ``FLOAT_FMT % v`` prints.
+
+    ``p = v * _SCALE`` is off by less than half an ulp of p, and every
+    half-integer below 2**52 is a multiple of that ulp, so ``rint(p)`` is
+    already right unless p is a half-integer: then the product's exact error
+    (Dekker 1971; the scale splits exactly) says whether the exact value
+    lies above p, below it, or on it, where rint's half-even result stands.
+    """
+    p = v * _SCALE
+    k = np.rint(p)
+    half = np.abs(k - p) == 0.5
+    if half.any():
+        x, ph = v[half], p[half]
+        t = _SPLIT * x
+        hi = t - (t - x)
+        err = (hi * _SCALE - ph) + (x - hi) * _SCALE
+        k[half] = np.where(err > 0, ph + 0.5, np.where(err < 0, ph - 0.5, k[half]))
+    return k.astype(np.int32)
+
+
+def format_rows(keys: Sequence[str], values: np.ndarray) -> bytes:
+    """The CSV lines ``key,FLOAT_FMT % v,...`` (LF-ended, UTF-8) of ``keys``
+    and the rows of ``values``, whose entries lie in [0, 1] (or are -0.0).
+
+    Each cell is built as uint16 byte pairs with the sign byte NUL unless the
+    entry is -0.0, keys are NUL-padded to one width, and one ``translate``
+    deletes the NULs; :func:`written_ids` keeps NUL out of keys. Call it on
+    blocks of about a thousand rows: it makes one Python object per row.
+    """
+    n, m = values.shape
+    key_bytes = np.array([key.encode() for key in keys], dtype=bytes)
+    width = key_bytes.itemsize
+    cells = np.empty((n, m, _CELL // 2), dtype=np.uint16)
+    cells[..., 0] = _SIGNS.take(np.signbit(values).view(np.uint8))
+    q = _scaled(values)
+    for j in range(_CELL // 2 - 1, 1, -1):  # decimals, two at a time from the right
+        r = q // 100
+        cells[..., j] = _PAIRS.take(q - r * 100)
+        q = r
+    cells[..., 1] = _LEADS.take(q)
+    rows = np.empty((n, width + _CELL * m + 1), dtype=np.uint8)
+    rows[:, :width] = key_bytes.view(np.uint8).reshape(n, width)
+    rows[:, width:-1] = cells.reshape(n, -1).view(np.uint8)
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
+
+
+# ---------------------------------------------------------------------------
 # Tag files: CSV with header `image_name,tags`, where the tags
 # cell is a space-separated list of label names.
 # ---------------------------------------------------------------------------
@@ -509,7 +620,10 @@ def load_tags(
         distinct = sorted({t for tags in tag_sets for t in tags})
         if not distinct:
             raise DataError(f"{path}: cannot infer a vocabulary from a file with no tags")
-        vocab = LabelVocabulary(names=tuple(distinct))
+        try:
+            vocab = LabelVocabulary(names=tuple(distinct))
+        except ValueError as exc:  # a tag no file can carry, such as "a,b" from a quoted cell
+            raise DataError(f"{path}: {exc}") from None
 
     index = {name: j for j, name in enumerate(vocab.names)}
     rows = np.zeros((len(row_of), len(vocab)), dtype=np.int8)
@@ -526,15 +640,14 @@ def load_tags(
 
 def save_tags(path: str | Path, ids: Sequence[str], labels: LabelMatrix) -> None:
     """Write a tag file; exact inverse of load_tags under the same vocab."""
-    if len(ids) != labels.n_samples:
-        raise ValueError("ids length must match the number of rows")
+    keys = written_ids(ids, labels.n_samples)
     names = labels.vocab.names
     # each row as the bytes of its 0/1 cells; each distinct row is spelled once
     rows = np.ascontiguousarray(labels.values).view((np.void, len(names))).ravel().tolist()
     tags = {row: " ".join(name for name, bit in zip(names, row) if bit) for row in set(rows)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("image_name,tags\n")
-        fh.writelines(f"{sample_id},{tags[row]}\n" for sample_id, row in zip(ids, rows))
+        fh.writelines(f"{key},{tags[row]}\n" for key, row in zip(keys, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +674,14 @@ def load_probs(path: str | Path, vocab: LabelVocabulary) -> tuple[list[str], Pro
 
 
 def save_probs(path: str | Path, ids: Sequence[str], probs: ProbMatrix) -> None:
-    """Write a probability CSV in canonical vocabulary order, 6 decimals."""
-    if len(ids) != probs.n_samples:
-        raise ValueError("ids length must match the number of rows")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("image_name," + ",".join(probs.vocab.names) + "\n")
-        # one format per row, over Python floats converted a block at a time
-        # (the whole matrix as Python floats would cost ~25 MB at 40,479 x 17)
-        row_fmt = "%s" + ("," + FLOAT_FMT) * probs.n_labels + "\n"
-        v = probs.values
-        rows = itertools.chain.from_iterable(v[i : i + 4096].tolist() for i in range(0, len(v), 4096))
-        fh.writelines(row_fmt % (sample_id, *row) for sample_id, row in zip(ids, rows))
+    """Write a probability CSV in canonical vocabulary order, each cell
+    exactly ``FLOAT_FMT % v``."""
+    keys = written_ids(ids, probs.n_samples)
+    v = probs.values
+    with open(path, "wb") as fh:
+        fh.write(("image_name," + ",".join(probs.vocab.names) + "\n").encode())
+        for i in range(0, len(v), 1024):
+            fh.write(format_rows(keys[i : i + 1024], v[i : i + 1024]))
 
 
 def load_features(path: str | Path) -> tuple[list[str] | None, FeatureMatrix]:

@@ -15,7 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, FeatureMatrix, LabelMatrix, make_rng, read_table, spawn_seeds
+from .data import (
+    DataError,
+    FeatureMatrix,
+    LabelMatrix,
+    make_rng,
+    read_table,
+    spawn_seeds,
+    written_ids,
+)
 from .metrics import MetricsReport, report
 from .thresholds import apply_thresholds
 
@@ -132,11 +140,10 @@ def stratified_kfold(truth: LabelMatrix, k: int, seed: int) -> FoldAssignment:
 
 def save_folds(path: str | Path, ids: Sequence[str], folds: FoldAssignment) -> None:
     """CSV `image_name,fold`."""
-    if len(ids) != folds.n_samples:
-        raise ValueError("ids length must match the number of samples")
+    keys = written_ids(ids, folds.n_samples)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("image_name,fold\n")
-        fh.writelines(f"{sample_id},{f}\n" for sample_id, f in zip(ids, folds.fold_of.tolist()))
+        fh.writelines(f"{key},{f}\n" for key, f in zip(keys, folds.fold_of.tolist()))
 
 
 def load_folds(path: str | Path) -> tuple[list[str], FoldAssignment]:

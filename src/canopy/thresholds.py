@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FLOAT_FMT, DataError, LabelMatrix, LabelVocabulary, ProbMatrix, read_table
+from .data import DataError, LabelMatrix, LabelVocabulary, ProbMatrix, format_rows, read_table
 from .metrics import check_beta, fbeta_from_counts
 
 
@@ -144,14 +144,18 @@ def optimize_thresholds(
 
 
 def save_thresholds(path: str | Path, vocab: LabelVocabulary, cutoffs) -> None:
-    """Two-column CSV `label,threshold`."""
+    """Two-column CSV `label,threshold`, each cutoff exactly ``FLOAT_FMT % t``."""
     th = np.asarray(cutoffs, dtype=np.float64).reshape(-1)
     if th.shape[0] != len(vocab):
         raise ValueError(f"expected {len(vocab)} cutoffs, got {th.shape[0]}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("label,threshold\n")
-        for name, t in zip(vocab.names, th):
-            fh.write(f"{name},{FLOAT_FMT % t}\n")
+    bad = np.flatnonzero(~((th >= 0.0) & (th <= 1.0)))  # NaN fails both
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(
+            f"cutoff {float(th[j])!r} for label {vocab.names[j]!r} is not a finite number in [0, 1]"
+        )
+    with open(path, "wb") as fh:
+        fh.write(b"label,threshold\n" + format_rows(vocab.names, th[:, None]))
 
 
 def load_thresholds(path: str | Path, vocab: LabelVocabulary) -> np.ndarray:

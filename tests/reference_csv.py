@@ -11,12 +11,14 @@ return the same table, or raise the same message, for every file.
 ``load_tags_by_row`` is the tag loader on that reader as it was before
 labels were mapped once per distinct tags cell; ``save_tags`` and
 ``save_folds`` are the writers as they were before they lost their per-row
-numpy calls. Their output must stay byte-identical.
+numpy calls, and ``save_probs`` the writer as it was before its cells were
+formatted by one vectorized kernel. Their output must stay byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from canopy.data import DataError, FeatureMatrix, LabelMatrix, LabelVocabulary, ProbMatrix, Table
+from canopy.data import FLOAT_FMT, DataError, FeatureMatrix, LabelMatrix, LabelVocabulary, ProbMatrix, Table
 from canopy.splits import FoldAssignment
 
 
@@ -344,3 +346,17 @@ def save_folds(path: str | Path, ids: Sequence[str], folds: FoldAssignment) -> N
         fh.write("image_name,fold\n")
         for sample_id, f in zip(ids, folds.fold_of):
             fh.write(f"{sample_id},{int(f)}\n")
+
+
+def save_probs(path: str | Path, ids: Sequence[str], probs: ProbMatrix) -> None:
+    """Write a probability CSV in canonical vocabulary order, 6 decimals."""
+    if len(ids) != probs.n_samples:
+        raise ValueError("ids length must match the number of rows")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("image_name," + ",".join(probs.vocab.names) + "\n")
+        # one format per row, over Python floats converted a block at a time
+        # (the whole matrix as Python floats would cost ~25 MB at 40,479 x 17)
+        row_fmt = "%s" + ("," + FLOAT_FMT) * probs.n_labels + "\n"
+        v = probs.values
+        rows = itertools.chain.from_iterable(v[i : i + 4096].tolist() for i in range(0, len(v), 4096))
+        fh.writelines(row_fmt % (sample_id, *row) for sample_id, row in zip(ids, rows))
