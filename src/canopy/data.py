@@ -10,14 +10,14 @@ sequences on the same build.
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 import json
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from tokenize import TokenError
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,24 +224,17 @@ def validate_weather_block(labels: LabelMatrix) -> None:
 
 
 @contextmanager
-def open_text(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text handle that keeps line endings as written; open, decode
-    and CSV errors (such as a field over the csv module's size limit) become
-    a DataError naming the file."""
+def open_csv(path: str | Path) -> Iterator[Iterator[list[str]]]:
+    """A csv.reader over the file as UTF-8 text with line endings kept as
+    written; open, decode and CSV errors (such as a field over the csv
+    module's size limit) become a DataError naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield fh
+            yield csv.reader(fh)
     except (OSError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 ({exc})") from exc
-
-
-@contextmanager
-def open_csv(path: str | Path) -> Iterator[Iterator[list[str]]]:
-    """A csv.reader over :func:`open_text`."""
-    with open_text(path) as fh:
-        yield csv.reader(fh)
 
 
 def load_npy(path: str | Path, build):
@@ -306,33 +299,16 @@ def read_table(
     unique in the file. With ``bounds=(lo, hi)``, ``values`` is a float64
     (rows, width - 1) array of the other cells, parsed as ``float()`` parses
     them and required finite and in [lo, hi]; without, it lists each row's
-    stripped second cell. Errors name the file and the line of the offending
-    row.
+    stripped second cell (so rows need two cells or more). Errors name the
+    file and the line of the offending row.
 
-    A file is first read in bulk: a numeric table by numpy's C reader, a
-    two-column text table by str methods over the whole text. A file the
-    bulk read refuses or whose result fails a check is streamed again by
-    :func:`_stream_table`, which raises the error naming its first bad row,
-    or returns the table for the forms only it reads (quoted cells, blank
-    lines, ``1_000`` and non-ASCII digits for ``float()``).
+    A plain file is read whole by :func:`_bulk_table`; any other file is
+    streamed by :func:`_stream_table`, which raises the error naming its
+    first bad row, or returns the table for the forms only it reads (quoted
+    cells, blank lines, ``1_000`` and non-ASCII digits for ``float()``).
     """
-    if bounds is None:
-        table = _bulk_text(path, fixed, width)
-    else:
-        table = _bulk_table(path, fixed, width, bounds)
+    table = _bulk_table(path, fixed, width, bounds)
     return table if table is not None else _stream_table(path, fixed, width, bounds)
-
-
-def _keyed(
-    header: list[str], fixed: tuple[str, ...], keys: list[str], first_line: int, values
-) -> Table | None:
-    """The table of rows read in bulk, one per line from ``first_line`` on,
-    or None where the streaming reader raises: a header that does not start
-    with ``fixed``, or a key that is empty or repeated."""
-    n = len(keys)
-    if header[: len(fixed)] != list(fixed) or not all(keys) or len(set(keys)) != n:
-        return None
-    return Table(header, keys, range(first_line, first_line + n), values)
 
 
 #: every byte but the ones csv.reader treats specially; a UTF-8 multi-byte
@@ -340,99 +316,79 @@ def _keyed(
 _PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
 
 
-def _bulk_text(path: str | Path, fixed: tuple[str, ...], width: int | None) -> Table | None:
-    """A two-column text table (tags, folds) split by str methods over the
-    whole text, or None unless the streaming reader would return the same
-    table.
+def _bulk_table(
+    path: str | Path,
+    fixed: tuple[str, ...],
+    width: int | None,
+    bounds: tuple[float, float] | None,
+) -> Table | None:
+    """:func:`read_table` over the file's bytes at once, or None unless
+    :func:`_stream_table` would return the same table.
 
-    In a text without a quote, CR or NUL (rejected by csv.reader before
-    Python 3.11), csv.reader ends lines at LF only and splits them at every
-    comma. So the file must end with LF and hold exactly one comma on every
-    line after the header, which also rules out the blank lines that reader
-    skips: row i is then on line i + 2. A cell over csv's field limit is
-    left to that reader, which rejects it.
+    The file must be plain: no quote, NUL or bare CR, every line (the last
+    one too) ended by LF or every line by CRLF, ``width - 1`` commas on
+    every line after the header, and no line longer than csv's field limit.
+    csv.reader then splits each line at every comma and skips no line, so
+    row i is on line i + 2. A text table is split by str methods; a numeric
+    one is parsed by one ``np.loadtxt``, whose float parser accepts a subset
+    of ``float()`` with the same whitespace stripping, over a BytesIO that
+    shares the file's buffer: the file is held once, and decoded whole only
+    to check that it is UTF-8, when it is not ASCII.
     """
     try:
         raw = Path(path).read_bytes()
-        text = raw.decode("utf-8")
+        if not raw.isascii():
+            raw.decode("utf-8")
     except (OSError, UnicodeDecodeError):
         return None  # the streaming reader words the error
-    head, _, body = text.partition("\n")
-    n = body.count("\n")
-    if not raw.endswith(b"\n"):
+    end = raw.find(b"\n") + 1
+    if not end:
         return None
-    if raw.translate(None, _PLAIN_BYTES) != b"," * head.count(",") + b"\n" + b",\n" * n:
+    nl = b"\r\n" if raw[:end].endswith(b"\r\n") else b"\n"
+    head = raw[: end - len(nl)].decode()
+    header = [c.strip() for c in head.split(",")]
+    w = width or len(header)
+    kept = raw.translate(None, _PLAIN_BYTES)
+    n = kept.count(b"\n") - 1
+    if kept != b"," * head.count(",") + nl + (b"," * (w - 1) + nl) * n:
         return None
-    cells = body.replace("\n", ",").split(",")  # key, value, ... key, value, ""
-    raw_header = head.split(",")
-    if (width or len(raw_header)) != 2:
+    if header[: len(fixed)] != list(fixed):
         return None
-    if max(map(len, raw_header + cells)) > csv.field_size_limit():
-        return None
-    header = [c.strip() for c in raw_header]
-    keys = list(map(str.strip, cells[0:-1:2]))
-    return _keyed(header, fixed, keys, 2, list(map(str.strip, cells[1::2])))
-
-
-def _bulk_table(
-    path: str | Path, fixed: tuple[str, ...], width: int | None, bounds: tuple[float, float]
-) -> Table | None:
-    """A numeric table through one ``np.loadtxt`` over the file handle, or
-    None unless the streaming reader would return the same table.
-
-    loadtxt splits cells as csv.reader does (a quote opens a quoted cell
-    only at its start, doubled quotes escape, a bare CR ends a line), and
-    its float parser accepts a subset of ``float()`` with the same
-    whitespace stripping. The rest is checked on the whole result: the row
-    width (loadtxt refuses rows of differing widths, so only the first is
-    compared), the header, the keys, the bounds, and one row per physical
-    line. That last check sends blank lines and rows over several lines to
-    the streaming reader, as does a line long enough to hold a cell over
-    csv's size limit, which that reader rejects.
-    """
-    limit = csv.field_size_limit()
-    keys: list[str] = []
-    n_lines = 0
-
-    def counted(lines):
-        nonlocal n_lines
-        for n_lines, line in enumerate(lines, 1):
-            if len(line) > limit:
-                raise ValueError("line longer than the csv field limit")
-            yield line
-
-    def key(cell: str) -> float:  # called on each row's first cell, in order
-        keys.append(cell.strip())
-        return 0.0
-
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = [c.strip() for c in next(reader, [])]
-        # no row (loadtxt would warn on an empty input) or a blank first line
-        first = next(fh, "")
-        if not first.strip():
+    limit, pos = csv.field_size_limit(), 0
+    while pos < len(raw):  # pos starts a line; it fits if an LF lies within limit + 1 bytes
+        pos = raw.rfind(b"\n", pos, pos + limit + 1) + 1
+        if not pos:
             return None
+    if bounds is None:
+        cells = raw.decode().replace(nl.decode(), ",").split(",")  # ..., key, value, ""
+        keys = list(map(str.strip, cells[len(header) : -1 : w]))
+        values = list(map(str.strip, cells[len(header) + 1 :: w]))
+    else:
+        keys = []
+
+        def key(cell: str) -> float:  # called on each row's first cell, in order
+            keys.append(cell.strip())
+            return 0.0
+
         try:
             rows = np.loadtxt(
-                counted(itertools.chain([first], fh)),
+                io.BytesIO(raw),
                 delimiter=",",
-                quotechar='"',
                 comments=None,
-                dtype=np.float64,
+                skiprows=1,
                 converters={0: key},
-                encoding="utf-8",  # str to the converter; numpy 1.x defaults to bytes
+                encoding="utf-8",  # str to the converter
                 ndmin=2,
-            )
+            ) if n else np.empty((0, w))  # loadtxt warns on an input without rows
         except ValueError:
             return None
-    n = len(keys)
-    if rows.shape != (n, width or len(header)) or n_lines != n:
+        lo, hi = bounds
+        values = rows[:, 1:]
+        if not (np.isfinite(values) & (values >= lo) & (values <= hi)).all():
+            return None
+    if not all(keys) or len(set(keys)) != n:  # n keys: loadtxt skipped no blank line
         return None
-    lo, hi = bounds
-    values = rows[:, 1:]
-    if not (np.isfinite(values) & (values >= lo) & (values <= hi)).all():
-        return None
-    return _keyed(header, fixed, keys, reader.line_num + 1, values)
+    return Table(header, keys, range(2, n + 2), values)
 
 
 def _stream_table(
@@ -661,13 +617,12 @@ def load_probs(path: str | Path, vocab: LabelVocabulary) -> tuple[list[str], Pro
     table = read_table(path, ("image_name",), bounds=(0.0, 1.0))
     file_labels = table.header[1:]
     if sorted(file_labels) != sorted(vocab.names):
-        missing = set(vocab.names) - set(file_labels)
-        extra = set(file_labels) - set(vocab.names)
-        detail = []
-        if missing:
-            detail.append(f"missing label column(s) {sorted(missing)}")
-        if extra:
-            detail.append(f"unexpected column(s) {sorted(extra)}")
+        faults = {
+            "missing label": set(vocab.names) - set(file_labels),
+            "unexpected": set(file_labels) - set(vocab.names),
+            "repeated": {name for name in file_labels if file_labels.count(name) > 1},
+        }
+        detail = [f"{what} column(s) {sorted(names)}" for what, names in faults.items() if names]
         raise DataError(f"{path}: header does not match vocabulary: {'; '.join(detail)}")
     order = [file_labels.index(name) for name in vocab.names]
     return table.ids, ProbMatrix(values=table.values[:, order], vocab=vocab)

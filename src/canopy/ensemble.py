@@ -18,15 +18,17 @@ def weighted_vote(preds: Sequence[LabelMatrix], weights: Sequence[int]) -> Label
     """Per-label vote v = sum_j w_j y_j; output 1 iff v > (sum_j w_j) / 2.
 
     The inequality is strict, so an even total weight can tie every model
-    out and produce an all-negative row. Weights are positive integers.
+    out and produce an all-negative row. Weights are integers >= 1 (numpy
+    integers too); a float or a bool is refused, not truncated.
     """
     if len(preds) == 0:
         raise ValueError("weighted_vote needs at least one model")
     if len(weights) != len(preds):
         raise ValueError(f"{len(preds)} models but {len(weights)} weights")
+    for x in weights:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 1:
+            raise ValueError(f"weights must be integers >= 1, got {x!r}")
     w = [int(x) for x in weights]
-    if any(x < 1 for x in w):
-        raise ValueError("weights must be integers >= 1")
     first = preds[0]
     for m in preds[1:]:
         if m.values.shape != first.values.shape:

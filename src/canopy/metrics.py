@@ -71,12 +71,14 @@ class ConfusionTable:
 def confusion(pred, truth, orientation: str = "per_class") -> ConfusionTable:
     """Exact integer confusion counts along the requested orientation."""
     p, t = _check_pair(pred, truth)
-    if orientation == "per_class":
-        axis = 0
-    elif orientation == "per_sample":
-        axis = 1
-    else:
+    if orientation not in ("per_class", "per_sample"):
         raise ValueError("orientation must be 'per_class' or 'per_sample'")
+    return _counts(p, t, orientation)
+
+
+def _counts(p: np.ndarray, t: np.ndarray, orientation: str) -> ConfusionTable:
+    """:func:`confusion` of a checked pair of bool arrays."""
+    axis = 0 if orientation == "per_class" else 1
     tp = (p & t).sum(axis=axis)
     fp = (p & ~t).sum(axis=axis)
     fn = (~p & t).sum(axis=axis)
@@ -157,10 +159,7 @@ def averaged(
         raise ValueError(f"scheme must be one of {SCHEMES}")
     p, t = _check_pair(pred, truth)
 
-    if scheme == "sample":
-        c = confusion(p, t, "per_sample")
-    else:
-        c = confusion(p, t, "per_class")
+    c = _counts(p, t, "per_sample" if scheme == "sample" else "per_class")
     prec, rec, f = _prf_from_counts(c.tp, c.fp, c.fn, beta)
 
     if scheme in ("macro", "sample"):
@@ -190,7 +189,10 @@ def sample_fbeta(pred, truth, beta: float = 2.0) -> float:
 
 def subset_accuracy(pred, truth) -> float:
     """Fraction of samples whose full predicted label vector is exact."""
-    p, t = _check_pair(pred, truth)
+    return _subset_accuracy(*_check_pair(pred, truth))
+
+
+def _subset_accuracy(p: np.ndarray, t: np.ndarray) -> float:
     return float((p == t).all(axis=1).mean())
 
 
@@ -249,14 +251,16 @@ class MetricsReport:
 def report(pred: LabelMatrix, truth: LabelMatrix) -> MetricsReport:
     """Build the per-class + Total scoreboard for a hard prediction."""
     p, t = _check_pair(pred, truth)
-    c = confusion(p, t, "per_class")
+    c = _counts(p, t, "per_class")
     prec, rec, f1 = _prf_from_counts(c.tp, c.fp, c.fn, 1.0)
     f2 = fbeta(prec, rec, 2.0)
     acc = _ratio(c.tp + c.tn, c.tp + c.fp + c.tn + c.fn)
 
-    sp = averaged(p, t, "sample", beta=1.0)
-    s2 = averaged(p, t, "sample", beta=2.0)
-    total = (sp.precision, sp.recall, subset_accuracy(p, t), sp.fbeta, s2.fbeta)
+    # the Total row is sample-averaged: one count per sample serves F1 and F2
+    s = _counts(p, t, "per_sample")
+    sp, sr, sf1 = _prf_from_counts(s.tp, s.fp, s.fn, 1.0)
+    sf2 = fbeta(sp, sr, 2.0)
+    total = (_seq_mean(sp), _seq_mean(sr), _subset_accuracy(p, t), _seq_mean(sf1), _seq_mean(sf2))
 
     if isinstance(truth, LabelMatrix):
         names = truth.vocab.names

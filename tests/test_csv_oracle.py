@@ -7,6 +7,7 @@ mapped once per distinct tags cell against the loop over rows, and the
 writers against their old code: same matrix or error text, same bytes."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import canopy.data
 import reference_csv as ref
 from canopy.data import (
+    AMAZON_LABELS,
     DataError,
     LabelMatrix,
     LabelVocabulary,
@@ -29,7 +31,7 @@ from canopy.data import (
     save_tags,
 )
 from canopy.splits import FoldAssignment, load_folds, save_folds
-from canopy.thresholds import load_thresholds
+from canopy.thresholds import load_thresholds, save_thresholds
 
 VOCAB = LabelVocabulary(names=("a", "b", "c"))
 
@@ -285,6 +287,7 @@ def table_outcome(read, path, fmt):
     return t.header, t.ids, list(t.lines), values.dtype.str, values.shape, values.tobytes()
 
 
+LIMIT = csv.field_size_limit()
 HEADER = "image_name,a,b\n"
 DIVERGENT = {  # where numpy's reader and csv.reader + float() could part
     "extra trailing cell": HEADER + "s1,0.1,0.2\ns2,0.3,0.4,0.5\n",
@@ -299,11 +302,14 @@ DIVERGENT = {  # where numpy's reader and csv.reader + float() could part
     "quoted empty line": HEADER + 's1,0.1,0.2\n""\ns2,0.3,0.4\n',
     "bare CR endings": HEADER.replace("\n", "\r") + "s1,0.1,0.2\rs2,0.3,0.4\r",
     "CRLF endings": HEADER.replace("\n", "\r\n") + "s1,0.1,0.2\r\ns2,0.3,0.4\r\n",
+    "CRLF header over LF rows": HEADER.replace("\n", "\r\n") + "s1,0.1,0.2\ns2,0.3,0.4\n",
+    "LF rows with one CRLF line": HEADER + "s1,0.1,0.2\r\ns2,0.3,0.4\n",
     "space before an opening quote (value)": HEADER + 's1, "0.1",0.2\n',
     "space before an opening quote (key)": HEADER + ' "s1",0.1,0.2\n',
     "text after a closing quote": HEADER + '"s1" ,"0.1" ,0.2\n',
     "quote inside an unquoted cell": HEADER + 's"1",0."1",0.2\n',
     "doubled quote in a key": HEADER + '"s""1",0.1,0.2\n',
+    "quoted numeric cell": HEADER + 's1,"0.1",0.2\ns2,0.3,0.4\n',
     "unterminated quote": HEADER + 's1,0.1,"0.2\n',
     "underscore digits": HEADER + "s1,0_1,0.2_5\n",
     "Arabic-Indic digit": HEADER + "s1,١,٠.٥\n",
@@ -331,6 +337,11 @@ DIVERGENT = {  # where numpy's reader and csv.reader + float() could part
     "negative zero": HEADER + "s1,-0,0.2\n",
     "hex float": HEADER + "s1,0x1p-1,0.2\n",
     "cell over the csv field limit": HEADER + "s1," + " " * 140_000 + "0.1,0.2\n",
+    "line at the csv field limit": HEADER + "s1,0.1" + " " * (LIMIT - 10) + ",0.2\n",
+    "line over the csv field limit": HEADER + "s1,0.1" + " " * (LIMIT - 9) + ",0.2\n",
+    "lone key at the csv field limit": "image_name\n" + "s" * LIMIT + "\n",
+    "lone key over the csv field limit": "image_name\n" + "s" * (LIMIT + 1) + "\n",
+    "blank line in a one-column file": "image_name\ns1\n\ns2\n",
 }
 
 
@@ -413,14 +424,65 @@ def test_plain_probability_file_takes_the_bulk_path(path, monkeypatch):
     assert np.array_equal(got.values, np.round(probs.values, 6))
 
 
+IDS = [f"s{i}" for i in range(50)]
+
+
+def write_plain(fmt, path):
+    """A 50-row file of ``fmt`` as canopy writes it."""
+    rng = make_rng(0)
+    if fmt == "tags":
+        save_tags(path, IDS, LabelMatrix(values=rng.random((50, 3)) < 0.4, vocab=VOCAB))
+    elif fmt == "probs":
+        save_probs(path, IDS, ProbMatrix(values=rng.random((50, 3)), vocab=VOCAB))
+    elif fmt == "folds":
+        save_folds(path, IDS, FoldAssignment(fold_of=rng.permutation(np.arange(50) % 4), k=4))
+    elif fmt == "thresholds":
+        save_thresholds(path, VOCAB, rng.random(3))
+    else:  # features, which canopy reads but never writes: repr keeps every float
+        rows = rng.normal(scale=1e3, size=(50, 4)).tolist()
+        path.write_text("image_name,f0,f1,f2,f3\n" + "".join(
+            f"{key}," + ",".join(map(repr, row)) + "\n" for key, row in zip(IDS, rows)))
+
+
+@pytest.mark.parametrize("newline", ["LF", "CRLF"])
+@pytest.mark.parametrize("fmt", ["tags", "probs", "features", "folds", "thresholds"])
+def test_plain_file_of_every_kind_takes_the_bulk_path(path, monkeypatch, fmt, newline):
+    """A file as canopy writes it, with LF or CRLF endings, never reaches
+    the streaming reader and loads as the reference loader loads it."""
+    write_plain(fmt, path)
+    if newline == "CRLF":
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    new, old = LOADERS[fmt]
+    expected = outcome(old, path)
+    monkeypatch.setattr(canopy.data, "_stream_table", refuse)
+    assert outcome(new, path) == expected != "DataError"
+
+
+def test_numeric_read_holds_one_copy_of_the_file(path, monkeypatch):
+    """At the Amazon training set's size (40,479 x 17), a probability read
+    peaks at under 3.3 times the file's size: the file's bytes, the parsed
+    array (0.87) and the keys. A decoded copy of the text would add about
+    1.0, and reading through a StringIO about 4."""
+    n = 40_479
+    probs = ProbMatrix(values=make_rng(0).random((n, 17)), vocab=AMAZON_LABELS)
+    save_probs(path, [f"train_{i}" for i in range(n)], probs)
+    monkeypatch.setattr(canopy.data, "_stream_table", refuse)
+    tracemalloc.start()
+    try:
+        read_table(path, ("image_name",), bounds=(0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / path.stat().st_size < 3.3
+
+
 # -- text files: str methods over the whole text against the streaming reader
 #
-# read_table reads tag and fold files by splitting the whole text at LF and
-# at commas, and falls back to the streaming reader wherever csv.reader could
-# split it otherwise. The cases above run on both formats; these add what
-# only that split can get wrong.
+# read_table reads tag and fold files by splitting the whole text at line
+# ends and at commas, and falls back to the streaming reader wherever
+# csv.reader could split it otherwise. The cases above run on both formats;
+# these add what only that split can get wrong.
 
-LIMIT = csv.field_size_limit()
 TAGS_HEADER = "image_name,tags\n"
 TEXT_DIVERGENT = {
     "no final newline": TAGS_HEADER + "s1,a\ns2,b",

@@ -179,6 +179,15 @@ class TestProbFiles:
         with pytest.raises(DataError, match="missing label"):
             load_probs(path, VOCAB3)
 
+    def test_repeated_label_column_named(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("image_name,a,a,b\nx,0.1,0.2,0.3\n")
+        with pytest.raises(DataError) as err:
+            load_probs(path, LabelVocabulary(names=("a", "b")))
+        assert str(err.value) == (
+            f"{path}: header does not match vocabulary: repeated column(s) ['a']"
+        )
+
 
 class TestFeatureFiles:
     def test_csv_features(self, tmp_path):

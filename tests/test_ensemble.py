@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,18 @@ class TestWeightedVote:
             weighted_vote(as_matrices([1, 0], vocab), [1])
         with pytest.raises(ValueError, match=">= 1"):
             weighted_vote(as_matrices([1, 0], vocab), [1, 0])
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", np.float64(1.0)])
+    def test_non_integer_weight_rejected_by_name(self, bad):
+        """Truncated by int(), 1.5 would vote 1 > 2 / 2, so 0, where the
+        formula's 1.5 > 2.5 / 2 gives 1: such a weight is refused by name."""
+        message = f"weights must be integers >= 1, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            weighted_vote(as_matrices([1, 0], make_vocab(1)), [bad, 1])
+
+    def test_numpy_integer_weights_accepted(self):
+        out = weighted_vote(as_matrices([1, 0], make_vocab(1)), [np.int64(2), np.int32(1)])
+        assert out.values.tolist() == [[1]]
 
 
 class TestAssembleOof:
