@@ -20,7 +20,6 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,11 +56,19 @@ def _beta(value) -> float:
     return check_beta(float(value))
 
 
+def _seed(value) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(seed)
+    return seed
+
+
 KINDS = {
     float: "a number",
     int: "an integer",
     _int_list: "comma-separated integers",
     _beta: "a finite number > 0",
+    _seed: "a non-negative integer",
 }
 
 # option -> (hard default, conversion). Defaults apply only after --config
@@ -73,7 +80,7 @@ OPTIONS = {
     "mode": ("coordinate", str),
     "vocab": ("infer", str),
     "k": (5, int),
-    "seed": (None, int),  # None: $CANOPY_SEED or 0
+    "seed": (None, _seed),  # None: $CANOPY_SEED or 0
     "weights": (None, _int_list),
     "val_fold": (0, int),
     "hidden": ("64", _int_list),
@@ -87,27 +94,20 @@ OPTIONS = {
 
 def _resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Merge --config, fill defaults, and convert every option; a value that
-    does not convert is an error naming its flag."""
+    does not convert is an error naming its flag (or CANOPY_SEED)."""
     _apply_config(args, parser)
-    if getattr(args, "seed", 0) is None:
-        args.seed = _default_seed()
     for key, (default, convert) in OPTIONS.items():
         if not hasattr(args, key) or (key, args.command) == ("mode", "preprocess"):
             continue  # preprocess's --mode is the pixel convention and has no default
-        value = default if getattr(args, key) is None else getattr(args, key)
+        name, value = "--" + key.replace("_", "-"), getattr(args, key)
+        if value is None and key == "seed":
+            name, value = "CANOPY_SEED", os.environ.get("CANOPY_SEED", "0")
+        elif value is None:
+            value = default
         try:
             setattr(args, key, None if value is None else convert(value))
         except ValueError:
-            flag = "--" + key.replace("_", "-")
-            raise DataError(f"{flag} expects {KINDS[convert]}, got {value!r}") from None
-
-
-def _default_seed() -> int:
-    env = os.environ.get("CANOPY_SEED", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise DataError(f"CANOPY_SEED must be an integer, got {env!r}") from None
+            raise DataError(f"{name} expects {KINDS[convert]}, got {value!r}") from None
 
 
 def _read_config_file(path: str) -> dict[str, list[str]]:
@@ -257,7 +257,7 @@ def _align_rows(
     if not extra_ok and len(file_ids) != len(ids):
         extra = (set(file_ids) - set(ids)).pop()
         raise DataError(f"{path}: sample {extra!r} not present in the truth file")
-    return replace(matrix, values=matrix.values[rows])
+    return matrix.take(rows)
 
 
 def _check_k(args, truth: LabelMatrix) -> None:
@@ -338,9 +338,10 @@ def _load_hard_predictions(
     if vocab == "infer":
         vocab = _probs_header_vocab(path)
     ids, probs = load_probs(path, vocab)
-    if not np.isin(probs.values, (0.0, 1.0)).all():
-        raise DataError(f"{path}: vote requires hard 0/1 predictions")
-    return ids, LabelMatrix(values=probs.values.astype(np.int8), vocab=vocab)
+    try:
+        return ids, LabelMatrix(values=probs.values, vocab=vocab)
+    except ValueError:  # LabelMatrix holds only 0 and 1
+        raise DataError(f"{path}: vote requires hard 0/1 predictions") from None
 
 
 def cmd_vote(args, manifest: Manifest) -> int:
@@ -358,7 +359,7 @@ def cmd_vote(args, manifest: Manifest) -> int:
             raise DataError(f"{path}: sample ids/order differ from {first}")
         preds.append(hard)
     voted = weighted_vote(preds, weights)
-    out_probs = ProbMatrix(values=voted.values.astype(np.float64), vocab=voted.vocab)
+    out_probs = ProbMatrix(values=voted.values, vocab=voted.vocab)
     manifest.output(args.out, save_probs, ids0, out_probs)
     positives = int(voted.values.sum())
     print(f"voted {len(preds)} models, total weight {sum(weights)}, positives {positives}")
@@ -431,7 +432,7 @@ def cmd_stack(args, manifest: Manifest) -> int:
     va = folds.fold_indices(args.val_fold)
     model = stack_train(features, truth, config, seed=args.seed, val_indices=va)
     val_probs = model.predict(features.values[va])
-    val_truth = LabelMatrix(values=truth.values[va], vocab=truth.vocab)
+    val_truth = truth.take(va)
     cutoffs, tuned = optimize_thresholds(val_probs, val_truth, beta=2.0)
     base = sample_fbeta(apply_thresholds(val_probs, np.full(truth.n_labels, 0.5)), val_truth)
     print(

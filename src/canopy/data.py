@@ -1,7 +1,8 @@
 """Shared data model: label vocabulary, matrices, tag/probability CSV I/O, seeded RNG.
 
-All container types are immutable after construction (arrays are set
-read-only) and safe to share across threads. Randomness everywhere in the
+Every container holds a read-only copy of its input, built by the one
+constructor :func:`frozen`: it never aliases the caller's array and is safe
+to share across threads. Randomness everywhere in the
 package flows through :func:`make_rng` / :func:`spawn_seeds`, which pin the
 generator to numpy's PCG64 so a fixed seed reproduces bit-identical
 sequences on the same build.
@@ -14,7 +15,7 @@ import io
 import json
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from tokenize import TokenError
 from typing import Iterator, NamedTuple, Sequence
@@ -103,100 +104,92 @@ AMAZON_LABELS = LabelVocabulary(
 )
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, copy=True)
+def frozen(
+    values, dtype, what: str, ndim: int = 2, width: int | None = None, entries: str | None = None
+) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``, the array of every
+    container. Checks the number of dimensions, the column count (``width``)
+    and the entry rule: "binary" (exactly 0 or 1, before the cast), "finite"
+    or "unit" (finite and in [0, 1]); each ValueError names ``what``."""
+    a = np.asarray(values)
+    if a.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-D")
+    if width is not None and a.shape[1] != width:
+        raise ValueError(f"{what} has {a.shape[1]} columns, expected {width}")
+    if entries == "binary" and a.dtype != bool and not np.isin(a, (0, 1)).all():
+        raise ValueError(f"{what} entries must be exactly 0 or 1")
+    out = np.array(a, dtype=dtype)
+    if entries in ("finite", "unit") and not np.isfinite(out).all():
+        raise ValueError(f"{what} entries must be finite")
+    if entries == "unit" and out.size and (out.min() < 0.0 or out.max() > 1.0):
+        raise ValueError(f"{what} entries must lie in [0, 1]")
     out.setflags(write=False)
     return out
 
 
+class _Rows:
+    """A container whose ``_rows`` field holds one row per sample."""
+
+    _rows = "values"
+
+    @property
+    def n_samples(self) -> int:
+        return getattr(self, self._rows).shape[0]
+
+    def take(self, rows):
+        """The same container over the given rows, in the given order."""
+        return replace(self, **{self._rows: getattr(self, self._rows)[rows]})
+
+
+class _LabelRows(_Rows):
+    """A container of one column per vocabulary label."""
+
+    @property
+    def n_labels(self) -> int:
+        return self.values.shape[1]
+
+
 @dataclass(frozen=True)
-class LabelMatrix:
+class LabelMatrix(_LabelRows):
     """Binary n_samples x n_labels assignment matrix tied to a vocabulary."""
 
     values: np.ndarray
     vocab: LabelVocabulary
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 2:
-            raise ValueError("label matrix must be 2-D")
-        if v.shape[1] != len(self.vocab):
-            raise ValueError(
-                f"label matrix has {v.shape[1]} columns, vocabulary has {len(self.vocab)}"
-            )
-        if v.dtype != np.int8:
-            if not np.isin(np.asarray(v, dtype=float), (0.0, 1.0)).all():
-                raise ValueError("label matrix entries must be exactly 0 or 1")
-            v = v.astype(np.int8)
-        elif not np.isin(v, (0, 1)).all():
-            raise ValueError("label matrix entries must be exactly 0 or 1")
-        object.__setattr__(self, "values", _freeze(v))
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_labels(self) -> int:
-        return self.values.shape[1]
+        v = frozen(self.values, np.int8, "label matrix", width=len(self.vocab), entries="binary")
+        object.__setattr__(self, "values", v)
 
     def as_bool(self) -> np.ndarray:
         return self.values.astype(bool)
 
 
 @dataclass(frozen=True)
-class ProbMatrix:
+class ProbMatrix(_LabelRows):
     """Real n_samples x n_labels score matrix with entries in [0, 1]."""
 
     values: np.ndarray
     vocab: LabelVocabulary
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError("probability matrix must be 2-D")
-        if v.shape[1] != len(self.vocab):
-            raise ValueError(
-                f"probability matrix has {v.shape[1]} columns, vocabulary has {len(self.vocab)}"
-            )
-        if not np.isfinite(v).all():
-            raise ValueError("probability matrix entries must be finite")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
-            raise ValueError("probability matrix entries must lie in [0, 1]")
-        object.__setattr__(self, "values", _freeze(v))
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_labels(self) -> int:
-        return self.values.shape[1]
+        v = frozen(self.values, np.float64, "probability matrix", width=len(self.vocab),
+                   entries="unit")
+        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
+class FeatureMatrix(_Rows):
     """Rectangular real-valued feature matrix with optional column names."""
 
     values: np.ndarray
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError("feature matrix must be 2-D")
-        if not np.isfinite(v).all():
-            raise ValueError("feature matrix entries must be finite")
-        if self.feature_names is not None:
-            names = tuple(self.feature_names)
-            if len(names) != v.shape[1]:
-                raise ValueError("feature_names length must match column count")
-            object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "values", _freeze(v))
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
+        names = None if self.feature_names is None else tuple(self.feature_names)
+        width = None if names is None else len(names)
+        v = frozen(self.values, np.float64, "feature matrix", width=width, entries="finite")
+        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "values", v)
 
     @property
     def n_features(self) -> int:

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LabelMatrix, LabelVocabulary, ProbMatrix
+from .data import LabelMatrix, LabelVocabulary, ProbMatrix, _Rows, frozen, make_rng
 from .nn import Network, NetworkSpec, TrainConfig, TrainResult, train
 
 
@@ -43,7 +43,7 @@ def weighted_vote(preds: Sequence[LabelMatrix], weights: Sequence[int]) -> Label
 
 
 @dataclass(frozen=True)
-class StackedFeatures:
+class StackedFeatures(_Rows):
     """n_samples x (n_models * n_labels) base-model probabilities in
     model-major column order (model 0's labels first)."""
 
@@ -52,20 +52,22 @@ class StackedFeatures:
     vocab: LabelVocabulary
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != self.n_models * len(self.vocab):
-            raise ValueError(
-                f"expected {self.n_models * len(self.vocab)} columns, got {v.shape}"
-            )
-        if v.size and (not np.isfinite(v).all() or v.min() < 0.0 or v.max() > 1.0):
-            raise ValueError("stacked features must lie in [0, 1]")
-        v = v.copy()
-        v.setflags(write=False)
+        width = self.n_models * len(self.vocab)
+        v = frozen(self.values, np.float64, "stacked feature matrix", width=width, entries="unit")
         object.__setattr__(self, "values", v)
 
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
+
+def _sample_indices(indices, n: int, what: str) -> np.ndarray:
+    """``indices`` as int64 when each lies in [0, n) and none repeats, so no
+    index wraps or counts twice; ValueError naming the first bad one."""
+    idx = np.asarray(indices, dtype=np.int64)
+    out = idx[(idx < 0) | (idx >= n)]
+    if out.size:
+        raise ValueError(f"{what}: sample index {out[0]} is not in [0, {n})")
+    repeats = np.delete(idx, np.unique(idx, return_index=True)[1])  # each after its first
+    if repeats.size:
+        raise ValueError(f"{what}: sample index {repeats[0]} is repeated")
+    return idx
 
 
 def assemble_oof(
@@ -86,24 +88,21 @@ def assemble_oof(
     vocab = per_model_pieces[0][0][1].vocab
     blocks = []
     for j, pieces in enumerate(per_model_pieces):
-        covered = np.zeros(n_samples, dtype=np.int64)
+        covered = np.zeros(n_samples, dtype=bool)
         block = np.zeros((n_samples, len(vocab)))
         for indices, probs in pieces:
             if probs.vocab != vocab:
                 raise ValueError(f"model {j}: vocabulary mismatch across pieces")
-            idx = np.asarray(indices, dtype=np.int64)
+            idx = _sample_indices(indices, n_samples, f"model {j}")
             if idx.size != probs.n_samples:
                 raise ValueError(f"model {j}: {idx.size} indices for {probs.n_samples} rows")
-            if idx.size and (idx.min() < 0 or idx.max() >= n_samples):
-                raise ValueError(f"model {j}: sample index out of range")
-            covered[idx] += 1
+            if covered[idx].any():
+                dup = idx[covered[idx]][0]
+                raise ValueError(f"model {j}: sample {dup} covered more than once")
+            covered[idx] = True
             block[idx] = probs.values
-        if (covered > 1).any():
-            dup = int(np.nonzero(covered > 1)[0][0])
-            raise ValueError(f"model {j}: sample {dup} covered more than once")
-        if (covered == 0).any():
-            missing = int(np.nonzero(covered == 0)[0][0])
-            raise ValueError(f"model {j}: sample {missing} has no out-of-fold prediction")
+        if not covered.all():
+            raise ValueError(f"model {j}: sample {covered.argmin()} has no out-of-fold prediction")
         blocks.append(block)
     return StackedFeatures(
         values=np.concatenate(blocks, axis=1), n_models=len(per_model_pieces), vocab=vocab
@@ -159,16 +158,12 @@ def stack_train(
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie in (0, 1)")
 
-    from .data import make_rng
-
     n = features.n_samples
     if val_indices is not None:
-        va = np.asarray(val_indices, dtype=np.int64)
+        va = _sample_indices(val_indices, n, "val_indices")
         if va.size == 0 or va.size >= n:
             raise ValueError("val_indices must be a proper non-empty subset")
-        mask = np.ones(n, dtype=bool)
-        mask[va] = False
-        tr = np.nonzero(mask)[0]
+        tr = np.setdiff1d(np.arange(n), va)
     else:
         n_val = max(1, int(round(n * val_fraction)))
         if n_val >= n:

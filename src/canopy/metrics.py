@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import FLOAT_FMT, LabelMatrix
+from .data import FLOAT_FMT, LabelMatrix, frozen
 
 SCHEMES = ("macro", "weighted", "micro", "sample")
 
@@ -36,12 +36,7 @@ def _as_binary(x) -> np.ndarray:
     """Accept a LabelMatrix or a 2-D 0/1 array; return a bool array."""
     if isinstance(x, LabelMatrix):
         return x.as_bool()
-    a = np.asarray(x)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D binary matrix")
-    if a.dtype != bool and not np.isin(a, (0, 1)).all():
-        raise ValueError("matrix entries must be 0 or 1")
-    return a.astype(bool)
+    return frozen(x, bool, "binary matrix", entries="binary")
 
 
 def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,8 @@ from .data import (
     DataError,
     FeatureMatrix,
     LabelMatrix,
+    _Rows,
+    frozen,
     make_rng,
     read_table,
     spawn_seeds,
@@ -29,16 +31,15 @@ from .thresholds import apply_thresholds
 
 
 @dataclass(frozen=True)
-class FoldAssignment:
+class FoldAssignment(_Rows):
     """Per-sample fold index in [0, k); folds partition the samples."""
 
+    _rows = "fold_of"
     fold_of: np.ndarray
     k: int
 
     def __post_init__(self):
-        f = np.asarray(self.fold_of, dtype=np.int64)
-        if f.ndim != 1:
-            raise ValueError("fold_of must be 1-D")
+        f = frozen(self.fold_of, np.int64, "fold_of", ndim=1)
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if f.size and (f.min() < 0 or f.max() >= self.k):
@@ -48,12 +49,7 @@ class FoldAssignment:
         counts = np.bincount(f, minlength=self.k)
         if (counts == 0).any():
             raise ValueError("every fold must be non-empty")
-        f.setflags(write=False)
         object.__setattr__(self, "fold_of", f)
-
-    @property
-    def n_samples(self) -> int:
-        return self.fold_of.shape[0]
 
     def fold_indices(self, fold: int) -> np.ndarray:
         return np.nonzero(self.fold_of == fold)[0]
@@ -204,26 +200,18 @@ def cv_evaluate(
 
     split_seed, *fold_seeds = spawn_seeds(seed, k + 1)
     folds = stratified_kfold(truth, k, split_seed)
-    X = features.values
     reports: list[MetricsReport] = []
     oof = np.zeros((truth.n_samples, truth.n_labels))
     for f in range(k):
         tr, va = folds.train_indices(f), folds.fold_indices(f)
         try:
-            model = fit_multioutput(
-                learner,
-                FeatureMatrix(values=X[tr]),
-                LabelMatrix(values=truth.values[tr], vocab=truth.vocab),
-                seed=fold_seeds[f],
-            )
+            model = fit_multioutput(learner, features.take(tr), truth.take(tr), seed=fold_seeds[f])
         except Exception as exc:
             raise RuntimeError(f"fold {f}: learner training failed: {exc}") from exc
-        probs = predict_multioutput(model, FeatureMatrix(values=X[va]))
+        probs = predict_multioutput(model, features.take(va))
         oof[va] = probs.values
         pred = apply_thresholds(probs, np.full(truth.n_labels, decision_threshold))
-        reports.append(
-            report(pred, LabelMatrix(values=truth.values[va], vocab=truth.vocab))
-        )
+        reports.append(report(pred, truth.take(va)))
 
     totals = np.array([r.total for r in reports])
     average_total = tuple(float(x) for x in totals.mean(axis=0))

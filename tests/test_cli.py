@@ -570,6 +570,23 @@ class TestConfigAndSeeds:
                      "--out", "b.csv"]) == 0
         assert (tmp / "a.csv").read_text() == (tmp / "b.csv").read_text()
 
+    def test_negative_seed_names_the_flag(self, workspace, capsys):
+        tmp, *_ = workspace
+        code = main(["split", "--tags", "truth.csv", "--seed", "-1", "--out", "f.csv"])
+        assert "error: --seed expects a non-negative integer, got '-1'" in one_line_error(
+            code, capsys)
+        (tmp / "run.cfg").write_text("seed = -2\n")
+        code = main(["split", "--tags", "truth.csv", "--config", "run.cfg", "--out", "f.csv"])
+        assert "error: --seed expects a non-negative integer, got '-2'" in one_line_error(
+            code, capsys)
+
+    @pytest.mark.parametrize("env", ["-1", "-3", "seven"])
+    def test_bad_env_seed_names_the_variable(self, workspace, monkeypatch, capsys, env):
+        monkeypatch.setenv("CANOPY_SEED", env)
+        code = main(["split", "--tags", "truth.csv", "--out", "f.csv"])
+        err = one_line_error(code, capsys)
+        assert f"error: CANOPY_SEED expects a non-negative integer, got '{env}'" in err
+
     def test_deterministic_outputs_for_fixed_seed(self, workspace):
         tmp, *_ = workspace
         for name in ("x.csv", "y.csv"):

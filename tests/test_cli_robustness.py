@@ -237,6 +237,7 @@ FLAGS = {
     "--patience": ("stack", ("--patience", "patience")),
     "--val-fold": ("stack", ("--val-fold",)),
     "--k": ("split", ("--k",)),
+    "--seed": ("split", ("--seed",)),
     "--cutoff": ("metrics", ("--cutoff",)),
     "--beta": ("tune-thresholds", ("--beta",)),
     "--weights": ("vote", ("--weights", "weights")),

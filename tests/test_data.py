@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canopy.data import (
     AMAZON_LABELS,
     DataError,
+    FeatureMatrix,
     LabelMatrix,
     LabelVocabulary,
     ProbMatrix,
@@ -16,7 +19,8 @@ from canopy.data import (
     spawn_seeds,
     validate_weather_block,
 )
-from canopy.splits import load_folds
+from canopy.ensemble import StackedFeatures
+from canopy.splits import FoldAssignment, load_folds
 
 VOCAB3 = LabelVocabulary(names=("a", "b", "c"))
 
@@ -68,6 +72,56 @@ class TestMatrices:
         bad = LabelMatrix(values=np.array([[1, 1, 0]]), vocab=vocab)
         with pytest.raises(DataError):
             validate_weather_block(bad)
+
+
+# container -> (caller's array of n rows and a given width, the array it holds)
+CONTAINERS = {
+    "LabelMatrix": (
+        lambda rng, n, w: (rng.random((n, w)) < 0.5).astype(np.int8),
+        lambda a, w: LabelMatrix(values=a, vocab=LabelVocabulary(tuple("abcd"[:w]))).values,
+    ),
+    "ProbMatrix": (
+        lambda rng, n, w: rng.random((n, w)),
+        lambda a, w: ProbMatrix(values=a, vocab=LabelVocabulary(tuple("abcd"[:w]))).values,
+    ),
+    "FeatureMatrix": (
+        lambda rng, n, w: rng.normal(size=(n, w)),
+        lambda a, w: FeatureMatrix(values=a).values,
+    ),
+    "StackedFeatures": (
+        lambda rng, n, w: rng.random((n, 2 * w)),
+        lambda a, w: StackedFeatures(
+            values=a, n_models=2, vocab=LabelVocabulary(tuple("abcd"[:w]))
+        ).values,
+    ),
+    "FoldAssignment": (
+        lambda rng, n, w: rng.permutation(np.arange(n) % 2),
+        lambda a, w: FoldAssignment(fold_of=a, k=2).fold_of,
+    ),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(CONTAINERS)),
+    n=st.integers(2, 6),
+    width=st.integers(1, 4),
+    view=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_container_holds_a_read_only_copy(kind, n, width, view, seed):
+    """Each container copies its input once and freezes the copy: the
+    caller's array stays writable, and a later write to it does not reach
+    the container."""
+    make, hold = CONTAINERS[kind]
+    caller = make(make_rng(seed), n, width)
+    given_values = caller.copy()
+    held = hold(caller[:] if view else caller, width)
+    assert not held.flags.writeable
+    assert caller.flags.writeable
+    assert not np.shares_memory(held, caller)
+    caller[...] = caller[::-1] + 1
+    assert (held == given_values).all()
 
 
 class TestRng:

@@ -146,6 +146,24 @@ class TestAssembleOof:
         with pytest.raises(ValueError, match="more than once"):
             assemble_oof(4, [[(np.array([0, 1, 2]), p), (np.array([2, 3, 0]), dup)]])
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([0, 0, 1], "model 0: sample index 0 is repeated"),
+            ([0, 1, 3], "model 0: sample index 3 is not in [0, 3)"),
+            ([0, -1, 1], "model 0: sample index -1 is not in [0, 3)"),
+        ],
+    )
+    def test_bad_piece_index_named(self, indices, message):
+        """A repeat inside one piece used to count once, so [0, 0, 1] plus a
+        piece for sample 2 covered 3 samples with 4 rows."""
+        rng = make_rng(6)
+        vocab = make_vocab(2)
+        p = ProbMatrix(values=rng.random((3, 2)), vocab=vocab)
+        rest = ProbMatrix(values=rng.random((1, 2)), vocab=vocab)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            assemble_oof(3, [[(np.array(indices), p), (np.array([2]), rest)]])
+
     def test_in_fold_predictions_never_leak(self):
         # start from full per-fold prediction matrices whose in-fold rows
         # are garbage; only the holdout slices reach the stacked output
@@ -247,6 +265,25 @@ class TestStackTrain:
         )
         model = stack_train(stacked, truth, config, seed=1, val_indices=np.arange(30))
         assert len(model.history["val_f2"]) >= 1
+
+    @pytest.mark.parametrize(
+        "val_indices, message",
+        [
+            ([-1, -2, -3], "val_indices: sample index -1 is not in [0, 90)"),
+            ([0, 90], "val_indices: sample index 90 is not in [0, 90)"),
+            ([5, 0, 0, 1, 5], "val_indices: sample index 0 is repeated"),
+        ],
+    )
+    def test_bad_validation_index_named(self, val_indices, message):
+        """A negative index used to wrap to the last samples, a repeat to
+        count once, and an index >= n to raise a bare IndexError."""
+        rng = make_rng(10)
+        vocab = make_vocab(3)
+        truth, models = synthetic_base_models(rng, 90, vocab, [0.3])
+        stacked = StackedFeatures(values=models[0].values, n_models=1, vocab=vocab)
+        config = MetaLearnerConfig(train=TrainConfig(batch_size=32, max_epochs=1, seed=1))
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            stack_train(stacked, truth, config, seed=1, val_indices=np.array(val_indices))
 
     def test_hybrid_head_takes_the_vocabulary_weather_block(self):
         rng = make_rng(12)

@@ -169,6 +169,19 @@ class TestFoldIo:
             load_folds(path)
         assert str(err.value) == f"{path}: row 4: fold '{fold}' is not in [0, 2) for 2 rows"
 
+    def test_later_write_to_the_callers_array_does_not_reach_fold_of(self):
+        a = np.array([0, 1, 0, 1])
+        folds = FoldAssignment(fold_of=a[:], k=2)
+        a[:] = 5
+        assert folds.fold_of.tolist() == [0, 1, 0, 1]
+        assert folds.fold_indices(0).tolist() == [0, 2]
+
+    def test_callers_fold_array_stays_writable(self):
+        a = np.array([0, 1, 0, 1], dtype=np.int64)
+        folds = FoldAssignment(fold_of=a, k=2)
+        assert a.flags.writeable and not folds.fold_of.flags.writeable
+        a[0] = 1
+
     def test_more_folds_than_samples_rejected_before_counting(self):
         with pytest.raises(ValueError, match=r"k=4611686018427387905 exceeds .* \(2\)"):
             FoldAssignment(fold_of=np.array([0, 2**62]), k=2**62 + 1)
