@@ -3,11 +3,21 @@ vocabulary label, probabilities stitched back into a ProbMatrix.
 
 A label column with a single class gets a constant-probability model equal
 to its prevalence (0 or 1) instead of a fitted learner.
+
+On Linux with several usable CPUs, the labels of a large enough training
+set are fit in forked worker processes, one strided share each, while the
+calling process fits the first share. Each label's fit depends only on its
+own seed, so the models are the same as one process would fit.
 """
 
 from __future__ import annotations
 
 import inspect
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -97,25 +107,108 @@ class MultiOutputModel:
     n_features: int
 
 
+# A fork and its copy-on-write faults cost ~10-15 ms per call. Below this
+# many training cells (samples x features) the fits save less than that:
+# 40 x 24 cells of one-tree fits take ~1 ms a label.
+FORK_MIN_CELLS = 4_000
+
+
+def _n_processes(X: np.ndarray, n_fittable: int) -> int:
+    """How many processes share the fits: one unless forking is safe (Linux,
+    no other Python thread) and pays off."""
+    if (not sys.platform.startswith("linux") or n_fittable < 2 or X.size < FORK_MIN_CELLS
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_fittable)
+
+
+def _fit_share(spec: LearnerSpec, X, Y, seeds, labels, catch) -> list[tuple[int, Any]]:
+    """(label, model) for each label in turn; the first exception of type
+    ``catch`` ends the share as (label, exception)."""
+    fits: list[tuple[int, Any]] = []
+    for j in labels:
+        try:
+            fits.append((j, _fit_binary(spec, X, Y[:, j].astype(np.int64), seeds[j])))
+        except catch as exc:
+            fits.append((j, exc))
+            break
+    return fits
+
+
+def _fork_share(spec: LearnerSpec, X, Y, seeds, labels):
+    """Fork a child that fits ``labels`` and sends back its pickled
+    ``_fit_share`` through a pipe. The child ends with ``os._exit``, so it
+    flushes nothing and runs no exit handler."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pickle.dump(_fit_share(spec, X, Y, seeds, labels, BaseException), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb"), labels
+
+
+def _fit_shares(spec: LearnerSpec, X, Y, seeds, shares, names) -> list[tuple[int, Any]]:
+    """Every share's ``_fit_share``: shares[0] in this process, the others in
+    forked children. No child outlives the call; if this process's own share
+    raises, the children are killed first."""
+    children = []
+    try:
+        for labels in shares[1:]:
+            children.append(_fork_share(spec, X, Y, seeds, labels))
+        fits = _fit_share(spec, X, Y, seeds, shares[0], ValueError)
+        payloads = [pipe.read() for _, pipe, _ in children]
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, pipe, _ in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (_, _, labels), payload, status in zip(children, payloads, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            why = f"signal {-code}" if code < 0 else f"exit code {code}"
+            raise RuntimeError(
+                f"the worker process fitting labels {[names[j] for j in labels]} died ({why})"
+            )
+        fits += pickle.loads(payload)
+    return fits
+
+
 def fit_multioutput(
     spec: LearnerSpec, features: FeatureMatrix, truth: LabelMatrix, seed: int = 0
 ) -> MultiOutputModel:
     """One independent binary model per label. A learner that cannot fit a
-    label is a ValueError naming the learner and the label."""
+    label is a ValueError naming the learner and the first such label."""
     if features.n_samples != truth.n_samples:
         raise ValueError("features and truth disagree on the number of samples")
-    X = features.values
+    X, Y, names = features.values, truth.values, truth.vocab.names
     seeds = spawn_seeds(seed, truth.n_labels)
-    models: list[Any] = []
+    models: list[Any] = [None] * truth.n_labels
+    fittable = []
     for j in range(truth.n_labels):
-        y = truth.values[:, j].astype(np.int64)
-        if y.min() == y.max():
-            models.append(ConstantModel(probability=float(y[0])))
-            continue
-        try:
-            models.append(_fit_binary(spec, X, y, seeds[j]))
-        except ValueError as exc:
-            raise ValueError(f"{spec.kind} on label {truth.vocab.names[j]!r}: {exc}") from None
+        if Y[:, j].min() == Y[:, j].max():
+            models[j] = ConstantModel(probability=float(Y[0, j]))
+        else:
+            fittable.append(j)
+    n = _n_processes(X, len(fittable))
+    fits = dict(_fit_shares(spec, X, Y, seeds, [fittable[i::n] for i in range(n)], names))
+    for j in sorted(fits):  # the first failure in label order is the one raised
+        fit = fits[j]
+        if isinstance(fit, ValueError):
+            raise ValueError(f"{spec.kind} on label {names[j]!r}: {fit}") from None
+        if isinstance(fit, BaseException):
+            raise fit
+        models[j] = fit
     return MultiOutputModel(
         spec=spec, vocab=truth.vocab, models=models, n_features=features.n_features
     )

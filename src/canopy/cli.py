@@ -150,6 +150,15 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             setattr(args, key, values if repeatable else values[-1])
 
 
+def _stamp(path: str | Path) -> tuple[int, int, int] | None:
+    """(size, mtime in ns, inode) of a file, None if it cannot be stat'ed."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
 def _digest(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -199,9 +208,15 @@ class Manifest:
         }
 
     def load(self, path: str, loader, *args):
-        """``loader(path, *args)``, then the digest of the file it read."""
+        """``loader(path, *args)``, then the digest of the file it read. A
+        file that changes in between is refused: the digest would not be of
+        the bytes that were parsed."""
+        before = _stamp(path)
         result = loader(path, *args)
-        self.doc["inputs"][str(path)] = _digest(path)
+        digest = _digest(path)
+        if _stamp(path) != before:
+            raise DataError(f"{path}: file changed while it was read")
+        self.doc["inputs"][str(path)] = digest
         return result
 
     def output(self, path: str | None, writer, *args) -> None:
@@ -255,7 +270,8 @@ def _align_rows(
     except KeyError as exc:  # the first id in order without a row
         raise DataError(f"{path}: missing {what} for sample {exc.args[0]!r}") from None
     if not extra_ok and len(file_ids) != len(ids):
-        extra = (set(file_ids) - set(ids)).pop()
+        wanted = set(ids)
+        extra = next(s for s in file_ids if s not in wanted)  # the first in file order
         raise DataError(f"{path}: sample {extra!r} not present in the truth file")
     return matrix.take(rows)
 

@@ -1,13 +1,44 @@
 """Shared helpers: small random matrices, naive loop-based metric oracles,
-and the acceptance-criteria summary printer.
+the acceptance-criteria summary printer, a fork counter, and a check that
+no test leaves a child process behind.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 from canopy.data import LabelMatrix, LabelVocabulary, ProbMatrix
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped, such as a worker
+    that a multi-process fit did not wait for."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (waitpid(-1, WNOHANG) gave pid {pid})")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that os.fork makes during the test."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
 
 
 def make_vocab(n: int, weather: int = 0) -> LabelVocabulary:

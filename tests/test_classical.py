@@ -1,8 +1,12 @@
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
+import canopy.classical.multioutput as multioutput
 from canopy.classical import (
     ConstantModel,
     LearnerSpec,
@@ -15,6 +19,7 @@ from canopy.classical import (
     save_model,
     tree_fit,
 )
+from canopy.classical.multioutput import FORK_MIN_CELLS
 from canopy.data import FeatureMatrix, LabelMatrix, make_rng
 from canopy.metrics import sample_fbeta
 
@@ -379,6 +384,114 @@ class TestMultioutput:
         assert (probs.values >= 0).all() and (probs.values <= 1).all()
         pred = LabelMatrix(values=(probs.values >= 0.5).astype(np.int8), vocab=truth.vocab)
         assert sample_fbeta(pred, truth) > 0.7
+
+
+class TestWorkerProcesses:
+    """Labels fit in forked worker processes give the models, and the errors,
+    that one process gives."""
+
+    PARAMS = {
+        "lda": {},
+        "tree": {"max_depth": 4},
+        "rf": {"n_estimators": 3, "max_depth": 4},
+        "extra": {"n_estimators": 3, "max_depth": 4},
+        "gbm": {"n_stages": 3},
+    }
+
+    def data(self, n_samples=FORK_MIN_CELLS // 5, n_labels=6):
+        rng = make_rng(21)
+        X = rng.normal(size=(n_samples, 5))
+        Y = (X @ rng.normal(size=(5, n_labels)) > 0).astype(np.int8)
+        return FeatureMatrix(values=X), Y
+
+    @pytest.fixture
+    def fit(self, monkeypatch, forks):
+        """fit(cpus, kind, features, Y) -> (model, number of children forked)."""
+
+        def run(cpus, kind, features, Y):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            forks.clear()
+            truth = LabelMatrix(values=Y, vocab=make_vocab(Y.shape[1]))
+            spec = LearnerSpec(kind=kind, params=self.PARAMS[kind])
+            return fit_multioutput(spec, features, truth, seed=5), len(forks)
+
+        return run
+
+    @pytest.mark.parametrize("kind", ["lda", "tree", "rf", "extra", "gbm"])
+    def test_worker_models_equal_one_process_models(self, fit, tmp_path, kind):
+        features, Y = self.data()
+        Y[:, 2] = 0  # a constant label
+        one, forked_one = fit(1, kind, features, Y)
+        three, forked_three = fit(3, kind, features, Y)
+        assert (forked_one, forked_three) == (0, 2)
+        assert isinstance(three.models[2], ConstantModel)
+        save_model(tmp_path / "one.json", one)
+        save_model(tmp_path / "three.json", three)
+        assert (tmp_path / "one.json").read_text() == (tmp_path / "three.json").read_text()
+
+    @pytest.mark.parametrize("refused", [(3, 4), (2, 3)], ids=["child-first", "caller-first"])
+    def test_refused_label_names_the_first_in_label_order(self, fit, refused):
+        """With two processes the caller fits labels 0, 2, 4 and a child 1, 3, 5."""
+        features, Y = self.data()
+        for j in refused:  # lda needs two samples of each class
+            Y[:, j] = 0
+            Y[j, j] = 1
+        messages = []
+        for cpus in (1, 2):
+            with pytest.raises(ValueError) as caught:
+                fit(cpus, "lda", features, Y)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == (f"lda on label 'label_{refused[0]}': "
+                               "every class needs at least 2 samples")
+
+    def test_callers_own_error_surfaces_unchanged_and_children_are_killed(self, fit, monkeypatch):
+        caller = os.getpid()
+        bug = KeyError("bug")
+
+        def fit_binary(spec, X, y, seed):
+            if os.getpid() == caller:
+                raise bug
+            time.sleep(60)  # a child still fitting when the caller fails
+
+        monkeypatch.setattr(multioutput, "_fit_binary", fit_binary)
+        start = time.perf_counter()
+        with pytest.raises(KeyError) as caught:
+            fit(2, "tree", *self.data())
+        assert caught.value is bug
+        assert time.perf_counter() - start < 30
+
+    def in_children(self, monkeypatch, action):
+        """Make each child run ``action`` before each of its fits."""
+        caller, real = os.getpid(), multioutput._fit_binary
+
+        def fit_binary(*args):
+            if os.getpid() != caller:
+                action()
+            return real(*args)
+
+        monkeypatch.setattr(multioutput, "_fit_binary", fit_binary)
+
+    def test_child_error_is_raised_again(self, fit, monkeypatch):
+        def bug():
+            raise ZeroDivisionError("child bug")
+
+        self.in_children(monkeypatch, bug)
+        with pytest.raises(ZeroDivisionError, match="child bug"):
+            fit(2, "tree", *self.data())
+
+    def test_dead_child_is_a_runtime_error_naming_its_labels(self, fit, monkeypatch):
+        self.in_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError) as caught:
+            fit(2, "tree", *self.data())
+        assert str(caught.value) == (
+            "the worker process fitting labels ['label_1', 'label_3', 'label_5'] died (signal 9)"
+        )
+
+    @pytest.mark.parametrize("cpus,n_samples", [(1, FORK_MIN_CELLS // 5), (2, FORK_MIN_CELLS // 5 - 1)])
+    def test_one_cpu_or_a_small_training_set_stays_in_process(self, fit, cpus, n_samples):
+        features, Y = self.data(n_samples=n_samples)
+        assert fit(cpus, "tree", features, Y)[1] == 0
 
 
 class TestSerialization:

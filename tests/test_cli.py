@@ -1,7 +1,12 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from canopy.data import (
 from canopy.thresholds import load_thresholds
 
 from conftest import make_vocab
+
+DEMO_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_data.py"
 
 
 @pytest.fixture
@@ -101,6 +108,14 @@ class TestMetricsCommand:
                    ProbMatrix(values=np.vstack([probs, probs[:1]]), vocab=vocab))
         code = main(["metrics", "--pred", "long.csv", "--truth", "truth.csv"])
         assert "long.csv: sample 'img_999' not present in the truth file" in one_line_error(code, capsys)
+
+    def test_first_extra_row_in_file_order_named(self, workspace, capsys):
+        tmp, ids, vocab, truth, probs = workspace
+        extra = [f"img_9{i:02d}" for i in range(20, 0, -1)]  # img_920 first in the file
+        save_probs(tmp / "long.csv", ids + extra,
+                   ProbMatrix(values=np.vstack([probs, probs[:20]]), vocab=vocab))
+        code = main(["metrics", "--pred", "long.csv", "--truth", "truth.csv"])
+        assert "long.csv: sample 'img_920' not present in the truth file" in one_line_error(code, capsys)
 
     def test_missing_sample_is_data_error(self, workspace, capsys):
         tmp, ids, vocab, truth, probs = workspace
@@ -391,6 +406,50 @@ class TestTrainCommand:
         assert "features.csv: row 42: duplicate image_name 'img_000'" in err
 
 
+class TestWorkerProcesses:
+    """Label fits in worker processes write the files that one process writes."""
+
+    @pytest.fixture(scope="class")
+    def demo(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("demo")
+        saved = sys.argv
+        sys.argv = [str(DEMO_SCRIPT), "--out-dir", str(root), "--samples", "300", "--seed", "4"]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                runpy.run_path(str(DEMO_SCRIPT), run_name="__main__")
+        finally:
+            sys.argv = saved
+        return root
+
+    @pytest.mark.parametrize("argv,outputs", [
+        (["cv", "--learner", "rf", "--param", "n_estimators=3", "--k", "3"],
+         [("--out", "cv.csv"), ("--oof-out", "oof.csv")]),
+        (["train", "--learner", "gbm", "--param", "n_stages=3"],
+         [("--out", "model.json"), ("--probs-out", "probs.csv")]),
+    ], ids=["cv-rf", "train-gbm"])
+    def test_one_and_two_cpus_write_the_same_files(self, demo, tmp_path, monkeypatch, capsys,
+                                                   forks, argv, outputs):
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            flags = [word for flag, name in outputs for word in (flag, str(out / name))]
+            assert main([*argv, "--tags", str(demo / "tags.csv"),
+                         "--features", str(demo / "features.csv"), "--vocab", "amazon",
+                         "--seed", "3", *flags]) == 0
+            manifest = json.loads((out / f"{outputs[0][1]}.manifest.json").read_text())
+            runs.append((
+                [(out / name).read_bytes() for _, name in outputs],
+                [manifest["outputs"][str(out / name)] for _, name in outputs],
+                capsys.readouterr().out,
+                len(forks),
+            ))
+        (files_1, digests_1, printed_1, forks_1), (files_2, digests_2, printed_2, forks_2) = runs
+        assert forks_1 == 0 and forks_2 > 0
+        assert files_1 == files_2 and digests_1 == digests_2 and printed_1 == printed_2
+
+
 class TestStackCommand:
     def test_stack_trains_and_emits_outputs(self, workspace, capsys):
         tmp, ids, vocab, truth, probs = workspace
@@ -654,6 +713,24 @@ class TestManifestFiles:
         manifest = self.manifest()
         ids, truth = manifest.load("truth.csv", load_tags, "infer")
         assert manifest.doc["inputs"] == {"truth.csv": sha256(tmp / "truth.csv")}
+
+    def test_input_changed_while_read_is_refused(self, workspace, capsys, monkeypatch):
+        import canopy.cli
+
+        tmp, *_ = workspace
+
+        def rewriting_loader(path, vocab):
+            result = load_tags(path, vocab)
+            with open(path, "a") as fh:
+                fh.write("img_999,label_0\n")
+            return result
+
+        monkeypatch.setattr(canopy.cli, "load_tags", rewriting_loader)
+        code = main(["split", "--tags", "truth.csv", "--out", "folds.csv"])
+        err = one_line_error(code, capsys)
+        assert err.strip() == "canopy split: error: truth.csv: file changed while it was read"
+        manifest = json.loads((tmp / "folds.csv.manifest.json").read_text())
+        assert manifest["inputs"] == {} and not (tmp / "folds.csv").exists()
 
     def test_failed_cv_run_leaves_error_manifest(self, workspace, capsys):
         tmp, *_ = workspace
