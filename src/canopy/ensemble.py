@@ -111,11 +111,11 @@ def assemble_oof(
 
 @dataclass(frozen=True)
 class MetaLearnerConfig:
-    """Meta-learner architecture and training settings for stacking. A
-    hybrid head's softmax block is the truth vocabulary's weather labels."""
+    """Meta-learner architecture and training settings for stacking. Every
+    hidden layer is batch-normalized. A hybrid head's softmax block is the
+    truth vocabulary's weather labels."""
 
     hidden_units: tuple[int, ...] = (64,)
-    batch_norm: bool = True
     dropout: float = 0.25
     loss: str = "bce"
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -131,9 +131,9 @@ class StackModel:
     history: dict[str, list[float]]
     best_epoch: int
 
-    def predict(self, features: StackedFeatures | np.ndarray) -> ProbMatrix:
-        x = features.values if isinstance(features, StackedFeatures) else np.asarray(features)
-        probs = self.network.predict_proba(x)
+    def predict(self, features: np.ndarray) -> ProbMatrix:
+        """Probabilities for rows of stacked features, e.g. ``StackedFeatures.values``."""
+        probs = self.network.predict_proba(features)
         return ProbMatrix(values=np.clip(probs, 0.0, 1.0), vocab=self.vocab)
 
 
@@ -142,21 +142,19 @@ def stack_train(
     truth: LabelMatrix,
     config: MetaLearnerConfig,
     seed: int,
-    val_fraction: float = 0.2,
     val_indices=None,
 ) -> StackModel:
     """Train the integrated-stacking meta-learner on out-of-fold features.
 
     The validation split driving early stopping and best-F2 checkpointing
     is either the explicit ``val_indices`` (e.g. one CV fold) or, by
-    default, the trailing ``val_fraction`` of a seeded shuffle.
+    default, the trailing ``round(0.2 n)`` rows (at least one) of a
+    permutation seeded with ``seed``; the other rows train.
     """
     if features.n_samples != truth.n_samples:
         raise ValueError("features and truth disagree on the number of samples")
     if features.vocab != truth.vocab:
         raise ValueError("features and truth use different vocabularies")
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError("val_fraction must lie in (0, 1)")
 
     n = features.n_samples
     if val_indices is not None:
@@ -165,7 +163,7 @@ def stack_train(
             raise ValueError("val_indices must be a proper non-empty subset")
         tr = np.setdiff1d(np.arange(n), va)
     else:
-        n_val = max(1, int(round(n * val_fraction)))
+        n_val = max(1, int(round(n * 0.2)))
         if n_val >= n:
             raise ValueError("not enough samples to carve out a validation split")
         order = make_rng(seed).permutation(n)
@@ -175,7 +173,7 @@ def stack_train(
         in_dim=features.values.shape[1],
         out_dim=truth.n_labels,
         hidden=config.hidden_units,
-        batch_norm=config.batch_norm,
+        batch_norm=True,
         dropout=config.dropout,
         loss=config.loss,
         weather_count=truth.vocab.weather_count if config.loss == "hybrid" else 0,

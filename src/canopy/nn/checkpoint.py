@@ -1,6 +1,7 @@
 """Versioned JSON checkpoints: layer shapes and parameters, batch-norm
-running statistics, and the training metadata (seed, optimizer settings).
-Floats round-trip exactly through JSON's repr encoding.
+running statistics, and the caller's ``meta`` dict, stored as given
+(``canopy stack`` saves ``seed`` and ``n_models``). Floats round-trip
+exactly through JSON's repr encoding.
 
 The spec is the only description of the architecture: a checkpoint loads
 by building ``Network.init(spec)`` and checking each saved layer against

@@ -7,7 +7,8 @@ Per step t (incremented first):
     AMSGrad only:  v_hat <- max(previous v_hat, v_hat)   (elementwise)
     w <- w - alpha * m_hat / (sqrt(v_hat) + eps)
 
-Defaults alpha=0.001, b1=0.9, b2=0.999, eps=1e-8.
+b1 = 0.9 and b2 = 0.999 are fixed (Kingma & Ba 2015); alpha defaults to
+0.001 and eps to 1e-8.
 """
 
 from __future__ import annotations
@@ -23,24 +24,21 @@ class Adam:
     """In-place Adam/AMSGrad over a fixed list of parameter arrays (a Network
     passes one, ``theta``); ``alpha`` and ``epsilon`` must be positive, finite."""
 
+    beta1 = 0.9
+    beta2 = 0.999
+
     def __init__(
         self,
         params: list[np.ndarray],
         alpha: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
         epsilon: float = 1e-8,
         amsgrad: bool = False,
     ):
         if not 0.0 < alpha < np.inf:  # NaN fails too
             raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not 0.0 < epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
         self.alpha = float(alpha)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
         self.amsgrad = bool(amsgrad)
         self.t = 0

@@ -1,10 +1,12 @@
 """Mini-batch training with seeded shuffling, early stopping, and
 best-validation checkpointing.
 
-Early stopping and checkpointing monitor independently: by default training
-stops when validation loss fails to improve for ``patience`` consecutive
-epochs, while the returned parameters are the snapshot with the maximum
-validation sample-F2 seen at any epoch.
+The two rules are fixed and watch different values. Training stops once
+``patience`` consecutive epochs fail to bring the validation loss below the
+best so far minus ``min_delta`` (patience on validation loss, Prechelt 1998).
+The returned parameters are those of the first epoch with the highest
+validation sample-F2, each prediction binarized at 0.5. Adam's moment decays
+are fixed at 0.9 and 0.999.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .losses import loss_and_grad, predict_head
 from .network import Network
 from .optim import Adam, OptimizerDiverged
 
-MONITORS = ("val_loss", "val_f2")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -28,14 +28,9 @@ class TrainConfig:
     max_epochs: int = 100
     learning_rate: float = 0.001
     optimizer: str = "adam"  # adam | amsgrad
-    beta1: float = 0.9
-    beta2: float = 0.999
     epsilon: float = 1e-8
     patience: int = 10
-    stop_monitor: str = "val_loss"
-    checkpoint_monitor: str = "val_f2"
     min_delta: float = 0.0
-    decision_threshold: float = 0.5  # binarization for the F2 monitor
     seed: int = 0
 
     def __post_init__(self):
@@ -47,8 +42,8 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.optimizer not in ("adam", "amsgrad"):
             raise ValueError("optimizer must be 'adam' or 'amsgrad'")
-        if self.stop_monitor not in MONITORS or self.checkpoint_monitor not in MONITORS:
-            raise ValueError(f"monitors must be one of {MONITORS}")
+        if not 0.0 <= self.min_delta < np.inf:  # NaN fails too
+            raise ValueError(f"min_delta must be non-negative and finite, got {self.min_delta!r}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -72,12 +67,6 @@ class TrainResult:
         return self.history["val_f2"][self.best_epoch - 1]
 
 
-def _better(value: float, best: float, monitor: str, min_delta: float) -> bool:
-    if monitor == "val_loss":
-        return value < best - min_delta
-    return value > best + min_delta
-
-
 def train(
     network: Network,
     x: np.ndarray,
@@ -92,26 +81,30 @@ def train(
     loss, and validation sample-F2. Raises TrainingDiverged on a non-finite
     loss or gradient, with the parameters as of the last finite step; a
     gradient's message names the array of its first non-finite entry.
+    Training data with no rows, or with ``x`` and ``y`` of different row
+    counts, is refused before the first step.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     x_val = np.asarray(x_val, dtype=np.float64)
     y_val = np.asarray(y_val, dtype=np.float64)
+    if len(x) != len(y):
+        raise ValueError(f"x has {len(x)} training rows but y has {len(y)}")
+    if len(x) == 0:
+        raise ValueError("training data has 0 rows; training needs at least 1")
     if len(x_val) == 0:
         raise ValueError("validation data must be non-empty")
     rng = make_rng(config.seed)
     optimizer = Adam(
         network.params,
         alpha=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
         epsilon=config.epsilon,
         amsgrad=config.optimizer == "amsgrad",
     )
     history: dict[str, list[float]] = {"train_loss": [], "val_loss": [], "val_f2": []}
     n = x.shape[0]
-    best_stop = np.inf if config.stop_monitor == "val_loss" else -np.inf
-    best_ckpt = np.inf if config.checkpoint_monitor == "val_loss" else -np.inf
+    best_loss = np.inf
+    best_f2 = -np.inf
     best_state = network.get_state()
     best_epoch = 0
     stale = 0
@@ -152,22 +145,20 @@ def train(
             network.spec.loss, val_logits, y_val, network.spec.weather_count
         )
         val_probs = predict_head(network.spec.loss, val_logits, network.spec.weather_count)
-        val_pred = (val_probs >= config.decision_threshold).astype(np.int8)
+        val_pred = (val_probs >= 0.5).astype(np.int8)
         val_f2 = sample_fbeta(val_pred, y_val.astype(np.int8))
 
         history["train_loss"].append(float(np.mean(batch_losses)))
         history["val_loss"].append(float(val_loss))
         history["val_f2"].append(float(val_f2))
 
-        ckpt_value = val_loss if config.checkpoint_monitor == "val_loss" else val_f2
-        if best_epoch == 0 or _better(ckpt_value, best_ckpt, config.checkpoint_monitor, 0.0):
-            best_ckpt = ckpt_value
+        if val_f2 > best_f2:  # sample-F2 of 0/1 predictions is finite
+            best_f2 = val_f2
             best_state = network.get_state()
             best_epoch = epoch
 
-        stop_value = val_loss if config.stop_monitor == "val_loss" else val_f2
-        if _better(stop_value, best_stop, config.stop_monitor, config.min_delta):
-            best_stop = stop_value
+        if val_loss < best_loss - config.min_delta:
+            best_loss = val_loss
             stale = 0
         else:
             stale += 1

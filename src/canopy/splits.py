@@ -58,6 +58,13 @@ class FoldAssignment(_Rows):
         return np.nonzero(self.fold_of != fold)[0]
 
 
+def _check_k(k: int, n: int) -> None:
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if k > n:
+        raise ValueError(f"k={k} exceeds the number of samples ({n})")
+
+
 def stratified_kfold(truth: LabelMatrix, k: int, seed: int) -> FoldAssignment:
     """Iterative stratification; deterministic for a fixed seed.
 
@@ -67,10 +74,7 @@ def stratified_kfold(truth: LabelMatrix, k: int, seed: int) -> FoldAssignment:
     remaining capacity and then by a PRNG draw.
     """
     n = truth.n_samples
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > n:
-        raise ValueError(f"k={k} exceeds the number of samples ({n})")
+    _check_k(k, n)
     rng = make_rng(seed)
     y = truth.as_bool()
     # a label above 50% prevalence is easier to balance through its rare
@@ -182,14 +186,13 @@ def cv_evaluate(
     truth: LabelMatrix,
     k: int,
     seed: int,
-    decision_threshold: float = 0.5,
 ) -> CvResult:
     """Train on k-1 folds, score the holdout, average the fold Totals.
 
     ``learner`` is a classical LearnerSpec. Each fold trains an independent
     multi-output model on its own derived seed; a training failure is
     re-raised with the fold index attached. Holdout probabilities are
-    binarized at ``decision_threshold`` for the fold scoreboards.
+    binarized at 0.5 for the fold scoreboards.
     """
     from .classical import LearnerSpec, fit_multioutput, predict_multioutput
 
@@ -197,6 +200,7 @@ def cv_evaluate(
         raise TypeError("learner must be a canopy.classical.LearnerSpec")
     if features.n_samples != truth.n_samples:
         raise ValueError("features and truth disagree on the number of samples")
+    _check_k(k, truth.n_samples)  # before spawn_seeds, whose cost grows with k
 
     split_seed, *fold_seeds = spawn_seeds(seed, k + 1)
     folds = stratified_kfold(truth, k, split_seed)
@@ -210,7 +214,7 @@ def cv_evaluate(
             raise RuntimeError(f"fold {f}: learner training failed: {exc}") from exc
         probs = predict_multioutput(model, features.take(va))
         oof[va] = probs.values
-        pred = apply_thresholds(probs, np.full(truth.n_labels, decision_threshold))
+        pred = apply_thresholds(probs, np.full(truth.n_labels, 0.5))
         reports.append(report(pred, truth.take(va)))
 
     totals = np.array([r.total for r in reports])

@@ -74,14 +74,13 @@ def optimize_thresholds(
     truth: LabelMatrix,
     beta: float = 2.0,
     mode: str = "coordinate",
-    max_passes: int = 20,
 ) -> tuple[np.ndarray, float]:
     """Choose per-class cutoffs maximizing F-beta; returns (cutoffs, score).
 
     coordinate mode runs cyclic coordinate ascent on the sample-averaged
     F-beta, sweeping each class over its distinct observed scores while the
-    others stay fixed, until a full pass improves by <= 1e-12 (at most
-    ``max_passes`` passes). per-class mode maximizes each class's own binary
+    others stay fixed, until a full pass improves by <= 1e-12 or 20 passes
+    have run. per-class mode maximizes each class's own binary
     F-beta independently, scoring all of a class's cutoffs from one sorted
     sweep. Ties always break toward the smallest cutoff. Classes without a
     single positive keep the default cutoff 0.5.
@@ -123,7 +122,7 @@ def optimize_thresholds(
     candidates = {j: np.unique(scores[:, j]) for j in optimizable}
     pred = scores >= cutoffs[None, :]
     current = sample_score(pred)
-    for _ in range(max_passes):
+    for _ in range(20):
         improved = False
         for j in optimizable:
             best_s, best_t = current, cutoffs[j]

@@ -266,6 +266,31 @@ class TestStackTrain:
         model = stack_train(stacked, truth, config, seed=1, val_indices=np.arange(30))
         assert len(model.history["val_f2"]) >= 1
 
+    @pytest.mark.parametrize("n, n_val", [(2, 1), (7, 1), (12, 2), (13, 3), (90, 18)])
+    def test_default_split_validates_on_the_last_fifth_of_a_seeded_permutation(
+        self, monkeypatch, n, n_val
+    ):
+        """Without val_indices, the trailing round(0.2 n) rows (at least one)
+        of make_rng(seed).permutation(n) validate and the rest train."""
+        import canopy.ensemble
+        from canopy.nn import TrainResult
+
+        seen = {}
+
+        def fake_train(network, x, y, x_val, y_val, config):
+            seen.update(train=x[:, 0], val=x_val[:, 0])
+            return TrainResult(network=network, history={}, best_epoch=1, epochs_run=1)
+
+        monkeypatch.setattr(canopy.ensemble, "train", fake_train)
+        vocab = make_vocab(2)
+        rows = np.arange(n) / n  # column 0 names each row
+        stacked = StackedFeatures(values=np.column_stack([rows, rows]), n_models=1, vocab=vocab)
+        truth = LabelMatrix(values=np.ones((n, 2), dtype=np.int8), vocab=vocab)
+        stack_train(stacked, truth, MetaLearnerConfig(), seed=4)
+        order = make_rng(4).permutation(n)
+        assert (seen["val"] * n).round().astype(int).tolist() == order[n - n_val:].tolist()
+        assert (seen["train"] * n).round().astype(int).tolist() == order[: n - n_val].tolist()
+
     @pytest.mark.parametrize(
         "val_indices, message",
         [

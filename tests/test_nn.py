@@ -445,6 +445,43 @@ class TestTraining:
             train(net, x, y, x, y, TrainConfig(max_epochs=2, **{setting: value}))
         assert all((a == b).all() for a, b in zip(net.get_state(), start))
 
+    @pytest.mark.parametrize("value", [-1e-3, -math.inf, math.nan, math.inf])
+    def test_negative_or_non_finite_min_delta_refused(self, value):
+        """A NaN min_delta used to make every epoch stale, so training
+        stopped after ``patience`` epochs while the val loss still fell."""
+        from canopy.nn import TrainConfig
+
+        with pytest.raises(ValueError, match="min_delta must be non-negative and finite"):
+            TrainConfig(min_delta=value)
+
+    def test_empty_training_set_refused_before_the_first_step(self):
+        """Without batch norm, no rows used to run every epoch with no batch
+        and record a NaN train loss."""
+        from canopy.nn import TrainConfig, train
+
+        rng = make_rng(9)
+        xv, yv = self.separable_problem(rng, n=10)
+        net = Network.init(NetworkSpec(in_dim=3, out_dim=3, hidden=(4,)), seed=9)
+        start = net.get_state()
+        with pytest.raises(ValueError, match="^training data has 0 rows"):
+            train(net, np.zeros((0, 3)), np.zeros((0, 3)), xv, yv, TrainConfig(max_epochs=2))
+        assert all((a == b).all() for a, b in zip(net.get_state(), start))
+
+    @pytest.mark.parametrize("n_x,n_y", [(10, 7), (7, 10)])
+    def test_row_count_mismatch_refused_before_the_first_step(self, n_x, n_y):
+        """10 rows of x with 7 of y used to raise a bare IndexError; a longer
+        y trained silently on its first rows."""
+        from canopy.nn import TrainConfig, train
+
+        rng = make_rng(10)
+        x, _ = self.separable_problem(rng, n=n_x)
+        _, y = self.separable_problem(rng, n=n_y)
+        net = Network.init(NetworkSpec(in_dim=3, out_dim=3, hidden=(4,)), seed=10)
+        start = net.get_state()
+        with pytest.raises(ValueError, match=f"^x has {n_x} training rows but y has {n_y}$"):
+            train(net, x, y, x, y[:n_x], TrainConfig(max_epochs=2))
+        assert all((a == b).all() for a, b in zip(net.get_state(), start))
+
     def test_batch_norm_dropout_network_trains(self):
         from canopy.nn import TrainConfig, train
 

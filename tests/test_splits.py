@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,3 +240,21 @@ class TestCvEvaluate:
         bad = LearnerSpec(kind="lda", params={"k_components": 5})
         with pytest.raises(RuntimeError, match="fold 0"):
             cv_evaluate(bad, features, truth, k=3, seed=0)
+
+    @pytest.mark.parametrize("k, message", [
+        (-1, "k must be >= 2"),
+        (100_000, "k=100000 exceeds the number of samples (20)"),
+    ])
+    def test_fold_count_checked_before_seeds_are_spawned(self, monkeypatch, k, message):
+        """k=-1 used to fail unpacking the spawned seeds, and a huge k to
+        spend time growing with k on seeds before stratified_kfold refused."""
+        import canopy.splits
+
+        def no_seeds(*args):
+            pytest.fail("spawn_seeds was called before k was checked")
+
+        monkeypatch.setattr(canopy.splits, "spawn_seeds", no_seeds)
+        features, truth = self.make_learnable(make_rng(9), n=20, k=2)
+        spec = LearnerSpec(kind="tree", params={"max_depth": 2})
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            cv_evaluate(spec, features, truth, k=k, seed=0)
