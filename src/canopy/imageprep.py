@@ -50,40 +50,67 @@ PREPROCESS_MODE_FOR_MODEL = {
 AUGMENT_OPS = ("flip_lr", "flip_ud", "rot90_cw", "rot90_ccw")
 
 
-def _check_image(img) -> np.ndarray:
-    a = np.asarray(img, dtype=np.float64)
+def _image(img) -> np.ndarray:
+    """``img`` as an (h, w, 3) array. An ndarray of bools, integers or floats
+    up to 64 bits keeps its dtype, and the kernels convert its values to
+    float64 as they read them; anything else is converted here."""
+    kind = img.dtype.kind if isinstance(img, np.ndarray) else ""
+    if kind in ("b", "i", "u") or kind == "f" and img.dtype.itemsize <= 8:
+        a = np.asarray(img)
+    else:
+        a = np.asarray(img, dtype=np.float64)
     if a.ndim != 3 or a.shape[2] != 3:
         raise ValueError(f"expected an (h, w, 3) image, got shape {a.shape}")
     return a
 
 
+def _check_image(img) -> np.ndarray:
+    return np.asarray(_image(img), dtype=np.float64)
+
+
 def preprocess(img, mode: str) -> np.ndarray:
-    """Apply one of the three pixel conventions to a raw [0, 255] image."""
-    a = _check_image(img)
+    """Apply one of the three pixel conventions to a raw [0, 255] image.
+
+    Returns a new C-contiguous float64 array. The per-channel steps run one
+    channel at a time, so each numpy loop covers whole rows of one channel
+    rather than 3-wide pixels; the arithmetic is the same per value.
+    """
+    a = _image(img)
     if a.size and not (a.min() >= 0.0 and a.max() <= 255.0):  # NaN fails too
         raise ValueError("raw pixel values must lie in [0, 255]")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    out = np.empty(a.shape)
+    if mode == "caffe":  # BGR order
+        for c in range(3):
+            np.subtract(a[:, :, 2 - c], CAFFE_BGR_MEAN[c], out=out[:, :, c], dtype=np.float64)
+        return out
+    np.divide(a, 127.5 if mode == "tf" else 255.0, out=out, dtype=np.float64)
     if mode == "tf":
-        return a / 127.5 - 1.0
-    if mode == "caffe":
-        bgr = a[:, :, ::-1].copy()
-        return bgr - np.array(CAFFE_BGR_MEAN)
-    if mode == "torch":
-        return (a / 255.0 - np.array(TORCH_MEAN)) / np.array(TORCH_STD)
-    raise ValueError(f"mode must be one of {MODES}")
+        out -= 1.0
+        return out
+    for c in range(3):
+        o = out[:, :, c]
+        o -= TORCH_MEAN[c]
+        o /= TORCH_STD[c]
+    return out
 
 
 def augment(img, op: str) -> np.ndarray:
-    """Exact pixel permutation; rotations swap height and width."""
-    a = _check_image(img)
+    """Exact pixel permutation; rotations swap height and width. Returns a
+    new C-contiguous float64 array."""
+    a = _image(img)
     if op == "flip_lr":
-        return a[:, ::-1, :].copy()
-    if op == "flip_ud":
-        return a[::-1, :, :].copy()
-    if op == "rot90_cw":
-        return np.rot90(a, k=-1, axes=(0, 1)).copy()
-    if op == "rot90_ccw":
-        return np.rot90(a, k=1, axes=(0, 1)).copy()
-    raise ValueError(f"op must be one of {AUGMENT_OPS}")
+        a = a[:, ::-1, :]
+    elif op == "flip_ud":
+        a = a[::-1, :, :]
+    elif op == "rot90_cw":
+        a = np.rot90(a, k=-1, axes=(0, 1))
+    elif op == "rot90_ccw":
+        a = np.rot90(a, k=1, axes=(0, 1))
+    else:
+        raise ValueError(f"op must be one of {AUGMENT_OPS}")
+    return np.array(a, dtype=np.float64, order="C")  # converts as it copies
 
 
 def random_augment(img, seed: int) -> np.ndarray:

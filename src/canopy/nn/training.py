@@ -82,7 +82,8 @@ def train(
     loss or gradient, with the parameters as of the last finite step; a
     gradient's message names the array of its first non-finite entry.
     Training data with no rows, or with ``x`` and ``y`` of different row
-    counts, is refused before the first step.
+    counts, is refused before the first step, and so is validation data
+    with no rows, unequal row counts, or widths other than the network's.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -92,8 +93,16 @@ def train(
         raise ValueError(f"x has {len(x)} training rows but y has {len(y)}")
     if len(x) == 0:
         raise ValueError("training data has 0 rows; training needs at least 1")
+    if len(x_val) != len(y_val):
+        raise ValueError(
+            f"validation data: x_val has {len(x_val)} rows but y_val has {len(y_val)}")
     if len(x_val) == 0:
         raise ValueError("validation data must be non-empty")
+    spec = network.spec
+    for name, a, width in (("x_val", x_val, spec.in_dim), ("y_val", y_val, spec.out_dim)):
+        if a.ndim != 2 or a.shape[1] != width:
+            raise ValueError(
+                f"validation data: {name} has shape {a.shape}, the network needs {width} columns")
     rng = make_rng(config.seed)
     optimizer = Adam(
         network.params,

@@ -84,58 +84,85 @@ def stratified_kfold(truth: LabelMatrix, k: int, seed: int) -> FoldAssignment:
     if dense.size:
         y = np.concatenate([y, ~y[:, dense]], axis=1)
 
-    # the per-sample loop runs on Python floats and lists: the same IEEE
-    # values and comparisons as float64 arrays, without numpy's per-call cost
-    # demand[l][f]: how many positives of label l fold f still wants
-    demand = [[count / k] * k for count in y.sum(axis=0, dtype=np.float64).tolist()]
-    capacity = [n / k] * k
-    folds = range(k)
-    # labels_of[start[i]:start[i + 1]]: the labels of sample i
-    labels_of = np.nonzero(y)[1].tolist()
-    start = np.concatenate([[0], np.cumsum(y.sum(axis=1))]).tolist()
-
-    def pick_fold(want: list[float] | None) -> int:
-        # folds at their size quota stop receiving until every fold is full,
-        # keeping sizes within one sample so label proportions track counts
-        cand = [f for f in folds if capacity[f] > 0] or list(folds)
-        if want is not None:
-            top = max(map(want.__getitem__, cand))
-            cand = [f for f in cand if want[f] == top]
-        if len(cand) > 1:
-            top = max(map(capacity.__getitem__, cand))
-            cand = [f for f in cand if capacity[f] == top]
-        if len(cand) > 1:
-            return cand[rng.integers(len(cand))]
-        return cand[0]
-
-    def assign(samples: np.ndarray, want: list[float] | None) -> None:
-        chosen = []
-        for i in samples.tolist():
-            f = pick_fold(want)
-            chosen.append(f)
-            for label in labels_of[start[i] : start[i + 1]]:
-                demand[label][f] -= 1.0
-            capacity[f] -= 1.0
-        fold_of[samples] = chosen
-        unassigned[samples] = False
-
+    # A fold's demand for a label starts at (positives / k) and its capacity
+    # at n / k, the same floats for every fold, and each pick subtracts 1.0,
+    # which strictly lowers a float of that size. So the greatest demand is
+    # the fewest positives of the label taken, the greatest capacity the
+    # fewest samples taken, and a fold has capacity left while it holds fewer
+    # than ceil(n / k) samples. With that quota some fold is open while
+    # samples remain.
+    taken = np.zeros((y.shape[1], k), dtype=np.int64)  # [label, fold]
+    size = np.zeros(k, dtype=np.int64)
+    quota = -(-n // k)
     fold_of = np.full(n, -1, dtype=np.int64)
-    unassigned = np.ones(n, dtype=bool)
+    remaining_pos = y.sum(axis=0)
     labels_per_sample = y.sum(axis=1)
+
+    def assign(samples: np.ndarray, label_taken: np.ndarray | None) -> None:
+        chosen = _deal(label_taken, size, quota, samples.size, rng)
+        fold_of[samples] = chosen
+        size[:] += np.bincount(chosen, minlength=k)
+        rows, labels = np.nonzero(y[samples])
+        taken[:] += np.bincount(labels * k + chosen[rows], minlength=taken.size).reshape(-1, k)
+        remaining_pos[:] -= np.bincount(labels, minlength=y.shape[1])
+
     while True:
-        remaining_pos = (y & unassigned[:, None]).sum(axis=0)
         active = np.nonzero(remaining_pos > 0)[0]
         if active.size == 0:
             break
         label = int(active[np.argmin(remaining_pos[active])])
-        members = np.nonzero(y[:, label] & unassigned)[0]
+        members = np.nonzero(y[:, label] & (fold_of < 0))[0]
         # most-constrained samples first: their many demand counters are
         # still informative early in the sweep
         members = members[np.argsort(-labels_per_sample[members], kind="stable")]
-        assign(members, demand[label])
+        assign(members, taken[label])
 
-    assign(np.nonzero(unassigned)[0], None)  # samples with no positive labels
+    assign(np.nonzero(fold_of < 0)[0], None)  # samples with no positive labels
     return FoldAssignment(fold_of=fold_of, k=k)
+
+
+def _deal(taken: np.ndarray | None, size: np.ndarray, quota: int, m: int, rng) -> np.ndarray:
+    """The folds of the next ``m`` picks for one label, one pick at a time:
+    the open fold with the fewest positives of the label ``taken`` (skipped
+    for samples with no label, ``taken=None``), then the fewest ``size``,
+    then a PRNG draw among the tied.
+
+    A pick raises its fold's key ``(taken, size)`` by (1, 1), so fold f
+    offers the keys ``(taken[f] + j, size[f] + j)`` for ``j`` below its room
+    ``quota - size[f]``, and the picks are the ``m`` smallest keys of all
+    folds merged. Only a run of equal keys (one per fold in it) needs draws:
+    each pick from it draws among the folds of the run not yet picked, in
+    fold order, until one fold is left.
+    """
+    room = np.minimum(quota - size, m)
+    fold = np.repeat(np.arange(size.size), room)
+    j = _ramps(room)
+    key = size[fold] + j
+    if taken is not None:
+        key += (taken[fold] + j) * (quota + 1)
+    order = np.argsort(key, kind="stable")  # merges the k ascending runs
+    fold, key = fold[order], key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    ends = np.append(starts[1:], key.size)
+    tied = (ends - starts > 1) & (starts < m)
+    starts, ends = starts[tied], ends[tied]
+    # run sizes r, r - 1, ... down to 2, or fewer where the batch ends
+    # inside the run; one call with an array of bounds draws what one call
+    # per bound would
+    n_draws = np.minimum(ends - 1, m) - starts
+    bounds = np.repeat(ends - starts, n_draws) - _ramps(n_draws)
+    draws = iter(rng.integers(bounds).tolist())
+    chosen = fold[:m]
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        run = fold[a:b].tolist()
+        for pos in range(a, min(b, m)):
+            chosen[pos] = run.pop(next(draws)) if len(run) > 1 else run[0]
+    return chosen
+
+
+def _ramps(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def save_folds(path: str | Path, ids: Sequence[str], folds: FoldAssignment) -> None:

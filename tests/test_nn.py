@@ -482,6 +482,30 @@ class TestTraining:
             train(net, x, y, x, y[:n_x], TrainConfig(max_epochs=2))
         assert all((a == b).all() for a, b in zip(net.get_state(), start))
 
+    @pytest.mark.parametrize("x_val_shape,y_val_shape,message", [
+        ((10, 3), (7, 3), "x_val has 10 rows but y_val has 7"),
+        ((7, 3), (10, 3), "x_val has 7 rows but y_val has 10"),
+        ((10, 4), (10, 3), r"x_val has shape \(10, 4\), the network needs 3 columns"),
+        ((10, 3), (10, 2), r"y_val has shape \(10, 2\), the network needs 3 columns"),
+        ((10,), (10, 3), r"x_val has shape \(10,\), the network needs 3 columns"),
+    ])
+    def test_bad_validation_data_refused_before_the_first_step(
+        self, x_val_shape, y_val_shape, message
+    ):
+        """Unequal validation row counts used to fail only after the first
+        epoch had updated the network, in ``loss_and_grad`` with a message
+        that did not name the validation data."""
+        from canopy.nn import TrainConfig, train
+
+        rng = make_rng(11)
+        x, y = self.separable_problem(rng, n=40)
+        net = Network.init(NetworkSpec(in_dim=3, out_dim=3, hidden=(4,), batch_norm=True), seed=11)
+        start = net.get_state()
+        with pytest.raises(ValueError, match=f"^validation data: {message}$"):
+            train(net, x, y, np.zeros(x_val_shape), np.zeros(y_val_shape),
+                  TrainConfig(max_epochs=2))
+        assert all((a == b).all() for a, b in zip(net.get_state(), start))
+
     def test_batch_norm_dropout_network_trains(self):
         from canopy.nn import TrainConfig, train
 

@@ -125,6 +125,9 @@ def test_stratified_kfold_matches_array_oracle(problem):
     assert got.k == want.k
     assert got.fold_of.dtype == want.fold_of.dtype
     assert got.fold_of.tobytes() == want.fold_of.tobytes()
+    # demand outranks capacity, so sizes can differ by more than one (19
+    # rows in 9 folds can give 3 and 1); only the quota ceil(n / k) holds
+    assert np.bincount(got.fold_of).max() <= -(-truth.n_samples // k)
 
 
 def test_stratified_kfold_matches_array_oracle_on_a_seeded_sweep():
@@ -147,6 +150,49 @@ def test_stratified_kfold_matches_array_oracle_at_scale():
     for seed in (0, 2024):
         want = reference_stratified_kfold(truth, 5, seed).fold_of
         assert np.array_equal(stratified_kfold(truth, 5, seed).fold_of, want)
+
+
+def special_problems():
+    rng = make_rng(12)
+    one_label = np.zeros((50, 4))
+    one_label[:, 2] = rng.random(50) < 0.3
+    return {
+        "identical rows": (np.tile([1, 0, 1, 1], (37, 1)), 5),
+        "identical rows, no label": (np.zeros((23, 3)), 4),
+        "n divisible by k": (rng.random((60, 3)) < [0.1, 0.4, 0.7], 5),
+        "n divisible by k, all ties": (np.ones((40, 2)), 4),
+        "k = n": (rng.random((7, 3)) < 0.4, 7),
+        "k = n, identical rows": (np.ones((6, 2)), 6),
+        "one label holds every positive": (one_label, 3),
+        "one label, every row positive": (np.eye(1, 4, 1).repeat(21, axis=0), 4),
+        # label 1 is dealt after its one-row complement and label 0 have put
+        # one sample in each fold: its first free row fills a fold to the
+        # quota of 2, and the next row must go to the other fold
+        "fold fills mid-batch": ([[1, 1], [1, 0], [0, 1], [0, 1]], 2),
+        # label 1's row and label 0's two rows fill one fold with no positive
+        # of label 2 while the other fold holds one: label 2's last row goes
+        # to the other fold, though the full one wants it more
+        "full fold wanted most": ([[0, 1, 0], [0, 0, 1], [1, 0, 0], [1, 0, 1]], 2),
+        # one batch of ties with a quota of 5: three folds reach it, the first
+        # two with samples still to deal
+        "folds fill mid-batch at an uneven quota": (np.ones((23, 1)), 5),
+    }
+
+
+@pytest.mark.parametrize("name", list(special_problems()))
+def test_cases_the_merged_keys_treat_specially(name):
+    """Inputs where every pick is a tie, where the quota n / k is exact, where
+    a fold has room for one sample, where one label is the whole problem, and
+    where folds reach their quota in the middle of a label's batch: the same
+    folds as the oracle for 50 seeds, and fold sizes within one of each other."""
+    values, k = special_problems()[name]
+    values = np.asarray(values, dtype=np.int8)
+    truth = LabelMatrix(values=values, vocab=make_vocab(values.shape[1]))
+    for seed in range(50):
+        got = stratified_kfold(truth, k, seed).fold_of
+        assert got.tobytes() == reference_stratified_kfold(truth, k, seed).fold_of.tobytes()
+        sizes = np.bincount(got, minlength=k)
+        assert sizes.max() - sizes.min() <= 1
 
 
 class TestFoldIo:
