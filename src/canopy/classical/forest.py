@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import make_rng, spawn_seeds
-from .tree import DecisionTree, check_int, check_tree_params, tree_fit
+from .tree import DecisionTree, check_int, check_tree_params, check_xy, tree_fit
 
 
 @dataclass
@@ -73,8 +73,7 @@ def forest_fit(
     (rf resamples, extra uses the full sample). A single rf tree with
     feature_rule='all' and bootstrap=False reduces to the plain tree."""
     check_forest_params(n_estimators, variant, max_depth, min_samples_split, feature_rule, bootstrap)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
+    X, y = check_xy(X, y)
     if len(X) < 2:
         raise ValueError("forest training needs at least 2 samples")
     if bootstrap is None:

@@ -19,7 +19,7 @@ from numbers import Real
 import numpy as np
 
 from ..nn.activations import sigmoid
-from .tree import DecisionTree, check_int, check_tree_params, tree_fit
+from .tree import DecisionTree, check_int, check_tree_params, check_xy, tree_fit
 
 CLAMP = 1e-12
 
@@ -83,10 +83,8 @@ def gbm_fit(
     seed: int = 0,
 ) -> GbmModel:
     check_gbm_params(n_stages, learning_rate, max_depth, min_samples_split, loss, gamma_mode)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
-        raise ValueError("X must be (n, f) with a matching non-empty y")
+    X, y = check_xy(X, y)
+    y = y.astype(np.float64, copy=False)
     if loss == "logistic" and not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("logistic loss requires 0/1 targets")
 

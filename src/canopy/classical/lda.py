@@ -16,7 +16,7 @@ from numbers import Real
 
 import numpy as np
 
-from .tree import check_int
+from .tree import check_int, check_xy
 
 
 @dataclass
@@ -63,11 +63,8 @@ def check_lda_params(k_components, reg_lambda) -> None:
 def lda_fit(X, y, k_components: int | None = None, reg_lambda: float = 1e-6) -> LdaModel:
     """Fit Fisher LDA. Every class needs at least 2 samples; a singular S_w
     with reg_lambda=0 is an error (raise it above 0 to ridge it out)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be (n, f) with matching y")
     check_lda_params(k_components, reg_lambda)
+    X, y = check_xy(X, y)
     classes, counts = np.unique(y, return_counts=True)
     if len(classes) < 2:
         raise ValueError("LDA needs at least 2 classes")

@@ -18,6 +18,7 @@ import pickle
 import signal
 import sys
 import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -112,6 +113,8 @@ class MultiOutputModel:
 # 40 x 24 cells of one-tree fits take ~1 ms a label.
 FORK_MIN_CELLS = 4_000
 
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
+
 
 def _n_processes(X: np.ndarray, n_fittable: int) -> int:
     """How many processes share the fits: one unless forking is safe (Linux,
@@ -140,7 +143,11 @@ def _fork_share(spec: LearnerSpec, X, Y, seeds, labels):
     ``_fit_share`` through a pipe. The child ends with ``os._exit``, so it
     flushes nothing and runs no exit handler."""
     r, w = os.pipe()
-    pid = os.fork()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns whenever another OS thread exists, and OpenBLAS
+        # starts its pool on import; its fork handlers rebuild it in the child
+        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+        pid = os.fork()
     if pid == 0:
         code = 1
         try:

@@ -168,6 +168,15 @@ def check_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
+def check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Every learner's training data: (n, f) float64 ``X`` and n > 0 ``y``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
+        raise ValueError("X must be (n, f) with a matching non-empty y")
+    return X, y
+
+
 def check_tree_params(criterion, max_depth, min_samples_split, feature_rule, cutpoint) -> None:
     """tree_fit's checks on its settings; they need no data."""
     if criterion not in ("gini", "mse"):
@@ -194,11 +203,8 @@ def tree_fit(
     """Grow a tree. feature_rule 'sqrt' subsamples floor(sqrt(f)) features
     at every split; cutpoint 'random' is the extremely-randomized rule.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
-        raise ValueError("X must be (n, f) with a matching non-empty y")
     check_tree_params(criterion, max_depth, min_samples_split, feature_rule, cutpoint)
+    X, y = check_xy(X, y)
 
     n_features = X.shape[1]
     rng = make_rng(seed)

@@ -67,7 +67,7 @@ KINDS = {
     float: "a number",
     int: "an integer",
     _int_list: "comma-separated integers",
-    _beta: "a finite number > 0",
+    _beta: "a finite number > 0 and <= ~1.41e146",
     _seed: "a non-negative integer",
 }
 
@@ -327,9 +327,9 @@ def cmd_tune_thresholds(args, manifest: Manifest) -> int:
     return 0
 
 
-def _probs_header_vocab(path: str) -> LabelVocabulary:
-    """Build a vocabulary from a probability CSV's own label columns."""
-    header = _csv_header(path)
+def _probs_header_vocab(path: str, header: list[str]) -> LabelVocabulary:
+    """Build a vocabulary from a probability CSV's own label columns, given
+    the ``header`` read from ``path``."""
     if not header or header[0] != "image_name" or len(header) < 2:
         raise DataError(f"{path}: expected header 'image_name,<label>,...'")
     try:
@@ -349,10 +349,11 @@ def _load_hard_predictions(
 ) -> tuple[list[str], LabelMatrix]:
     """Load a tag file or a 0/1 probability CSV as a LabelMatrix; with
     ``vocab`` "infer", a probability file's own label columns are the vocabulary."""
-    if _csv_header(path) == ["image_name", "tags"]:
+    header = _csv_header(path)
+    if header == ["image_name", "tags"]:
         return load_tags(path, vocab)
     if vocab == "infer":
-        vocab = _probs_header_vocab(path)
+        vocab = _probs_header_vocab(path, header)
     ids, probs = load_probs(path, vocab)
     try:
         return ids, LabelMatrix(values=probs.values, vocab=vocab)
@@ -585,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, manifest)
         manifest.write(args, code, None)
         return code
-    except (DataError, ValueError, OSError, RuntimeError) as exc:
+    except (DataError, ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"canopy {args.command}: error: {exc}", file=sys.stderr)
         manifest.write(args, 1, str(exc))
         return 1

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, load_npy, open_csv
+from .data import DataError, load_npy, make_rng, open_csv
 
 CAFFE_BGR_MEAN = (103.939, 116.779, 123.68)
 TORCH_MEAN = (0.485, 0.456, 0.406)  # outside-source ImageNet constants
@@ -47,7 +47,14 @@ PREPROCESS_MODE_FOR_MODEL = {
     "DenseNet201": "torch",
 }
 
-AUGMENT_OPS = ("flip_lr", "flip_ud", "rot90_cw", "rot90_ccw")
+# each augmentation op as a view of an (h, w, 3) array
+_VIEWS = {
+    "flip_lr": lambda a: a[:, ::-1, :],
+    "flip_ud": lambda a: a[::-1, :, :],
+    "rot90_cw": lambda a: np.rot90(a, k=-1, axes=(0, 1)),
+    "rot90_ccw": lambda a: np.rot90(a, k=1, axes=(0, 1)),
+}
+AUGMENT_OPS = tuple(_VIEWS)
 
 
 def _image(img) -> np.ndarray:
@@ -62,10 +69,6 @@ def _image(img) -> np.ndarray:
     if a.ndim != 3 or a.shape[2] != 3:
         raise ValueError(f"expected an (h, w, 3) image, got shape {a.shape}")
     return a
-
-
-def _check_image(img) -> np.ndarray:
-    return np.asarray(_image(img), dtype=np.float64)
 
 
 def preprocess(img, mode: str) -> np.ndarray:
@@ -98,32 +101,23 @@ def preprocess(img, mode: str) -> np.ndarray:
 
 def augment(img, op: str) -> np.ndarray:
     """Exact pixel permutation; rotations swap height and width. Returns a
-    new C-contiguous float64 array."""
+    new C-contiguous float64 array, converted as it is copied."""
     a = _image(img)
-    if op == "flip_lr":
-        a = a[:, ::-1, :]
-    elif op == "flip_ud":
-        a = a[::-1, :, :]
-    elif op == "rot90_cw":
-        a = np.rot90(a, k=-1, axes=(0, 1))
-    elif op == "rot90_ccw":
-        a = np.rot90(a, k=1, axes=(0, 1))
-    else:
+    if op not in AUGMENT_OPS:  # a tuple: an unhashable op is refused too
         raise ValueError(f"op must be one of {AUGMENT_OPS}")
-    return np.array(a, dtype=np.float64, order="C")  # converts as it copies
+    return np.array(_VIEWS[op](a), dtype=np.float64, order="C")
 
 
 def random_augment(img, seed: int) -> np.ndarray:
     """Apply each op in AUGMENT_OPS order independently with probability 1/2,
-    drawn from the seeded stream (4 draws per call)."""
-    from .data import make_rng
-
+    drawn from the seeded stream (4 draws per call); like ``augment``, one
+    copy of the composed views makes a new C-contiguous float64 array."""
     rng = make_rng(seed)
-    out = _check_image(img)
+    a = _image(img)
     for op in AUGMENT_OPS:
         if rng.random() < 0.5:
-            out = augment(out, op)
-    return out
+            a = _VIEWS[op](a)
+    return np.array(a, dtype=np.float64, order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +130,7 @@ PIXELS_MAGIC = "#canopy-pixels-v1"
 
 
 def save_image_array(path: str | Path, img) -> None:
-    a = _check_image(img)
+    a = _image(img).astype(np.float64, copy=False)
     path = Path(path)
     if path.suffix == ".npy":
         np.save(path, a)
@@ -152,7 +146,7 @@ def load_image_array(path: str | Path) -> np.ndarray:
     """An (h, w, 3) image from .npy or a pixel CSV; a defect is a DataError naming ``path``."""
     path = Path(path)
     if path.suffix == ".npy":
-        return load_npy(path, _check_image)
+        return load_npy(path, _image).astype(np.float64, copy=False)
     with open_csv(path) as reader:
         rows = list(reader)
     if not rows or not rows[0] or rows[0][0] != PIXELS_MAGIC:

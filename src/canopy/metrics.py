@@ -10,7 +10,8 @@ Conventions, applied uniformly:
   exact-match (subset) accuracy. Mean-of-F over samples is NOT the same
   number as F applied to mean-P and mean-R, so the Total F cells are not
   recomputable from the Total P/R cells; per-class rows are;
-* beta must be a finite number > 0 (``check_beta``).
+* beta must be a finite number > 0 whose ``(1 + beta**2) * 2**53`` is
+  finite (``check_beta``).
 
 F-beta has two forms that differ in the last bit on ~40% of small counts:
 ``fbeta`` from precision and recall, pinned by the tests' loop oracle and
@@ -82,9 +83,13 @@ def _counts(p: np.ndarray, t: np.ndarray, orientation: str) -> ConfusionTable:
 
 
 def check_beta(beta: float) -> float:
-    """``beta`` itself when it is a finite number > 0; ValueError otherwise."""
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be a finite number > 0, got {beta!r}")
+    """``beta`` itself when it is a finite number > 0 whose
+    ``(1 + beta**2) * 2**53`` is finite, so that F-beta of counts up to 2**53
+    is finite; ValueError otherwise."""
+    # float(): a numpy scalar's overflow would warn, a Python float's is inf
+    small = math.isfinite(beta) and math.isfinite((1.0 + float(beta) * float(beta)) * 2.0**53)
+    if not (small and beta > 0):
+        raise ValueError(f"beta must be a finite number > 0 and <= ~1.41e146, got {beta!r}")
     return beta
 
 

@@ -60,11 +60,17 @@ def pr_curve(scores, truth) -> PrCurve:
     return PrCurve(thresholds=cuts, precision=tp / pp, recall=tp / n_pos, positive_count=n_pos)
 
 
+def _cutoffs(cutoffs, n_labels: int) -> np.ndarray:
+    """``cutoffs`` flattened to float64, refused unless one per label."""
+    th = np.asarray(cutoffs, dtype=np.float64).reshape(-1)
+    if th.shape[0] != n_labels:
+        raise ValueError(f"expected {n_labels} cutoffs, got {th.shape[0]}")
+    return th
+
+
 def apply_thresholds(probs: ProbMatrix, cutoffs) -> LabelMatrix:
     """Binarize: entry = 1 iff prob >= that label's cutoff."""
-    th = np.asarray(cutoffs, dtype=np.float64).reshape(-1)
-    if th.shape[0] != probs.n_labels:
-        raise ValueError(f"expected {probs.n_labels} cutoffs, got {th.shape[0]}")
+    th = _cutoffs(cutoffs, probs.n_labels)
     values = (probs.values >= th[None, :]).astype(np.int8)
     return LabelMatrix(values=values, vocab=probs.vocab)
 
@@ -144,9 +150,7 @@ def optimize_thresholds(
 
 def save_thresholds(path: str | Path, vocab: LabelVocabulary, cutoffs) -> None:
     """Two-column CSV `label,threshold`, each cutoff exactly ``FLOAT_FMT % t``."""
-    th = np.asarray(cutoffs, dtype=np.float64).reshape(-1)
-    if th.shape[0] != len(vocab):
-        raise ValueError(f"expected {len(vocab)} cutoffs, got {th.shape[0]}")
+    th = _cutoffs(cutoffs, len(vocab))
     bad = np.flatnonzero(~((th >= 0.0) & (th <= 1.0)))  # NaN fails both
     if bad.size:
         j = int(bad[0])

@@ -1,16 +1,38 @@
 """Shared helpers: small random matrices, naive loop-based metric oracles,
-the acceptance-criteria summary printer, a fork counter, and a check that
-no test leaves a child process behind.
+the acceptance-criteria summary printer, a fork counter, the largest beta
+F-beta accepts, and a check that no test leaves a child process behind.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from canopy.data import LabelMatrix, LabelVocabulary, ProbMatrix
+from canopy.metrics import check_beta
+
+
+def _beta_accepted(beta: float) -> bool:
+    try:
+        check_beta(beta)
+    except ValueError:
+        return False
+    return True
+
+
+def largest_beta() -> float:
+    """The largest float ``check_beta`` accepts, found one ulp at a time from
+    the root of float max / 2**53."""
+    beta = math.sqrt(sys.float_info.max / 2.0**53)
+    while _beta_accepted(math.nextafter(beta, math.inf)):
+        beta = math.nextafter(beta, math.inf)
+    while not _beta_accepted(beta):
+        beta = math.nextafter(beta, 0.0)
+    return beta
 
 
 @pytest.fixture(autouse=True)

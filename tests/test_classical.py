@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,41 @@ class TestLda:
         assert (diffs >= -1e-12).all() or (diffs <= 1e-12).all()
 
 
+# ---------------------------------------------------------------------------
+# the learners' one check of their training data
+# ---------------------------------------------------------------------------
+
+FITS = {"tree": tree_fit, "gbm": gbm_fit, "lda": lda_fit, "forest": forest_fit}
+
+
+@pytest.mark.parametrize("kind", sorted(FITS))
+@pytest.mark.parametrize("X, y", [
+    (np.zeros(4), [0, 1, 0, 1]),
+    (np.zeros((4, 2, 1)), [0, 1, 0, 1]),
+    (np.zeros((4, 2)), [0, 1, 0]),
+    (np.zeros((4, 2)), [0, 1, 0, 1, 1]),
+    (np.zeros((0, 2)), []),
+], ids=["1-D X", "3-D X", "short y", "long y", "no samples"])
+def test_every_learner_checks_its_data_in_one_place(kind, X, y):
+    with pytest.raises(ValueError, match=r"^X must be \(n, f\) with a matching non-empty y$"):
+        FITS[kind](X, y)
+
+
+@pytest.mark.parametrize("kind, setting", [
+    ("tree", {"max_depth": 0}), ("gbm", {"max_depth": 0}),
+    ("lda", {"k_components": 0}), ("forest", {"max_depth": 0}),
+])
+def test_settings_are_checked_before_the_data(kind, setting):
+    name = next(iter(setting))
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        FITS[kind](np.zeros(4), [0, 1], **setting)
+
+
+def test_forest_keeps_its_two_sample_rule():
+    with pytest.raises(ValueError, match="^forest training needs at least 2 samples$"):
+        forest_fit(np.zeros((1, 2)), [0])
+
+
 class TestMultioutput:
     def make_data(self, rng, n=80, k=17):
         X = rng.normal(size=(n, 5))
@@ -487,6 +523,38 @@ class TestWorkerProcesses:
         assert str(caught.value) == (
             "the worker process fitting labels ['label_1', 'label_3', 'label_5'] died (signal 9)"
         )
+
+    def warn_from_fork(self, monkeypatch, message, after):
+        """Make os.fork warn ``message``: in the parent after the fork, as
+        Python 3.12+ does when another OS thread runs, or before it."""
+        fork = os.fork
+
+        def warning_fork():
+            if not after:
+                warnings.warn(message, DeprecationWarning)
+            pid = fork()
+            if pid and after:
+                warnings.warn(message, DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+
+    def test_multi_threaded_fork_warning_is_ignored(self, fit, monkeypatch):
+        """This suite turns a DeprecationWarning into an error, and an
+        OpenBLAS pool would make every forking fit warn on Python 3.12+."""
+        features, Y = self.data()
+        one, _ = fit(1, "tree", features, Y)
+        self.warn_from_fork(monkeypatch, f"This process (pid={os.getpid()}) is multi-threaded, "
+                            "use of fork() may lead to deadlocks in the child.", after=True)
+        two, forked = fit(2, "tree", features, Y)
+        assert forked == 1
+        assert predict_multioutput(two, features).values.tobytes() == \
+            predict_multioutput(one, features).values.tobytes()
+
+    def test_other_fork_warnings_still_show(self, fit, monkeypatch):
+        self.warn_from_fork(monkeypatch, "another deprecation", after=False)
+        with pytest.raises(DeprecationWarning, match="another deprecation"):
+            fit(2, "tree", *self.data())
 
     @pytest.mark.parametrize("cpus,n_samples", [(1, FORK_MIN_CELLS // 5), (2, FORK_MIN_CELLS // 5 - 1)])
     def test_one_cpu_or_a_small_training_set_stays_in_process(self, fit, cpus, n_samples):

@@ -175,7 +175,7 @@ BAD_FLAG_VALUES = [
     (["metrics", "--pred", "missing.csv", "--truth", "missing.csv"], "--cutoff", "cutoff = x"),
     (["split", "--tags", "missing.csv"], "--k", "k = x"),
     *[(["tune-thresholds", "--probs", "missing.csv", "--truth", "missing.csv", "--beta", beta],
-       "--beta", None) for beta in ["0", "-2", "nan", "inf"]],
+       "--beta", None) for beta in ["0", "-2", "nan", "inf", "1e200"]],
     (["split", "--tags", "missing.csv"], "run.cfg: vocab", "vocab = amazn"),
     (["tune-thresholds", "--probs", "missing.csv", "--truth", "missing.csv"], "run.cfg: mode",
      "mode = bogus"),
@@ -490,6 +490,25 @@ class TestStackCommand:
                      "--folds", "folds.csv", "--checkpoint", "meta.json", option])
         assert named in one_line_error(code, capsys)
         assert not (workspace[0] / "meta.json").exists()
+
+    def test_allocation_that_cannot_succeed_is_one_line_error(self, workspace, capsys, monkeypatch):
+        """numpy refuses an array larger than memory (a huge --hidden, say)
+        with a MemoryError; the run ends like any other failed one."""
+        import canopy.cli
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 12.4 TiB for an array with shape "
+                              "(17, 100000000000) and data type float64")
+
+        monkeypatch.setattr(canopy.cli, "stack_train", refuse)
+        assert main(["split", "--tags", "truth.csv", "--k", "4", "--out", "folds.csv"]) == 0
+        capsys.readouterr()
+        code = main(["stack", "--truth", "truth.csv", "--probs", "probs.csv",
+                     "--folds", "folds.csv", "--out", "meta.csv"])
+        assert "Unable to allocate 12.4 TiB" in one_line_error(code, capsys)
+        manifest = json.loads((workspace[0] / "meta.csv.manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"]) == ("error", 1)
+        assert not (workspace[0] / "meta.csv").exists()
 
     @pytest.mark.parametrize("fold", [10**30, 2**62])
     def test_huge_fold_index_is_one_line_error(self, workspace, capsys, fold):

@@ -192,18 +192,32 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> None:
 @given(raw_images(), st.integers(0, 2**32 - 1))
 @example(np.zeros((0, 0, 3), dtype=np.uint8), 0)
 @example(np.full((1, 1, 3), 255.0, dtype=np.float32), 1)
+@example(np.zeros((2, 2, 3)), 45)  # seeds 45 and 50 draw no op, and a float64
+@example(np.zeros((2, 2, 3)), 50)  # C-ordered input still needs its copy
 def test_kernels_match_oracle_bit_for_bit(img, seed):
+    """Every output is a new C-contiguous float64 array with the oracle's
+    bits, whatever the input's dtype and layout."""
     before = img.copy()
+    outputs = []
     for mode in MODES:
-        got = preprocess(img, mode)
-        same_bits(got, ref.preprocess(img, mode))
-        assert got.flags.c_contiguous and not np.shares_memory(got, img)
+        outputs.append((preprocess(img, mode), ref.preprocess(img, mode)))
     for op in AUGMENT_OPS:
-        got = augment(img, op)
-        same_bits(got, ref.augment(img, op))
+        outputs.append((augment(img, op), ref.augment(img, op)))
+    outputs.append((random_augment(img, seed), ref.random_augment(img, seed)))
+    for got, want in outputs:
+        same_bits(got, want)
         assert got.flags.c_contiguous and not np.shares_memory(got, img)
-    same_bits(random_augment(img, seed), ref.random_augment(img, seed))
     assert np.array_equal(img, before)  # the input is left alone
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_images(), st.sampled_from([".npy", ".csv"]))
+def test_loaded_image_is_a_new_float64_array(tmp_path_factory, img, suffix):
+    path = tmp_path_factory.mktemp("pixels") / f"img{suffix}"
+    save_image_array(path, img)
+    got = load_image_array(path)
+    same_bits(got, np.asarray(img, dtype=np.float64))
+    assert not np.shares_memory(got, img)
 
 
 @settings(max_examples=100, deadline=None)

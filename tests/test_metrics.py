@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,17 @@ from canopy.metrics import (
 )
 from canopy.metrics import _seq_sum
 
-from conftest import make_vocab, oracle_averaged, random_label_matrix
+from conftest import largest_beta, make_vocab, oracle_averaged, random_label_matrix
 
 # worked example used across the spec of this module:
 # truth rows {[1,0,1],[0,1,0]}, pred rows {[1,1,1],[0,0,0]}
 TRUTH = LabelMatrix(values=np.array([[1, 0, 1], [0, 1, 0]]), vocab=make_vocab(3))
 PRED = LabelMatrix(values=np.array([[1, 1, 1], [0, 0, 0]]), vocab=make_vocab(3))
+
+# for 1e200 and the float above the largest accepted beta, (1 + beta^2)
+# times a count of 2**53 overflows, which would make F-beta NaN
+BAD_BETAS = [0.0, -2.0, float("nan"), float("inf"), 1e200, np.float64(1e200),
+             math.nextafter(largest_beta(), math.inf)]
 
 
 class TestConfusion:
@@ -94,17 +101,29 @@ class TestFbeta:
         r = np.divide(tp, tp + fn, out=np.zeros(tp.shape), where=tp + fn > 0)
         np.testing.assert_allclose(got, fbeta(p, r, beta), rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("beta", [0.0, -2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("beta", BAD_BETAS)
     def test_bad_beta_rejected_by_both_forms(self, beta):
         with pytest.raises(ValueError, match="beta must be a finite number > 0"):
             fbeta(0.5, 0.5, beta)
         with pytest.raises(ValueError, match="beta must be a finite number > 0"):
             fbeta_from_counts(1, 1, 1, beta)
 
+    def test_largest_accepted_beta_gives_finite_scores(self):
+        beta, big = largest_beta(), 2**52
+        p = np.array([0.0, 1e-300, 0.5, 1.0, 1.0])
+        r = np.array([1.0, 1.0, 0.25, 1e-300, 1.0])
+        assert np.isfinite(fbeta(p, r, beta)).all()
+        tp, fp, fn = np.array([[big, 0, 1, big], [big, big, 0, 0], [big, 1, 0, big]])
+        counts = fbeta_from_counts(tp, fp, fn, beta)
+        assert np.isfinite(counts).all() and counts[0] == 0.5
+        for scheme in SCHEMES:
+            scores = averaged(PRED, TRUTH, scheme, beta=beta, class_weights=[1 / 3] * 3)
+            assert all(math.isfinite(v) for v in scores), scheme
+
 
 class TestAveraged:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("beta", [0.0, -2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("beta", BAD_BETAS)
     def test_bad_beta_rejected(self, scheme, beta):
         with pytest.raises(ValueError, match="beta must be a finite number > 0"):
             averaged(PRED, TRUTH, scheme, beta=beta, class_weights=[1 / 3] * 3)

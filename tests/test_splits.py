@@ -80,12 +80,20 @@ class TestStratifiedKfold:
                 budget = max(0.02, 1.0 / len(idx))
                 assert abs(prop - global_prop) <= budget + 1e-12, (j, f)
 
-    def test_k_larger_than_n_rejected(self):
+    @pytest.mark.parametrize("k, message", [
+        (1, "k must be >= 2"),
+        (-1, "k must be >= 2"),
+        (4, "k=4 exceeds the number of samples (3)"),
+    ])
+    def test_fold_count_checked_in_one_place(self, k, message):
+        """stratified_kfold and FoldAssignment refuse a bad k alike. The fold
+        index 3 breaks FoldAssignment's range rule too; k is checked first."""
         truth = LabelMatrix(values=np.ones((3, 1), dtype=np.int8), vocab=make_vocab(1))
-        with pytest.raises(ValueError):
-            stratified_kfold(truth, k=4, seed=0)
-        with pytest.raises(ValueError):
-            stratified_kfold(truth, k=1, seed=0)
+        exact = "^" + re.escape(message) + "$"
+        with pytest.raises(ValueError, match=exact):
+            stratified_kfold(truth, k=k, seed=0)
+        with pytest.raises(ValueError, match=exact):
+            FoldAssignment(fold_of=np.array([0, 1, 3]), k=k)
 
 
 @st.composite

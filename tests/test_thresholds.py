@@ -15,7 +15,7 @@ from canopy.thresholds import (
     save_thresholds,
 )
 
-from conftest import make_vocab
+from conftest import largest_beta, make_vocab
 
 
 def grid_search_oracle(probs: np.ndarray, truth: np.ndarray, beta: float):
@@ -104,10 +104,17 @@ class TestApplyThresholds:
         assert (high <= low).all()
         assert (high[:, [0, 2, 3]] == low[:, [0, 2, 3]]).all()
 
-    def test_wrong_length(self):
+    @pytest.mark.parametrize("cutoffs, got", [([0.5, 0.5], 2), ([[0.5] * 2] * 2, 4), (0.5, 1)])
+    def test_wrong_length(self, tmp_path, cutoffs, got):
+        """apply_thresholds and save_thresholds share one check, which
+        flattens the cutoffs first."""
         probs = ProbMatrix(values=np.zeros((2, 3)), vocab=make_vocab(3))
-        with pytest.raises(ValueError):
-            apply_thresholds(probs, [0.5, 0.5])
+        message = f"^expected 3 cutoffs, got {got}$"
+        with pytest.raises(ValueError, match=message):
+            apply_thresholds(probs, cutoffs)
+        with pytest.raises(ValueError, match=message):
+            save_thresholds(tmp_path / "th.csv", make_vocab(3), cutoffs)
+        assert not (tmp_path / "th.csv").exists()
 
 
 class TestOptimizeThresholds:
@@ -208,13 +215,24 @@ class TestOptimizeThresholds:
         assert cutoffs[1] == 0.5
 
     @pytest.mark.parametrize("mode", ["coordinate", "per-class"])
-    @pytest.mark.parametrize("beta", [0.0, -2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("beta", [0.0, -2.0, float("nan"), float("inf"), 1e200])
     def test_bad_beta_rejected_before_any_work(self, mode, beta):
         vocab = make_vocab(1)
         probs = ProbMatrix(values=np.zeros((0, 1)), vocab=vocab)  # empty: any work would fail
         truth = LabelMatrix(values=np.zeros((0, 1)), vocab=vocab)
         with pytest.raises(ValueError, match="beta must be a finite number > 0"):
             optimize_thresholds(probs, truth, beta=beta, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["coordinate", "per-class"])
+    def test_largest_accepted_beta_tunes_finite_cutoffs(self, mode):
+        """F-beta stays finite, so the sweep moves cutoffs away from 0.5."""
+        rng = make_rng(12)
+        vocab = make_vocab(3)
+        probs = ProbMatrix(values=rng.random((30, 3)), vocab=vocab)
+        truth = LabelMatrix(values=(rng.random((30, 3)) < 0.4).astype(np.int8), vocab=vocab)
+        cutoffs, score = optimize_thresholds(probs, truth, beta=largest_beta(), mode=mode)
+        assert 0.0 < score <= 1.0
+        assert ((cutoffs >= 0.0) & (cutoffs <= 1.0)).all() and (cutoffs != 0.5).any()
 
     def test_empty_dataset_rejected(self):
         vocab = make_vocab(1)
