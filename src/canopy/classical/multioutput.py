@@ -143,11 +143,16 @@ def _fork_share(spec: LearnerSpec, X, Y, seeds, labels):
     ``_fit_share`` through a pipe. The child ends with ``os._exit``, so it
     flushes nothing and runs no exit handler."""
     r, w = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns whenever another OS thread exists, and OpenBLAS
-        # starts its pool on import; its fork handlers rebuild it in the child
-        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-        pid = os.fork()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns whenever another OS thread exists, and OpenBLAS
+            # starts its pool on import; its fork handlers rebuild it in the child
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+    except BaseException:  # no child, such as EAGAIN at the process limit
+        os.close(r)
+        os.close(w)
+        raise
     if pid == 0:
         code = 1
         try:

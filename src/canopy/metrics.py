@@ -86,8 +86,10 @@ def check_beta(beta: float) -> float:
     """``beta`` itself when it is a finite number > 0 whose
     ``(1 + beta**2) * 2**53`` is finite, so that F-beta of counts up to 2**53
     is finite; ValueError otherwise."""
-    # float(): a numpy scalar's overflow would warn, a Python float's is inf
-    small = math.isfinite(beta) and math.isfinite((1.0 + float(beta) * float(beta)) * 2.0**53)
+    try:  # float(): a numpy scalar's overflow would warn, a Python float's is inf
+        small = math.isfinite(beta) and math.isfinite((1.0 + float(beta) * float(beta)) * 2.0**53)
+    except OverflowError:  # an int too large for a float
+        small = False
     if not (small and beta > 0):
         raise ValueError(f"beta must be a finite number > 0 and <= ~1.41e146, got {beta!r}")
     return beta

@@ -86,10 +86,12 @@ def optimize_thresholds(
     coordinate mode runs cyclic coordinate ascent on the sample-averaged
     F-beta, sweeping each class over its distinct observed scores while the
     others stay fixed, until a full pass improves by <= 1e-12 or 20 passes
-    have run. per-class mode maximizes each class's own binary
-    F-beta independently, scoring all of a class's cutoffs from one sorted
-    sweep. Ties always break toward the smallest cutoff. Classes without a
-    single positive keep the default cutoff 0.5.
+    have run. Per-row counts are carried across classes, so each candidate
+    cutoff costs O(n) for n samples, not O(n * classes). per-class mode
+    maximizes each class's own binary F-beta independently, scoring all of
+    a class's cutoffs from one sorted sweep. Ties always break toward the
+    smallest cutoff. Classes without a single positive keep the default
+    cutoff 0.5.
 
     The returned score is the objective the mode optimizes: sample-averaged
     F-beta for coordinate mode, mean per-class F-beta for per-class mode.
@@ -102,6 +104,8 @@ def optimize_thresholds(
         raise ValueError("cannot optimize thresholds on an empty dataset")
     if probs.values.shape != truth.values.shape:
         raise ValueError("probs and truth shapes differ")
+    if probs.vocab != truth.vocab:
+        raise ValueError("pred and truth use different vocabularies")
 
     scores = probs.values
     y = truth.as_bool()
@@ -119,26 +123,26 @@ def optimize_thresholds(
             cutoffs[j], best[j] = cuts[i], f[i]
         return cutoffs, float(best.mean())
 
-    def sample_score(pred: np.ndarray) -> float:
-        tp = (pred & y).sum(axis=1)
-        fp = (pred & ~y).sum(axis=1)
-        fn = (~pred & y).sum(axis=1)
-        return float(fbeta_from_counts(tp, fp, fn, beta).mean())
-
+    # per-row true, predicted and truth positives, carried across labels
     candidates = {j: np.unique(scores[:, j]) for j in optimizable}
     pred = scores >= cutoffs[None, :]
-    current = sample_score(pred)
+    tp, pp, pos = (pred & y).sum(axis=1), pred.sum(axis=1), y.sum(axis=1)
+    current = float(fbeta_from_counts(tp, pp - tp, pos - tp, beta).mean())
     for _ in range(20):
         improved = False
         for j in optimizable:
             best_s, best_t = current, cutoffs[j]
-            col = scores[:, j]
+            col, y_j = scores[:, j], y[:, j]
+            on = col >= best_t
+            tp_o, pp_o = tp - (on & y_j), pp - on  # every label's counts but j's
             for th in candidates[j]:
-                pred[:, j] = col >= th
-                s = sample_score(pred)
+                on = col >= th
+                t = tp_o + (on & y_j)
+                s = float(fbeta_from_counts(t, pp_o + on - t, pos - t, beta).mean())
                 if s > best_s or (s == best_s and th < best_t):
                     best_s, best_t = s, float(th)
-            pred[:, j] = col >= best_t
+            on = col >= best_t
+            tp, pp = tp_o + (on & y_j), pp_o + on
             if best_s > current + 1e-12:
                 improved = True
             current = best_s

@@ -1,6 +1,7 @@
 """Shared helpers: small random matrices, naive loop-based metric oracles,
-the acceptance-criteria summary printer, a fork counter, the largest beta
-F-beta accepts, and a check that no test leaves a child process behind.
+the acceptance-criteria summary printer, a fork counter that also fails a
+test leaving a descriptor open, the largest beta F-beta accepts, and a check
+that no test leaves a child process behind.
 """
 
 from __future__ import annotations
@@ -47,9 +48,23 @@ def no_child_process_left():
     pytest.fail(f"the test left a child process unreaped (waitpid(-1, WNOHANG) gave pid {pid})")
 
 
+def _open_fds() -> dict[str, str]:
+    """Each open descriptor of this process and what it refers to. The one
+    that lists the directory is closed by the time it is read, so it drops out."""
+    fds = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            fds[fd] = os.readlink(f"/proc/self/fd/{fd}")
+        except FileNotFoundError:
+            pass
+    return fds
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children that os.fork makes during the test."""
+    """The pids of the children that os.fork makes during the test. The test
+    fails if it leaves a descriptor open, such as a worker's pipe; that check
+    needs /proc and is skipped without it."""
     pids = []
     real_fork = os.fork
 
@@ -60,7 +75,12 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
+    before = _open_fds() if os.path.isdir("/proc/self/fd") else None
+    yield pids
+    if before is not None:
+        leaked = {fd: to for fd, to in _open_fds().items() if before.get(fd) != to}
+        if leaked:
+            pytest.fail(f"the test left descriptors open: {leaked}")
 
 
 def make_vocab(n: int, weather: int = 0) -> LabelVocabulary:

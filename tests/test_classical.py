@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -550,6 +551,17 @@ class TestWorkerProcesses:
         assert forked == 1
         assert predict_multioutput(two, features).values.tobytes() == \
             predict_multioutput(one, features).values.tobytes()
+
+    def test_failed_fork_closes_its_pipe(self, fit, monkeypatch):
+        """The forks fixture fails a test that leaves the pipe open."""
+
+        def failing_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        with pytest.raises(OSError) as caught:
+            fit(2, "tree", *self.data())
+        assert caught.value.errno == errno.EAGAIN
 
     def test_other_fork_warnings_still_show(self, fit, monkeypatch):
         self.warn_from_fork(monkeypatch, "another deprecation", after=False)

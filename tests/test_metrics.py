@@ -26,9 +26,10 @@ TRUTH = LabelMatrix(values=np.array([[1, 0, 1], [0, 1, 0]]), vocab=make_vocab(3)
 PRED = LabelMatrix(values=np.array([[1, 1, 1], [0, 0, 0]]), vocab=make_vocab(3))
 
 # for 1e200 and the float above the largest accepted beta, (1 + beta^2)
-# times a count of 2**53 overflows, which would make F-beta NaN
+# times a count of 2**53 overflows, which would make F-beta NaN; 10**400 is
+# an int too large for a float at all
 BAD_BETAS = [0.0, -2.0, float("nan"), float("inf"), 1e200, np.float64(1e200),
-             math.nextafter(largest_beta(), math.inf)]
+             math.nextafter(largest_beta(), math.inf), pytest.param(10**400, id="10**400")]
 
 
 class TestConfusion:

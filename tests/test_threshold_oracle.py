@@ -1,12 +1,13 @@
-"""The sorted count sweep in canopy.thresholds against the per-candidate
-brute force in reference_thresholds: byte-identical cutoffs, scores and
-precision-recall curves."""
+"""The sorted count sweep and the carried per-row counts in canopy.thresholds
+against the per-candidate brute force in reference_thresholds: byte-identical
+cutoffs, scores and precision-recall curves."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canopy.data import LabelMatrix, ProbMatrix
+from canopy.data import LabelMatrix, ProbMatrix, make_rng
 from canopy.thresholds import optimize_thresholds, pr_curve
 
 from conftest import make_vocab
@@ -63,3 +64,42 @@ def test_sweep_matches_per_candidate_oracle(problem):
         assert got.positive_count == want.positive_count
         for field in ("thresholds", "precision", "recall"):
             assert same_bytes(getattr(got, field), getattr(want, field)), field
+
+
+def desk_problem(seed, n, k, levels):
+    """Noisy scores for ``n`` rows and ``k`` labels, quantized to ``levels``
+    steps (0: continuous), with a constant column 0, a single-positive
+    label 1, a column 2 scoring below 0.5 everywhere (the starting
+    prediction is then no candidate's) and an all-zero truth row."""
+    rng = make_rng(seed)
+    truth = rng.random((n, k)) < rng.uniform(0.05, 0.5, k)
+    scores = np.clip(np.where(truth, 0.6, 0.3) + rng.normal(0.0, 0.35, (n, k)), 0.0, 1.0)
+    if levels:
+        scores = np.round(scores * levels) / levels
+    scores[:, 0] = scores[0, 0]
+    truth[:, 1] = False
+    truth[rng.integers(n), 1] = True
+    scores[:, 2] *= 0.49
+    truth[rng.integers(n)] = False
+    return scores, truth
+
+
+@pytest.mark.parametrize("seed,n,k,levels,beta", [
+    (0, 300, 17, 20, 2.0),
+    (1, 100, 8, 0, 1.0),
+    (2, 200, 12, 5, 0.5),
+    (3, 250, 17, 0, 2.0),
+])
+def test_coordinate_mode_matches_oracle_at_desk_shapes(seed, n, k, levels, beta):
+    """The per-row counts carried across many labels and several passes give
+    the oracle's bytes; each case needs a second pass to converge."""
+    scores, truth = desk_problem(seed, n, k, levels)
+    vocab = make_vocab(k)
+    probs = ProbMatrix(values=scores, vocab=vocab)
+    labels = LabelMatrix(values=truth.astype(np.int8), vocab=vocab)
+    cutoffs, score = optimize_thresholds(probs, labels, beta=beta)
+    want_cutoffs, want_score = reference_optimize_thresholds(probs, labels, beta)
+    assert same_bytes(cutoffs, want_cutoffs)
+    assert type(score) is float and same_bytes(score, want_score)
+    one_pass = reference_optimize_thresholds(probs, labels, beta, max_passes=1)
+    assert not (same_bytes(one_pass[0], want_cutoffs) and same_bytes(one_pass[1], want_score))

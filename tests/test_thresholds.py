@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canopy.data import LabelMatrix, ProbMatrix, make_rng
+from canopy.data import LabelMatrix, LabelVocabulary, ProbMatrix, make_rng
 from canopy.metrics import sample_fbeta
 from canopy.thresholds import (
     apply_thresholds,
@@ -215,7 +215,9 @@ class TestOptimizeThresholds:
         assert cutoffs[1] == 0.5
 
     @pytest.mark.parametrize("mode", ["coordinate", "per-class"])
-    @pytest.mark.parametrize("beta", [0.0, -2.0, float("nan"), float("inf"), 1e200])
+    @pytest.mark.parametrize(
+        "beta", [0.0, -2.0, float("nan"), float("inf"), 1e200, pytest.param(10**400, id="10**400")]
+    )
     def test_bad_beta_rejected_before_any_work(self, mode, beta):
         vocab = make_vocab(1)
         probs = ProbMatrix(values=np.zeros((0, 1)), vocab=vocab)  # empty: any work would fail
@@ -233,6 +235,13 @@ class TestOptimizeThresholds:
         cutoffs, score = optimize_thresholds(probs, truth, beta=largest_beta(), mode=mode)
         assert 0.0 < score <= 1.0
         assert ((cutoffs >= 0.0) & (cutoffs <= 1.0)).all() and (cutoffs != 0.5).any()
+
+    @pytest.mark.parametrize("mode", ["coordinate", "per-class"])
+    def test_different_vocabularies_rejected(self, mode):
+        probs = ProbMatrix(values=np.full((2, 2), 0.7), vocab=LabelVocabulary(names=("x", "y")))
+        truth = LabelMatrix(values=np.ones((2, 2)), vocab=LabelVocabulary(names=("p", "q")))
+        with pytest.raises(ValueError, match="pred and truth use different vocabularies"):
+            optimize_thresholds(probs, truth, mode=mode)
 
     def test_empty_dataset_rejected(self):
         vocab = make_vocab(1)
