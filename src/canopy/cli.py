@@ -30,6 +30,9 @@ from .classical import LEARNER_KINDS, LearnerSpec, fit_multioutput, predict_mult
 from .data import (
     AMAZON_LABELS,
     FLOAT_FMT,
+    FOLD_HEADER,
+    KEY_COLUMN,
+    TAG_HEADER,
     DataError,
     FeatureMatrix,
     LabelMatrix,
@@ -42,54 +45,77 @@ from .data import (
     save_probs,
 )
 from .ensemble import MetaLearnerConfig, StackedFeatures, stack_train, weighted_vote
-from .imageprep import MODES, augment, load_image_array, preprocess, random_augment, save_image_array
-from .metrics import check_beta, report, sample_fbeta
+from .imageprep import (AUGMENT_OPS, MODES, augment, load_image_array, preprocess,
+                        random_augment, save_image_array)
+from .metrics import check_beta, report, sample_fbeta, score_csv
 from .nn import TrainConfig, save_checkpoint
 from .splits import cv_evaluate, load_folds, save_folds, stratified_kfold
-from .thresholds import apply_thresholds, load_thresholds, optimize_thresholds, save_thresholds
+from .thresholds import (DEFAULT_CUTOFF, apply_thresholds, load_thresholds, optimize_thresholds,
+                         save_thresholds)
 
-def _int_list(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(value).split(","))
+
+def _checked(convert, accept):
+    """``convert``, refusing a converted value ``accept`` rejects."""
+    def check(value):
+        out = convert(value)
+        if not accept(out):
+            raise ValueError(out)
+        return out
+    return check
+
+
+_seed = _checked(int, lambda n: n >= 0)
+_count = _checked(int, lambda n: n >= 1)
+_rate = _checked(float, lambda r: 0.0 <= r < 1.0)  # NaN fails too
+_unit = _checked(float, lambda u: 0.0 <= u <= 1.0)
+_augment_ops = _checked(str, lambda ops: not ops or all(
+    op.strip() in AUGMENT_OPS for op in ops.split(",")))
+
+
+def _counts(value) -> tuple[int, ...]:
+    return tuple(_count(v) for v in str(value).split(","))
 
 
 def _beta(value) -> float:
     return check_beta(float(value))
 
 
-def _seed(value) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise ValueError(seed)
-    return seed
-
-
 KINDS = {
-    float: "a number",
     int: "an integer",
-    _int_list: "comma-separated integers",
-    _beta: "a finite number > 0 and <= ~1.41e146",
     _seed: "a non-negative integer",
+    _count: "a positive integer",
+    _counts: "comma-separated positive integers",
+    _rate: "a number in [0, 1)",
+    _unit: "a number in [0, 1]",
+    _beta: "a finite number > 0 and <= ~1.41e146",
+    _augment_ops: f"a comma list of {','.join(AUGMENT_OPS)}",
 }
 
 # option -> (hard default, conversion). Defaults apply only after --config
 # merging, so a config file can fill any flag the user left unset (explicit
-# flags always win); then every value is converted, once.
+# flags always win); then every value is converted, once, before any input
+# is read. A seed left unset comes from $CANOPY_SEED before the default.
 OPTIONS = {
-    "cutoff": (0.5, float),
-    "beta": (2.0, _beta),
+    "cutoff": (DEFAULT_CUTOFF, _unit),
+    "beta": (2, _beta),
     "mode": ("coordinate", str),
     "vocab": ("infer", str),
     "k": (5, int),
-    "seed": (None, _seed),  # None: $CANOPY_SEED or 0
-    "weights": (None, _int_list),
+    "seed": (0, _seed),
+    "weights": (None, _counts),
     "val_fold": (0, int),
-    "hidden": ("64", _int_list),
-    "dropout": (0.25, float),
-    "batch_size": (128, int),
-    "epochs": (50, int),
-    "patience": (10, int),
+    "hidden": ("64", _counts),
+    "dropout": (0.25, _rate),
+    "batch_size": (128, _count),
+    "epochs": (50, _count),
+    "patience": (10, _count),
     "optimizer": ("amsgrad", str),
+    "augment": (None, _augment_ops),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -99,9 +125,9 @@ def _resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     for key, (default, convert) in OPTIONS.items():
         if not hasattr(args, key) or (key, args.command) == ("mode", "preprocess"):
             continue  # preprocess's --mode is the pixel convention and has no default
-        name, value = "--" + key.replace("_", "-"), getattr(args, key)
-        if value is None and key == "seed":
-            name, value = "CANOPY_SEED", os.environ.get("CANOPY_SEED", "0")
+        name, value = _flag(key), getattr(args, key)
+        if value is None and key == "seed" and "CANOPY_SEED" in os.environ:
+            name, value = "CANOPY_SEED", os.environ["CANOPY_SEED"]
         elif value is None:
             value = default
         try:
@@ -301,8 +327,6 @@ def _parse_params(pairs: list[str] | None) -> dict:
 
 
 def cmd_metrics(args, manifest: Manifest) -> int:
-    if not 0.0 <= args.cutoff <= 1.0:
-        raise DataError(f"--cutoff must be a number in [0, 1], got {args.cutoff}")
     truth_ids, truth = manifest.load(args.truth, load_tags, _vocab_from_arg(args))
     prob_ids, probs = manifest.load(args.pred, load_probs, truth.vocab)
     probs = _align_rows(truth_ids, prob_ids, probs, args.pred, "predictions", extra_ok=False)
@@ -327,36 +351,18 @@ def cmd_tune_thresholds(args, manifest: Manifest) -> int:
     return 0
 
 
-def _probs_header_vocab(path: str, header: list[str]) -> LabelVocabulary:
-    """Build a vocabulary from a probability CSV's own label columns, given
-    the ``header`` read from ``path``."""
-    if not header or header[0] != "image_name" or len(header) < 2:
-        raise DataError(f"{path}: expected header 'image_name,<label>,...'")
-    try:
-        return LabelVocabulary(names=tuple(header[1:]))
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-def _csv_header(path: str) -> list[str]:
-    """The stripped cells of a CSV file's first row ([] for an empty file)."""
-    with open_csv(path) as reader:
-        return [c.strip() for c in next(reader, [])]
-
-
 def _load_hard_predictions(
     path: str, vocab: LabelVocabulary | str
 ) -> tuple[list[str], LabelMatrix]:
     """Load a tag file or a 0/1 probability CSV as a LabelMatrix; with
     ``vocab`` "infer", a probability file's own label columns are the vocabulary."""
-    header = _csv_header(path)
-    if header == ["image_name", "tags"]:
+    with open_csv(path) as reader:
+        header = [c.strip() for c in next(reader, [])]
+    if header == list(TAG_HEADER):
         return load_tags(path, vocab)
-    if vocab == "infer":
-        vocab = _probs_header_vocab(path, header)
     ids, probs = load_probs(path, vocab)
     try:
-        return ids, LabelMatrix(values=probs.values, vocab=vocab)
+        return ids, LabelMatrix(values=probs.values, vocab=probs.vocab)
     except ValueError:  # LabelMatrix holds only 0 and 1
         raise DataError(f"{path}: vote requires hard 0/1 predictions") from None
 
@@ -400,11 +406,8 @@ def cmd_cv(args, manifest: Manifest) -> int:
     features = _align_rows(ids, feat_ids, features, args.features, "features", extra_ok=True)
     _check_k(args, truth)
     result = cv_evaluate(spec, features, truth, k=args.k, seed=args.seed)
-    lines = ["fold,precision,recall,accuracy,f1_score,f2_score"]
-    for f, rep in enumerate(result.fold_reports):
-        lines.append(f"{f}," + ",".join(FLOAT_FMT % v for v in rep.total))
-    lines.append("average," + ",".join(FLOAT_FMT % v for v in result.average_total))
-    table = "\n".join(lines) + "\n"
+    rows = [(str(f), *rep.total) for f, rep in enumerate(result.fold_reports)]
+    table = score_csv("fold", [*rows, ("average", *result.average_total)])
     print(table, end="")
     manifest.output(args.out, _write_text, table)
     oof = ProbMatrix(values=result.oof_probs, vocab=truth.vocab)
@@ -420,8 +423,9 @@ def cmd_train(args, manifest: Manifest) -> int:
     features = _align_rows(ids, feat_ids, features, args.features, "features", extra_ok=True)
     model = fit_multioutput(spec, features, truth, seed=args.seed)
     probs = predict_multioutput(model, features)
-    pred = apply_thresholds(probs, np.full(truth.n_labels, 0.5))
-    print(f"training sample-F2 at cutoff 0.5: {FLOAT_FMT % sample_fbeta(pred, truth)}")
+    pred = apply_thresholds(probs, np.full(truth.n_labels, DEFAULT_CUTOFF))
+    score = sample_fbeta(pred, truth)
+    print(f"training sample-F2 at cutoff {DEFAULT_CUTOFF:g}: {FLOAT_FMT % score}")
     manifest.output(args.out, save_model, model)
     manifest.output(args.probs_out, save_probs, ids, probs)
     return 0
@@ -451,9 +455,10 @@ def cmd_stack(args, manifest: Manifest) -> int:
     val_probs = model.predict(features.values[va])
     val_truth = truth.take(va)
     cutoffs, tuned = optimize_thresholds(val_probs, val_truth, beta=2.0)
-    base = sample_fbeta(apply_thresholds(val_probs, np.full(truth.n_labels, 0.5)), val_truth)
+    uniform = np.full(truth.n_labels, DEFAULT_CUTOFF)
+    base = sample_fbeta(apply_thresholds(val_probs, uniform), val_truth)
     print(
-        f"meta-learner val fold {args.val_fold}: F2@0.5 = {FLOAT_FMT % base}, "
+        f"meta-learner val fold {args.val_fold}: F2@{DEFAULT_CUTOFF:g} = {FLOAT_FMT % base}, "
         f"tuned F2 = {FLOAT_FMT % tuned} (best epoch {model.best_epoch})"
     )
     manifest.output(args.out, save_probs, [truth_ids[i] for i in va], val_probs)
@@ -484,13 +489,19 @@ def cmd_preprocess(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _option(p: argparse.ArgumentParser, key: str, text: str = "", **kwargs) -> None:
+    """Add the flag of OPTIONS ``key``; its help ends with the default."""
+    default = f"default {OPTIONS[key][0]}"
+    p.add_argument(_flag(key), help=f"{text} ({default})" if text else default, **kwargs)
+
+
 def _add_common(p: argparse.ArgumentParser, func, with_seed: bool = True, with_vocab: bool = True):
     p.set_defaults(func=func)
     if with_vocab:
-        p.add_argument("--vocab", choices=("amazon", "infer"), help="default infer")
+        _option(p, "vocab", choices=("amazon", "infer"))
     p.add_argument("--config", help="key=value config file; explicit flags win")
     if with_seed:
-        p.add_argument("--seed", default=None, help="PRNG seed (default: $CANOPY_SEED or 0)")
+        _option(p, "seed", "PRNG seed, else $CANOPY_SEED")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,15 +516,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="probability CSV (hard 0/1 also fine)")
     p.add_argument("--truth", required=True, help="tag CSV with ground truth")
     p.add_argument("--thresholds", help="label,threshold CSV; default uniform cutoff")
-    p.add_argument("--cutoff", help="uniform cutoff in [0, 1] (default 0.5)")
+    _option(p, "cutoff", "uniform cutoff in [0, 1]")
     p.add_argument("--out", help="write the scoreboard as CSV here")
     _add_common(p, cmd_metrics, with_seed=False)
 
     p = sub.add_parser("tune-thresholds", help="optimize per-class cutoffs on a validation split")
     p.add_argument("--probs", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--beta", help="F-beta weight (default 2)")
-    p.add_argument("--mode", choices=("coordinate", "per-class"), help="default coordinate")
+    _option(p, "beta", "F-beta weight")
+    _option(p, "mode", choices=("coordinate", "per-class"))
     p.add_argument("--out", help="write label,threshold CSV here")
     _add_common(p, cmd_tune_thresholds, with_seed=False)
 
@@ -525,16 +536,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="stratified k-fold assignment")
     p.add_argument("--tags", required=True)
-    p.add_argument("--k", help="fold count (default 5)")
-    p.add_argument("--out", help="write image_name,fold CSV here")
+    _option(p, "k", "fold count")
+    p.add_argument("--out", help=f"write {','.join(FOLD_HEADER)} CSV here")
     _add_common(p, cmd_split)
 
     p = sub.add_parser("cv", help="stratified cross-validated evaluation of a learner")
     p.add_argument("--tags", required=True)
-    p.add_argument("--features", required=True, help=".npy or image_name,... CSV")
+    p.add_argument("--features", required=True, help=f".npy or {KEY_COLUMN},... CSV")
     p.add_argument("--learner", choices=LEARNER_KINDS, required=True)
     p.add_argument("--param", action="append", help="learner hyperparameter key=value")
-    p.add_argument("--k", help="fold count (default 5)")
+    _option(p, "k", "fold count")
     p.add_argument("--out", help="fold Total rows + average as CSV")
     p.add_argument("--oof-out", help="write out-of-fold probabilities CSV")
     p.add_argument("--folds-out", help="write the fold assignment CSV")
@@ -552,14 +563,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stack", help="train the integrated-stacking meta-learner")
     p.add_argument("--truth", required=True)
     p.add_argument("--probs", action="append", help="per-model OOF probability CSV (repeat)")
-    p.add_argument("--folds", required=True, help="image_name,fold CSV")
-    p.add_argument("--val-fold", help="default 0")
-    p.add_argument("--hidden", help="comma list of hidden widths (default 64)")
-    p.add_argument("--dropout", help="default 0.25")
-    p.add_argument("--batch-size", help="default 128")
-    p.add_argument("--epochs", help="default 50")
-    p.add_argument("--patience", help="default 10")
-    p.add_argument("--optimizer", choices=("adam", "amsgrad"), help="default amsgrad")
+    p.add_argument("--folds", required=True, help=f"{','.join(FOLD_HEADER)} CSV")
+    _option(p, "val_fold")
+    _option(p, "hidden", "comma list of hidden widths")
+    _option(p, "dropout", "rate in [0, 1)")
+    _option(p, "batch_size")
+    _option(p, "epochs")
+    _option(p, "patience")
+    _option(p, "optimizer", choices=("adam", "amsgrad"))
     p.add_argument("--out", help="validation-fold meta probabilities CSV")
     p.add_argument("--thresholds-out", help="tuned label,threshold CSV")
     p.add_argument("--checkpoint", help="meta-learner checkpoint JSON")
@@ -569,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, help="omit to only augment")
     p.add_argument("--in", dest="infile", required=True, help=".npy or pixel CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--augment", help="comma list of flip_lr,flip_ud,rot90_cw,rot90_ccw")
+    p.add_argument("--augment", help=f"comma list of {','.join(AUGMENT_OPS)}")
     p.add_argument("--random-augment", action="store_true")
     _add_common(p, cmd_preprocess, with_vocab=False)
 

@@ -24,6 +24,9 @@ import numpy as np
 
 DECIMALS = 6  # every float canopy writes or prints carries this many decimals
 FLOAT_FMT = f"%.{DECIMALS}f"
+KEY_COLUMN = "image_name"  # the first header cell of every per-sample CSV
+TAG_HEADER = (KEY_COLUMN, "tags")
+FOLD_HEADER = (KEY_COLUMN, "fold")
 
 
 class DataError(Exception):
@@ -231,16 +234,16 @@ def open_csv(path: str | Path) -> Iterator[Iterator[list[str]]]:
 
 
 def load_npy(path: str | Path, build):
-    """``build(array)`` for the array in an .npy file; a file that holds no
-    array (a damaged header makes numpy raise SyntaxError or TokenError), or
-    one ``build`` rejects, is a DataError naming the file."""
+    """``build(array)`` for the array in an .npy file; a file that cannot be
+    read, holds no array (a damaged header makes numpy raise SyntaxError or
+    TokenError), or holds one ``build`` rejects, is a DataError naming it."""
     try:
         arr = np.load(path)
         if not isinstance(arr, np.ndarray):
             arr.close()
             raise ValueError("an .npz archive, not an .npy array")
         return build(arr)
-    except (ValueError, TypeError, EOFError, SyntaxError, TokenError) as exc:
+    except (OSError, ValueError, TypeError, EOFError, SyntaxError, TokenError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -544,9 +547,22 @@ def format_rows(keys: Sequence[str], values: np.ndarray) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Tag files: CSV with header `image_name,tags`, where the tags
-# cell is a space-separated list of label names.
+# Tag files: CSV with header TAG_HEADER, where the tags cell is a
+# space-separated list of label names.
 # ---------------------------------------------------------------------------
+
+
+def _vocabulary(path: str | Path, vocab: LabelVocabulary | str, labels) -> LabelVocabulary:
+    """``vocab``, or with "infer" the vocabulary of the file's ``labels`` in
+    their order; labels no vocabulary can hold are a DataError naming the file."""
+    if not isinstance(vocab, str):
+        return vocab
+    if vocab != "infer":
+        raise ValueError("vocab must be a LabelVocabulary or the string 'infer'")
+    try:
+        return LabelVocabulary(names=tuple(labels))
+    except ValueError as exc:  # such as "a,b" from a quoted cell, or a repeated column
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_tags(
@@ -557,22 +573,15 @@ def load_tags(
     With vocab="infer" the vocabulary is built from the sorted distinct tags
     (weather_count 0); an explicit vocabulary makes unknown labels an error.
     """
-    table = read_table(path, ("image_name", "tags"), width=2)
+    table = read_table(path, TAG_HEADER, width=2)
     # each distinct tags cell is mapped once, in order of first appearance:
     # the first unknown label met is the one a walk over the rows meets first
     row_of = {cell: r for r, cell in enumerate(dict.fromkeys(table.values))}
     tag_sets = [cell.split() for cell in row_of]
-
-    if isinstance(vocab, str):
-        if vocab != "infer":
-            raise ValueError("vocab must be a LabelVocabulary or the string 'infer'")
-        distinct = sorted({t for tags in tag_sets for t in tags})
-        if not distinct:
-            raise DataError(f"{path}: cannot infer a vocabulary from a file with no tags")
-        try:
-            vocab = LabelVocabulary(names=tuple(distinct))
-        except ValueError as exc:  # a tag no file can carry, such as "a,b" from a quoted cell
-            raise DataError(f"{path}: {exc}") from None
+    distinct = sorted({t for tags in tag_sets for t in tags})
+    if vocab == "infer" and not distinct:
+        raise DataError(f"{path}: cannot infer a vocabulary from a file with no tags")
+    vocab = _vocabulary(path, vocab, distinct)
 
     index = {name: j for j, name in enumerate(vocab.names)}
     rows = np.zeros((len(row_of), len(vocab)), dtype=np.int8)
@@ -595,20 +604,22 @@ def save_tags(path: str | Path, ids: Sequence[str], labels: LabelMatrix) -> None
     rows = np.ascontiguousarray(labels.values).view((np.void, len(names))).ravel().tolist()
     tags = {row: " ".join(name for name, bit in zip(names, row) if bit) for row in set(rows)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("image_name,tags\n")
+        fh.write(",".join(TAG_HEADER) + "\n")
         fh.writelines(f"{key},{tags[row]}\n" for key, row in zip(keys, rows))
 
 
 # ---------------------------------------------------------------------------
-# Probability files: CSV with header `image_name,<label1>,...,<labelK>`.
+# Probability files: CSV with header KEY_COLUMN,<label1>,...,<labelK>.
 # Any column permutation of the vocabulary is accepted and realigned.
 # ---------------------------------------------------------------------------
 
 
-def load_probs(path: str | Path, vocab: LabelVocabulary) -> tuple[list[str], ProbMatrix]:
-    """Load a probability CSV, realigning columns to vocabulary order."""
-    table = read_table(path, ("image_name",), bounds=(0.0, 1.0))
+def load_probs(path: str | Path, vocab: LabelVocabulary | str) -> tuple[list[str], ProbMatrix]:
+    """Load a probability CSV, realigning columns to vocabulary order; "infer"
+    takes the header's labels in file order (weather_count 0)."""
+    table = read_table(path, (KEY_COLUMN,), bounds=(0.0, 1.0))
     file_labels = table.header[1:]
+    vocab = _vocabulary(path, vocab, file_labels)
     if sorted(file_labels) != sorted(vocab.names):
         faults = {
             "missing label": set(vocab.names) - set(file_labels),
@@ -627,18 +638,18 @@ def save_probs(path: str | Path, ids: Sequence[str], probs: ProbMatrix) -> None:
     keys = written_ids(ids, probs.n_samples)
     v = probs.values
     with open(path, "wb") as fh:
-        fh.write(("image_name," + ",".join(probs.vocab.names) + "\n").encode())
+        fh.write((",".join((KEY_COLUMN, *probs.vocab.names)) + "\n").encode())
         for i in range(0, len(v), 1024):
             fh.write(format_rows(keys[i : i + 1024], v[i : i + 1024]))
 
 
 def load_features(path: str | Path) -> tuple[list[str] | None, FeatureMatrix]:
     """Load a feature matrix from .npy (row-aligned, no ids) or from CSV
-    with header `image_name,<f1>,...` (ids in the first column)."""
+    with header KEY_COLUMN,<f1>,... (ids in the first column)."""
     path = Path(path)
     if path.suffix == ".npy":
         return None, load_npy(path, FeatureMatrix)
-    table = read_table(path, ("image_name",), bounds=(-np.inf, np.inf))
+    table = read_table(path, (KEY_COLUMN,), bounds=(-np.inf, np.inf))
     if not table.ids:
         raise DataError(f"{path}: no feature rows")
     names = tuple(table.header[1:])

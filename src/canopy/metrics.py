@@ -21,7 +21,6 @@ from TP/FP/FN, pinned by the tuning digests, serves threshold tuning.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -229,11 +228,7 @@ class MetricsReport:
         yield ("Total",) + self.total
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(h.lower().replace(" ", "_") for h in self.HEADER) + "\n")
-        for name, *vals in self.rows():
-            buf.write(name + "," + ",".join(FLOAT_FMT % v for v in vals) + "\n")
-        return buf.getvalue()
+        return score_csv(self.HEADER[0].lower(), self.rows())
 
     def to_table_text(self) -> str:
         name_w = max(len(self.HEADER[0]), max(len(r[0]) for r in self.rows()))
@@ -248,6 +243,14 @@ class MetricsReport:
                 + "".join("  " + (FLOAT_FMT % v).rjust(col_w) for v in vals)
             )
         return "\n".join(lines) + "\n"
+
+
+def score_csv(key: str, rows) -> str:
+    """CSV text of scoreboard rows under a header of ``key`` and the metric
+    columns (``precision``, ..., ``f2_score``); scores print as ``FLOAT_FMT``."""
+    lines = [[key, *(h.lower().replace(" ", "_") for h in MetricsReport.HEADER[1:])]]
+    lines += [[name, *(FLOAT_FMT % v for v in vals)] for name, *vals in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def report(pred: LabelMatrix, truth: LabelMatrix) -> MetricsReport:

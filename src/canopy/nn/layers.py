@@ -3,9 +3,9 @@ normalization with running statistics, standalone activation, and inverted
 dropout. Each layer caches what its own backward pass needs. ``PARAMS``
 names its trainable arrays, whose gradients (``dW`` for ``W``, ...)
 ``backward`` writes in place; ``ARRAYS`` is ``PARAMS`` and then any running
-statistics, in the order a checkpoint saves them. In a ``Network`` the
-``PARAMS`` arrays and their gradients are views into its ``theta`` and
-``grad`` vectors.
+statistics, in the order a checkpoint saves them. Every array is updated in
+place, never rebound, so in a ``Network`` each stays a view into its
+``state`` vector (and each gradient into its ``grad``).
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class BatchNorm:
 
     Train mode normalizes with the biased batch statistics (and needs a
     batch of at least 2); inference normalizes with the frozen running
-    statistics, so repeated calls are pure. Running stats follow
+    statistics, so repeated calls are pure. Running stats follow, in place,
     running = momentum * running + (1 - momentum) * batch.
     """
 
@@ -106,8 +106,9 @@ class BatchNorm:
             var = x.var(axis=0)  # biased, 1/m
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
             x_hat = (x - mean) * inv_std
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            for running, batch in ((self.running_mean, mean), (self.running_var, var)):
+                running *= self.momentum
+                running += (1 - self.momentum) * batch
             self._cache = (x_hat, inv_std)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)

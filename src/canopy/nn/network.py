@@ -52,11 +52,11 @@ def _init_weight(rng, fan_in: int, fan_out: int, activation: str) -> np.ndarray:
 
 
 class Network:
-    """A trainable layer stack; single-writer on its own parameters. Every
-    layer's ``PARAMS`` arrays (and their gradients ``dW``, ...) are reshaped
-    views into one vector, ``theta`` (``grad``), in layer order, so the
-    optimizer and every snapshot see one array. Batch-norm running
-    statistics stay outside: ``forward`` rebinds them.
+    """A trainable layer stack; single-writer on its own arrays. Every layer
+    array is a reshaped view into one vector, ``state``: the ``PARAMS`` arrays
+    in layer order make up its head ``theta``, the batch-norm running
+    statistics follow. Gradients (``dW``, ...) are views into ``grad``, laid
+    out like ``theta``. The optimizer steps one array; a snapshot copies one.
     """
 
     def __init__(self, spec: NetworkSpec, layers: list):
@@ -64,16 +64,21 @@ class Network:
         self.layers = layers
         held = [(i, name, getattr(layer, name)) for i, layer in enumerate(layers)
                 for name in layer.PARAMS]
-        self.theta = np.concatenate([a.ravel() for _, _, a in held])
+        n_params = sum(a.size for _, _, a in held)
+        held += [(i, name, getattr(layer, name)) for i, layer in enumerate(layers)
+                 for name in layer.ARRAYS[len(layer.PARAMS):]]
+        self.state = np.concatenate([a.ravel() for _, _, a in held])
+        self.theta = self.state[:n_params]
         self.grad = np.zeros_like(self.theta)
         self.params = [self.theta]
         self.spans: list[tuple[int, str, int]] = []  # (layer index, name, stop) in theta
         start = 0
         for i, name, a in held:
             stop = start + a.size
-            setattr(layers[i], name, self.theta[start:stop].reshape(a.shape))
-            setattr(layers[i], "d" + name, self.grad[start:stop].reshape(a.shape))
-            self.spans.append((i, name, stop))
+            setattr(layers[i], name, self.state[start:stop].reshape(a.shape))
+            if stop <= n_params:
+                setattr(layers[i], "d" + name, self.grad[start:stop].reshape(a.shape))
+                self.spans.append((i, name, stop))
             start = stop
 
     @classmethod
@@ -95,19 +100,12 @@ class Network:
 
     # -- parameter plumbing -------------------------------------------------
 
-    def _stats(self) -> list[np.ndarray]:
-        """The batch-norm running statistics: every layer array outside ``theta``."""
-        return [getattr(layer, name) for layer in self.layers
-                for name in layer.ARRAYS[len(layer.PARAMS):]]
+    def get_state(self) -> np.ndarray:
+        """A copy of ``state``."""
+        return self.state.copy()
 
-    def get_state(self) -> list[np.ndarray]:
-        """Copies of ``theta`` and of the running statistics."""
-        return [self.theta.copy(), *(a.copy() for a in self._stats())]
-
-    def set_state(self, state: list[np.ndarray]) -> None:
-        self.theta[...] = state[0]
-        for a, s in zip(self._stats(), state[1:]):
-            a[...] = s
+    def set_state(self, state: np.ndarray) -> None:
+        self.state[...] = state
 
     # -- computation ---------------------------------------------------------
 

@@ -5,8 +5,8 @@ The two rules are fixed and watch different values. Training stops once
 ``patience`` consecutive epochs fail to bring the validation loss below the
 best so far minus ``min_delta`` (patience on validation loss, Prechelt 1998).
 The returned parameters are those of the first epoch with the highest
-validation sample-F2, each prediction binarized at 0.5. Adam's moment decays
-are fixed at 0.9 and 0.999.
+validation sample-F2, each prediction binarized at ``DEFAULT_CUTOFF``.
+Adam's moment decays are fixed at 0.9 and 0.999.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from ..data import make_rng
 from ..metrics import sample_fbeta
+from ..thresholds import DEFAULT_CUTOFF
 from .losses import loss_and_grad, predict_head
 from .network import Network
 from .optim import Adam, OptimizerDiverged
@@ -154,7 +155,7 @@ def train(
             network.spec.loss, val_logits, y_val, network.spec.weather_count
         )
         val_probs = predict_head(network.spec.loss, val_logits, network.spec.weather_count)
-        val_pred = (val_probs >= 0.5).astype(np.int8)
+        val_pred = (val_probs >= DEFAULT_CUTOFF).astype(np.int8)
         val_f2 = sample_fbeta(val_pred, y_val.astype(np.int8))
 
         history["train_loss"].append(float(np.mean(batch_losses)))

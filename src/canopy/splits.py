@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
+    FOLD_HEADER,
     DataError,
     FeatureMatrix,
     LabelMatrix,
@@ -27,7 +28,7 @@ from .data import (
     written_ids,
 )
 from .metrics import MetricsReport, report
-from .thresholds import apply_thresholds
+from .thresholds import DEFAULT_CUTOFF, apply_thresholds
 
 
 @dataclass(frozen=True)
@@ -167,15 +168,15 @@ def _ramps(counts: np.ndarray) -> np.ndarray:
 
 
 def save_folds(path: str | Path, ids: Sequence[str], folds: FoldAssignment) -> None:
-    """CSV `image_name,fold`."""
+    """CSV with header FOLD_HEADER."""
     keys = written_ids(ids, folds.n_samples)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("image_name,fold\n")
+        fh.write(",".join(FOLD_HEADER) + "\n")
         fh.writelines(f"{key},{f}\n" for key, f in zip(keys, folds.fold_of.tolist()))
 
 
 def load_folds(path: str | Path) -> tuple[list[str], FoldAssignment]:
-    table = read_table(path, ("image_name", "fold"), width=2)
+    table = read_table(path, FOLD_HEADER, width=2)
     try:
         fold_of = list(map(int, table.values))
     except ValueError:
@@ -220,7 +221,7 @@ def cv_evaluate(
     ``learner`` is a classical LearnerSpec. Each fold trains an independent
     multi-output model on its own derived seed; a training failure is
     re-raised with the fold index attached. Holdout probabilities are
-    binarized at 0.5 for the fold scoreboards.
+    binarized at ``DEFAULT_CUTOFF`` for the fold scoreboards.
     """
     from .classical import LearnerSpec, fit_multioutput, predict_multioutput
 
@@ -242,7 +243,7 @@ def cv_evaluate(
             raise RuntimeError(f"fold {f}: learner training failed: {exc}") from exc
         probs = predict_multioutput(model, features.take(va))
         oof[va] = probs.values
-        pred = apply_thresholds(probs, np.full(truth.n_labels, 0.5))
+        pred = apply_thresholds(probs, np.full(truth.n_labels, DEFAULT_CUTOFF))
         reports.append(report(pred, truth.take(va)))
 
     totals = np.array([r.total for r in reports])

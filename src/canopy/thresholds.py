@@ -16,6 +16,8 @@ import numpy as np
 from .data import DataError, LabelMatrix, LabelVocabulary, ProbMatrix, format_rows, read_table
 from .metrics import check_beta, fbeta_from_counts
 
+DEFAULT_CUTOFF = 0.5  # the decision cutoff wherever none is tuned or given
+
 
 @dataclass(frozen=True)
 class PrCurve:
@@ -90,12 +92,12 @@ def optimize_thresholds(
     cutoff costs O(n) for n samples, not O(n * classes). per-class mode
     maximizes each class's own binary F-beta independently, scoring all of
     a class's cutoffs from one sorted sweep. Ties always break toward the
-    smallest cutoff. Classes without a single positive keep the default
-    cutoff 0.5.
+    smallest cutoff. Classes without a single positive keep
+    ``DEFAULT_CUTOFF``.
 
     The returned score is the objective the mode optimizes: sample-averaged
     F-beta for coordinate mode, mean per-class F-beta for per-class mode.
-    Either way it is never below the same objective at uniform 0.5 cutoffs.
+    Either way it is never below the same objective at ``DEFAULT_CUTOFF``.
     """
     check_beta(beta)
     if mode not in ("coordinate", "per-class"):
@@ -110,7 +112,7 @@ def optimize_thresholds(
     scores = probs.values
     y = truth.as_bool()
     n_labels = scores.shape[1]
-    cutoffs = np.full(n_labels, 0.5)
+    cutoffs = np.full(n_labels, DEFAULT_CUTOFF)
     optimizable = [j for j in range(n_labels) if y[:, j].any()]
 
     if mode == "per-class":

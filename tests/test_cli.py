@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from canopy.cli import Manifest, main
+from canopy.cli import OPTIONS, Manifest, build_parser, main
 from canopy.data import (
     LabelMatrix,
     ProbMatrix,
@@ -181,6 +181,17 @@ BAD_FLAG_VALUES = [
      "mode = bogus"),
     (["stack", "--truth", "missing.csv", "--folds", "missing.csv"], "run.cfg: optimizer",
      "optimizer = bogus"),
+    # each value refused by its kind, where a later check used to refuse it
+    # without naming the flag, or only after reading every input
+    *[(["stack", "--truth", "missing.csv", "--folds", "missing.csv", option, value], option, None)
+      for option, value in [("--epochs", "0"), ("--batch-size", "-3"), ("--patience", "0"),
+                            ("--hidden", "0"), ("--hidden", "64,0"), ("--dropout", "1")]],
+    (["vote", "--pred", "missing.csv", "--weights", "0,1"], "--weights", None),
+    (["preprocess", "--in", "missing.npy", "--out", "o.npy", "--augment", "spin"],
+     "--augment", None),
+    (["preprocess", "--in", "missing.npy", "--out", "o.npy"], "--augment",
+     "augment = flip_lr,spin"),
+    (["metrics", "--pred", "missing.csv", "--truth", "missing.csv"], "--cutoff", "cutoff = 1.5"),
 ]
 
 
@@ -196,6 +207,42 @@ def test_bad_flag_value_named_before_reading(workspace, capsys, argv, flag, conf
         argv = argv + ["--config", "run.cfg"]
     err = one_line_error(main(argv), capsys)
     assert flag in err and "missing" not in err
+
+
+def test_every_option_has_a_bad_value_case():
+    """A flag added to OPTIONS later cannot skip the named-error check."""
+    named = {flag.removeprefix("run.cfg: ").removeprefix("--").replace("-", "_")
+             for _, flag, _ in BAD_FLAG_VALUES}
+    assert set(OPTIONS) <= named
+
+
+def test_help_shows_every_option_default():
+    """Each subcommand's --help shows the OPTIONS default of each of its
+    flags, so no help string restates one."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    checked = set()
+    for command, sub in commands.choices.items():
+        text = " ".join(sub.format_help().split())  # undo argparse's line wrapping
+        for action in sub._actions:
+            default = OPTIONS.get(action.dest, (None,))[0]
+            if default is None or (action.dest, command) == ("mode", "preprocess"):
+                continue
+            shown = " ".join(action.help.split())
+            assert shown in text, (command, action.dest)
+            assert shown.endswith((f"default {default}", f"(default {default})")), shown
+            checked.add(action.dest)
+    assert checked == {key for key, (default, _) in OPTIONS.items() if default is not None}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cv", "--tags", "truth.csv", "--features", "missing.npy", "--learner", "tree"],
+    ["train", "--tags", "truth.csv", "--features", "missing.npy", "--learner", "tree"],
+    ["preprocess", "--in", "missing.npy", "--out", "o.npy", "--mode", "tf"],
+])
+def test_missing_npy_input_named_like_any_input(workspace, capsys, argv):
+    """A missing .npy used to print numpy's message without the path prefix."""
+    err = one_line_error(main(argv), capsys)
+    assert err.startswith(f"canopy {argv[0]}: error: missing.npy: [Errno 2] ")
 
 
 class TestTuneThresholdsCommand:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,33 @@ class TestProbFiles:
             f"{path}: header does not match vocabulary: repeated column(s) ['a']"
         )
 
+    def test_inferred_vocabulary_is_the_header_in_file_order(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("image_name,c,a,b\nx,0.3,0.1,0.2\ny,1,0,0.5\n")
+        ids, probs = load_probs(path, "infer")
+        assert probs.vocab == LabelVocabulary(names=("c", "a", "b"), weather_count=0)
+        given_ids, given = load_probs(path, probs.vocab)
+        assert ids == given_ids == ["x", "y"]
+        assert probs.values.tobytes() == given.values.tobytes()
+
+    @pytest.mark.parametrize("header,message", [
+        ("image_name,a,a", "label names must be unique"),
+        ("image_name,a,,b", "label names must be non-empty"),
+        ("image_name", "vocabulary must contain at least one label"),
+    ])
+    def test_inferred_vocabulary_refuses_a_bad_header(self, tmp_path, header, message):
+        path = tmp_path / "p.csv"
+        cells = ",0.5" * header.count(",")
+        path.write_text(f"{header}\nx{cells}\n")
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            load_probs(path, "infer")
+
+    def test_vocab_string_other_than_infer_refused(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("image_name,a\nx,0.5\n")
+        with pytest.raises(ValueError, match="LabelVocabulary or the string 'infer'"):
+            load_probs(path, "amazon")
+
 
 class TestFeatureFiles:
     def test_csv_features(self, tmp_path):
@@ -259,6 +288,12 @@ class TestFeatureFiles:
         ids, feats = load_features(path)
         assert ids is None
         assert (feats.values == arr).all()
+
+    def test_missing_npy_is_a_data_error_naming_it(self, tmp_path):
+        """A missing .npy used to raise a bare FileNotFoundError."""
+        path = tmp_path / "missing.npy"
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}: [Errno 2]")):
+            load_features(path)
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -588,9 +588,10 @@ class TestCheckpoint:
 
 
 class TestParameterVector:
-    """Every layer's PARAMS arrays and their gradients are views into the
-    network's one parameter vector and one gradient vector, in layer order;
-    the batch-norm running statistics live outside both."""
+    """Every layer array is a view into the network's one state vector:
+    first the PARAMS arrays in layer order, which make up ``theta``, then the
+    batch-norm running statistics. The PARAMS gradients are views into one
+    gradient vector laid out like ``theta``."""
 
     SPEC = NetworkSpec(in_dim=4, out_dim=5, hidden=(6, 3), batch_norm=True, dropout=0.25,
                        loss="hybrid", weather_count=2)
@@ -599,6 +600,7 @@ class TestParameterVector:
     def check_layout(net: Network) -> None:
         assert len(net.params) == 1 and net.params[0] is net.theta
         assert net.theta.shape == net.grad.shape and net.theta.ndim == 1
+        assert net.theta.base is net.state and net.theta.ctypes.data == net.state.ctypes.data
         start, spans = 0, []
         for i, layer in enumerate(net.layers):
             for name in layer.PARAMS:
@@ -609,11 +611,17 @@ class TestParameterVector:
                 assert np.array_equal(net.grad[start:stop], grad.ravel())
                 spans.append((i, name, stop))
                 start = stop
+        assert start == net.theta.size and net.spans == spans
+        for layer in net.layers:
             for name in layer.ARRAYS[len(layer.PARAMS):]:
                 stat = getattr(layer, name)
+                stop = start + stat.size
+                assert np.shares_memory(stat, net.state[start:stop])
                 assert not np.shares_memory(stat, net.theta)
                 assert not np.shares_memory(stat, net.grad)
-        assert start == net.theta.size and net.spans == spans
+                assert np.array_equal(net.state[start:stop], stat.ravel())
+                start = stop
+        assert start == net.state.size and net.state.ndim == 1
 
     def trained(self) -> Network:
         from canopy.nn import TrainConfig, train
@@ -637,19 +645,45 @@ class TestParameterVector:
     def test_train(self):
         net = self.trained()
         self.check_layout(net)
-        assert (net.layers[1].running_mean != 0).all()  # forward rebound them
+        assert (net.layers[1].running_mean != 0).all()  # forward updated them in place
+
+    def statistics(self, net: Network) -> list[np.ndarray]:
+        return [getattr(layer, name) for layer in net.layers
+                for name in layer.ARRAYS[len(layer.PARAMS):]]
 
     def test_set_state(self):
         net = self.trained()
         state = net.get_state()
-        assert len(state) == 1 + 2 * 2  # theta, then two BN layers' statistics
-        assert not np.shares_memory(state[0], net.theta)
-        net.set_state([np.zeros_like(s) for s in state])
+        # theta, then the two BN layers' mean and variance (widths 6 and 3)
+        assert state.shape == (net.theta.size + 2 * (6 + 3),)
+        assert not np.shares_memory(state, net.state)
+        net.set_state(np.zeros_like(state))
         self.check_layout(net)
         assert not net.layers[0].W.any() and not net.theta.any()
+        assert not any(stat.any() for stat in self.statistics(net))
         net.set_state(state)
         self.check_layout(net)
-        assert all((a == b).all() for a, b in zip(net.get_state(), state))
+        assert net.get_state().tobytes() == state.tobytes()
+
+    def test_statistics_stay_views_of_state(self, tmp_path):
+        """A train step and a checkpoint load write the batch-norm running
+        statistics in place: each stays the object the network was built
+        with, a view into ``state``."""
+        from canopy.nn import TrainConfig, train
+
+        net = Network.init(self.SPEC, seed=13)
+        stats = self.statistics(net)
+        before = net.get_state()
+        rng = make_rng(13)
+        x, y = rng.normal(size=(8, 4)), np.tile([1.0, 0, 1, 0, 1], (8, 1))
+        train(net, x, y, x, y, TrainConfig(batch_size=8, max_epochs=1, seed=13))
+        assert all(a is b for a, b in zip(self.statistics(net), stats, strict=True))
+        assert (net.state[net.theta.size:] != before[net.theta.size:]).any()
+        self.check_layout(net)
+        save_checkpoint(tmp_path / "net.json", net)
+        loaded, _ = load_checkpoint(tmp_path / "net.json")
+        self.check_layout(loaded)
+        assert loaded.state.tobytes() == net.state.tobytes()
 
     def test_checkpoint_save_load_save_is_byte_identical(self, tmp_path):
         net = self.trained()
