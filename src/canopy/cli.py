@@ -64,7 +64,8 @@ def _checked(convert, accept):
     return check
 
 
-_seed = _checked(int, lambda n: n >= 0)
+_index = _checked(int, lambda n: n >= 0)
+_fold_count = _checked(int, lambda k: k >= 2)
 _count = _checked(int, lambda n: n >= 1)
 _rate = _checked(float, lambda r: 0.0 <= r < 1.0)  # NaN fails too
 _unit = _checked(float, lambda u: 0.0 <= u <= 1.0)
@@ -81,8 +82,8 @@ def _beta(value) -> float:
 
 
 KINDS = {
-    int: "an integer",
-    _seed: "a non-negative integer",
+    _index: "a non-negative integer",
+    _fold_count: "an integer >= 2",
     _count: "a positive integer",
     _counts: "comma-separated positive integers",
     _rate: "a number in [0, 1)",
@@ -100,10 +101,10 @@ OPTIONS = {
     "beta": (2, _beta),
     "mode": ("coordinate", str),
     "vocab": ("infer", str),
-    "k": (5, int),
-    "seed": (0, _seed),
+    "k": (5, _fold_count),
+    "seed": (0, _index),
     "weights": (None, _counts),
-    "val_fold": (0, int),
+    "val_fold": (0, _index),
     "hidden": ("64", _counts),
     "dropout": (0.25, _rate),
     "batch_size": (128, _count),
@@ -303,7 +304,7 @@ def _align_rows(
 
 
 def _check_k(args, truth: LabelMatrix) -> None:
-    if not 2 <= args.k <= truth.n_samples:
+    if args.k > truth.n_samples:
         raise DataError(f"--k must lie in [2, {truth.n_samples}] for {args.tags}, got {args.k}")
 
 
@@ -448,7 +449,7 @@ def cmd_stack(args, manifest: Manifest) -> int:
     fold_ids, folds = manifest.load(args.folds, load_folds)
     if fold_ids != truth_ids:
         raise DataError(f"{args.folds}: sample ids/order differ from {args.truth}")
-    if not 0 <= args.val_fold < folds.k:
+    if args.val_fold >= folds.k:
         raise DataError(f"--val-fold must lie in [0, {folds.k})")
     va = folds.fold_indices(args.val_fold)
     model = stack_train(features, truth, config, seed=args.seed, val_indices=va)

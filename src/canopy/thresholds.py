@@ -88,8 +88,12 @@ def optimize_thresholds(
     coordinate mode runs cyclic coordinate ascent on the sample-averaged
     F-beta, sweeping each class over its distinct observed scores while the
     others stay fixed, until a full pass improves by <= 1e-12 or 20 passes
-    have run. Per-row counts are carried across classes, so each candidate
-    cutoff costs O(n) for n samples, not O(n * classes). per-class mode
+    have run. Per-row counts are carried across classes and each class's
+    column is sorted once per call. A class visit then costs O(n) for n
+    samples: each row's F with the class on and off, and every cutoff's
+    approximate score from one cumulative sum in sorted order. Only the
+    cutoffs within rounding distance of the best are rescored exactly, at
+    O(n) each, so the result is the exact maximum. per-class mode
     maximizes each class's own binary F-beta independently, scoring all of
     a class's cutoffs from one sorted sweep. Ties always break toward the
     smallest cutoff. Classes without a single positive keep
@@ -126,21 +130,36 @@ def optimize_thresholds(
         return cutoffs, float(best.mean())
 
     # per-row true, predicted and truth positives, carried across labels
-    candidates = {j: np.unique(scores[:, j]) for j in optimizable}
+    order = {j: np.argsort(-scores[:, j], kind="stable") for j in optimizable}
     pred = scores >= cutoffs[None, :]
     tp, pp, pos = (pred & y).sum(axis=1), pred.sum(axis=1), y.sum(axis=1)
     current = float(fbeta_from_counts(tp, pp - tp, pos - tp, beta).mean())
+    n = len(scores)
+    # An approximate objective below is two sums of n terms in [-1, 1] over n,
+    # each off by at most ~n·ε, and an exact score is a mean off by ~n·ε:
+    # they differ by <= ~3n·ε, so a candidate whose approximate objective is
+    # over 6n·ε below the largest cannot be the exact maximum.
+    band = 1e-9 + 8 * n * np.finfo(np.float64).eps
     for _ in range(20):
         improved = False
         for j in optimizable:
-            best_s, best_t = current, cutoffs[j]
-            col, y_j = scores[:, j], y[:, j]
-            on = col >= best_t
+            col, y_j, rows = scores[:, j], y[:, j], order[j]
+            on = col >= cutoffs[j]
             tp_o, pp_o = tp - (on & y_j), pp - on  # every label's counts but j's
-            for th in candidates[j]:
-                on = col >= th
-                t = tp_o + (on & y_j)
-                s = float(fbeta_from_counts(t, pp_o + on - t, pos - t, beta).mean())
+            t1 = tp_o + y_j
+            f_off = fbeta_from_counts(tp_o, pp_o - tp_o, pos - tp_o, beta)
+            f_on = fbeta_from_counts(t1, pp_o + 1 - t1, pos - t1, beta)
+            ranked = col[rows]
+            last = np.flatnonzero(np.r_[ranked[1:] != ranked[:-1], True])  # each score's last row
+            gain = (f_on - f_off)[rows]
+            approx = (f_off.sum() + np.cumsum(gain)[last]) / n
+            # a cutoff whose next lower score changes no row's F scores the
+            # same bits as that lower cutoff, and the tie goes to the lower one
+            moved = np.cumsum(gain != 0.0)[last]
+            near = (approx >= approx.max() - band) & np.r_[moved[1:] != moved[:-1], True]
+            best_s, best_t = current, cutoffs[j]
+            for th in ranked[last][near][::-1]:
+                s = float(np.where(col >= th, f_on, f_off).mean())
                 if s > best_s or (s == best_s and th < best_t):
                     best_s, best_t = s, float(th)
             on = col >= best_t

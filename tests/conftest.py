@@ -1,7 +1,7 @@
 """Shared helpers: small random matrices, naive loop-based metric oracles,
-the acceptance-criteria summary printer, a fork counter that also fails a
-test leaving a descriptor open, the largest beta F-beta accepts, and a check
-that no test leaves a child process behind.
+a runtime budget, the acceptance-criteria summary printer, a fork counter
+that also fails a test leaving a descriptor open, the largest beta F-beta
+accepts, and a check that no test leaves a child process behind.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,22 @@ def largest_beta() -> float:
     while not _beta_accepted(beta):
         beta = math.nextafter(beta, 0.0)
     return beta
+
+
+class Budget:
+    """Asserts a stated runtime budget on exit."""
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        if exc[0] is None:
+            elapsed = time.perf_counter() - self.start
+            assert elapsed < self.seconds, f"runtime {elapsed:.2f}s over budget {self.seconds}s"
 
 
 @pytest.fixture(autouse=True)

@@ -2,8 +2,12 @@
 
 This is the threshold code canopy shipped before the sorted count sweep:
 ``pr_curve`` and per-class mode re-threshold the column and recount for
-every candidate cutoff, and both F-beta helpers compute the counts form
-``(1+b²)tp / ((1+b²)tp + fp + b²fn)`` inline. The property tests in
+every candidate cutoff, coordinate mode rescores the whole prediction at
+every candidate, and both F-beta helpers compute the counts form
+``(1+b²)tp / ((1+b²)tp + fp + b²fn)`` inline. It is the oracle for the
+sorted count sweep of ``pr_curve`` and per-class mode, and also for
+coordinate mode's sorted sweep, which rescores exactly only the candidates
+near its approximate maximum. The property tests in
 ``test_threshold_oracle.py`` require the library to match it byte for byte.
 """
 

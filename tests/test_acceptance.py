@@ -13,7 +13,6 @@ rows of the second reproduce exactly as required.
 
 import csv
 import itertools
-import time
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from canopy.nn import Adam, BatchNorm, TrainConfig
 from canopy.splits import stratified_kfold
 from canopy.thresholds import apply_thresholds, optimize_thresholds
 
-from conftest import make_vocab, oracle_averaged
+from conftest import Budget, make_vocab, oracle_averaged
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,22 +34,6 @@ DATA = Path(__file__).parent / "data"
 def load_scoreboard(name):
     with open(DATA / name, newline="") as fh:
         return list(csv.DictReader(fh))
-
-
-class Budget:
-    """Asserts the criterion's stated runtime budget on exit."""
-
-    def __init__(self, seconds: float):
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        if exc[0] is None:
-            elapsed = time.perf_counter() - self.start
-            assert elapsed < self.seconds, f"runtime {elapsed:.2f}s over budget {self.seconds}s"
 
 
 def test_c01_fbeta_reproduces_single_model_scoreboard():

@@ -192,6 +192,13 @@ BAD_FLAG_VALUES = [
     (["preprocess", "--in", "missing.npy", "--out", "o.npy"], "--augment",
      "augment = flip_lr,spin"),
     (["metrics", "--pred", "missing.csv", "--truth", "missing.csv"], "--cutoff", "cutoff = 1.5"),
+    (["split", "--tags", "missing.csv", "--k", "1"], "--k", None),
+    (["cv", "--tags", "missing.csv", "--features", "missing.csv", "--learner", "tree",
+      "--k", "0"], "--k", None),
+    (["stack", "--truth", "missing.csv", "--folds", "missing.csv", "--val-fold", "-1"],
+     "--val-fold", None),
+    (["stack", "--truth", "missing.csv", "--folds", "missing.csv"], "--val-fold",
+     "val-fold = -1"),
 ]
 
 
@@ -336,7 +343,9 @@ class TestSplitAndCvCommands:
         if command == "cv":
             argv += ["--features", "features.csv", "--learner", "tree"]
         err = one_line_error(main(argv), capsys)
-        assert "--k" in err and "truth.csv" in err
+        # below 2 is refused by the flag's kind before any read; above n needs the file
+        want = "--k expects an integer >= 2" if k == "1" else "truth.csv"
+        assert "--k" in err and want in err
 
     def test_oversized_field_names_file(self, workspace, capsys):
         tmp, *_ = workspace

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from canopy.data import LabelMatrix, LabelVocabulary, ProbMatrix, make_rng
 from canopy.metrics import sample_fbeta
 from canopy.thresholds import (
+    DEFAULT_CUTOFF,
     apply_thresholds,
     load_thresholds,
     optimize_thresholds,
@@ -15,7 +16,7 @@ from canopy.thresholds import (
     save_thresholds,
 )
 
-from conftest import largest_beta, make_vocab
+from conftest import Budget, largest_beta, make_vocab
 
 
 def grid_search_oracle(probs: np.ndarray, truth: np.ndarray, beta: float):
@@ -206,6 +207,39 @@ class TestOptimizeThresholds:
             baseline = sample_fbeta(apply_thresholds(pm, np.full(k, 0.5)), tm, 2.0)
             _, score = optimize_thresholds(pm, tm, beta=2.0, mode="coordinate")
             assert score >= baseline - 1e-15
+
+    @pytest.mark.parametrize("shape", ["noisy", "plateau"])
+    def test_paper_scale_coordinate_tuning_stays_n_log_n(self, shape):
+        """40,479 x 17 with 6-decimal scores, ~40k distinct per label: one
+        sort per label and O(n) per label visit keep this far under budget,
+        where rescoring every candidate at O(n) would take many minutes.
+        "plateau" gives 16 labels one positive on top and ~20k rows with no
+        positive just below it, all tied with the top cutoff in score."""
+        n, k = 40_479, 17
+        rng = make_rng(24)
+        if shape == "noisy":
+            truth = rng.random((n, k)) < rng.uniform(0.002, 0.5, k)
+            scores = np.where(truth, 0.6, 0.3) + rng.normal(0.0, 0.35, (n, k))
+        else:
+            half = n // 2
+            truth = np.zeros((n, k), dtype=bool)
+            truth[np.arange(k - 1), np.arange(k - 1)] = True
+            truth[k - 1:half, k - 1] = True
+            scores = np.vstack([rng.uniform(0.0, 0.5, (half, k)),
+                                rng.uniform(0.5, 0.9, (n - half, k))])
+            scores[np.arange(k - 1), np.arange(k - 1)] = 1.0
+            scores[:half, k - 1] = 0.9
+        vocab = make_vocab(k)
+        pm = ProbMatrix(values=np.round(np.clip(scores, 0.0, 1.0), 6), vocab=vocab)
+        tm = LabelMatrix(values=truth.astype(np.int8), vocab=vocab)
+        with Budget(10.0):
+            cutoffs, score = optimize_thresholds(pm, tm, beta=2.0, mode="coordinate")
+
+        def f2_at(c):
+            return sample_fbeta(apply_thresholds(pm, c), tm, 2.0)
+
+        assert score == pytest.approx(f2_at(cutoffs), abs=1e-12)
+        assert score >= f2_at(np.full(k, DEFAULT_CUTOFF))
 
     def test_zero_positive_class_keeps_default(self):
         vocab = make_vocab(2)
