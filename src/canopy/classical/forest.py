@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import make_rng, spawn_seeds
-from .tree import DecisionTree, check_int, check_tree_params, check_xy, tree_fit
+from ..data import check_int, make_rng, spawn_seeds
+from .tree import DecisionTree, check_tree_params, check_xy, tree_fit
 
 
 @dataclass

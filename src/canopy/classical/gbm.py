@@ -18,8 +18,9 @@ from numbers import Real
 
 import numpy as np
 
+from ..data import check_int
 from ..nn.activations import sigmoid
-from .tree import DecisionTree, check_int, check_tree_params, check_xy, tree_fit
+from .tree import DecisionTree, check_tree_params, check_xy, tree_fit
 
 CLAMP = 1e-12
 

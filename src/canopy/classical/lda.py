@@ -16,7 +16,8 @@ from numbers import Real
 
 import numpy as np
 
-from .tree import check_int, check_xy
+from ..data import check_int
+from .tree import check_xy
 
 
 @dataclass

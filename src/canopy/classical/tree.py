@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import make_rng
+from ..data import check_int, make_rng
 
 
 def _gini_weighted(member: np.ndarray) -> np.ndarray:
@@ -157,15 +157,6 @@ def _random_splits(block, rows, y, n_classes: int, rng):
         m, g = sides.sum(axis=1), np.array([yn[side].var() for side in sides])
     w = m * g
     return ok, ((w[: len(ok)] + w[len(ok) :]) / n).tolist(), threshold[ok].tolist(), left
-
-
-def check_int(name: str, value, least: int) -> None:
-    """A count setting is an int (numpy ints too; not a bool, float or NaN)
-    no smaller than ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
 
 
 def check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:

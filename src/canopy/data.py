@@ -33,6 +33,16 @@ class DataError(Exception):
     """Malformed or inconsistent input data (bad CSV, unknown label, ...)."""
 
 
+def check_int(name: str, value, least: int | None = None) -> int:
+    """A count setting as a plain int: it must be an int (numpy ints too; not
+    a bool, float, string or NaN), no smaller than ``least`` if one is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; the single PRNG used across the package."""
     return np.random.default_rng(int(seed))
@@ -68,6 +78,7 @@ class LabelVocabulary:
                 raise ValueError(
                     f"label name {name!r} holds whitespace, a comma, NUL or a leading quote"
                 )
+        object.__setattr__(self, "weather_count", check_int("weather_count", self.weather_count))
         if not 0 <= self.weather_count <= len(self.names):
             raise ValueError(f"weather_count must be in [0, {len(self.names)}]")
 

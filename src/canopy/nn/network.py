@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import make_rng
+from ..data import check_int, make_rng
 from .layers import Activation, BatchNorm, Dense, Dropout
 from .losses import check_head, loss_and_grad, predict_head
 
@@ -32,10 +32,13 @@ class NetworkSpec:
     weather_count: int = 0
 
     def __post_init__(self):
+        for name in ("in_dim", "out_dim", "weather_count"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("in_dim and out_dim must be >= 1")
         check_head(self.loss, self.weather_count, self.out_dim)
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        widths = tuple(check_int("hidden widths", h) for h in self.hidden)
+        object.__setattr__(self, "hidden", widths)
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if not 0.0 <= self.dropout < 1.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import make_rng
+from ..data import check_int, make_rng
 from ..metrics import sample_fbeta
 from ..thresholds import DEFAULT_CUTOFF
 from .losses import loss_and_grad, predict_head
@@ -35,12 +35,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.optimizer not in ("adam", "amsgrad"):
             raise ValueError("optimizer must be 'adam' or 'amsgrad'")
         if not 0.0 <= self.min_delta < np.inf:  # NaN fails too

@@ -21,6 +21,7 @@ from .data import (
     FeatureMatrix,
     LabelMatrix,
     _Rows,
+    check_int,
     frozen,
     make_rng,
     read_table,
@@ -41,7 +42,7 @@ class FoldAssignment(_Rows):
 
     def __post_init__(self):
         f = frozen(self.fold_of, np.int64, "fold_of", ndim=1)
-        _check_k(self.k, f.size)  # before bincount, which would allocate k counts
+        object.__setattr__(self, "k", _check_k(self.k, f.size))  # before bincount sizes by k
         if f.min() < 0 or f.max() >= self.k:
             raise ValueError("fold indices must lie in [0, k)")
         counts = np.bincount(f, minlength=self.k)
@@ -56,11 +57,11 @@ class FoldAssignment(_Rows):
         return np.nonzero(self.fold_of != fold)[0]
 
 
-def _check_k(k: int, n: int) -> None:
-    if k < 2:
-        raise ValueError("k must be >= 2")
+def _check_k(k: int, n: int) -> int:
+    k = check_int("k", k, 2)
     if k > n:
         raise ValueError(f"k={k} exceeds the number of samples ({n})")
+    return k
 
 
 def stratified_kfold(truth: LabelMatrix, k: int, seed: int) -> FoldAssignment:
@@ -76,7 +77,7 @@ def stratified_kfold(truth: LabelMatrix, k: int, seed: int) -> FoldAssignment:
     last can fall further short (19 rows in 9 folds can give sizes 1 to 3).
     """
     n = truth.n_samples
-    _check_k(k, n)
+    k = _check_k(k, n)
     rng = make_rng(seed)
     y = truth.as_bool()
     # a label above 50% prevalence is easier to balance through its rare
@@ -229,7 +230,7 @@ def cv_evaluate(
         raise TypeError("learner must be a canopy.classical.LearnerSpec")
     if features.n_samples != truth.n_samples:
         raise ValueError("features and truth disagree on the number of samples")
-    _check_k(k, truth.n_samples)  # before spawn_seeds, whose cost grows with k
+    k = _check_k(k, truth.n_samples)  # before spawn_seeds, whose cost grows with k
 
     split_seed, *fold_seeds = spawn_seeds(seed, k + 1)
     folds = stratified_kfold(truth, k, split_seed)

@@ -2,8 +2,9 @@
 
 The classification rule is inclusive everywhere: score >= cutoff means
 positive, so a returned cutoff can always be one of the observed scores.
-Candidate cutoffs are counted with one sort per label (``_sweep``), and
-every tuned score is the counts form of F-beta, ``metrics.fbeta_from_counts``.
+Each cutoff search sorts a label's column once (``_runs``) and takes its
+distinct scores as the candidates, a zero as +0.0. Every tuned score is the
+counts form of F-beta, ``metrics.fbeta_from_counts``.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ class PrCurve:
     positive_count: int
 
 
-def _sweep(scores: np.ndarray, truth: np.ndarray):
-    """The distinct scores in ascending order, each with the TP and the
-    predicted-positive count of ``score >= cutoff`` at that cutoff."""
-    order = np.argsort(scores)
-    ranked = scores[order]
-    cuts = np.unique(ranked)
-    below = np.searchsorted(ranked, cuts, side="left")  # samples scoring under each cutoff
-    positives_below = np.concatenate(([0], np.cumsum(truth[order])))
-    return cuts, positives_below[-1] - positives_below[below], len(scores) - below
+def _runs(col: np.ndarray):
+    """One column's runs of equal scores, highest first: the row order (one
+    argsort, read from the top), each run's last position in it, and each
+    run's score with a zero written as +0.0."""
+    order = np.argsort(col)[::-1]
+    ranked = col[order]
+    last = np.flatnonzero(np.r_[ranked[1:] != ranked[:-1], True])
+    return order, last, ranked[last] + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def pr_curve(scores, truth) -> PrCurve:
@@ -56,7 +56,8 @@ def pr_curve(scores, truth) -> PrCurve:
     if n_pos == 0:
         raise ValueError("pr_curve requires at least one positive sample")
 
-    cuts, tp, pp = _sweep(s, t)
+    order, last, cuts = _runs(s)
+    cuts, tp, pp = cuts[::-1], np.cumsum(t[order])[last][::-1], last[::-1] + 1
     if cuts[0] > 0.0:  # the sentinel 0 predicts what the lowest score does
         cuts, tp, pp = np.r_[0.0, cuts], np.r_[tp[0], tp], np.r_[pp[0], pp]
     return PrCurve(thresholds=cuts, precision=tp / pp, recall=tp / n_pos, positive_count=n_pos)
@@ -88,16 +89,16 @@ def optimize_thresholds(
     coordinate mode runs cyclic coordinate ascent on the sample-averaged
     F-beta, sweeping each class over its distinct observed scores while the
     others stay fixed, until a full pass improves by <= 1e-12 or 20 passes
-    have run. Per-row counts are carried across classes and each class's
-    column is sorted once per call. A class visit then costs O(n) for n
-    samples: each row's F with the class on and off, and every cutoff's
-    approximate score from one cumulative sum in sorted order. Only the
-    cutoffs within rounding distance of the best are rescored exactly, at
-    O(n) each, so the result is the exact maximum. per-class mode
-    maximizes each class's own binary F-beta independently, scoring all of
-    a class's cutoffs from one sorted sweep. Ties always break toward the
-    smallest cutoff. Classes without a single positive keep
-    ``DEFAULT_CUTOFF``.
+    have run. Per-row counts are carried across classes, so a class visit
+    costs O(n) for n samples: each row's F with the class on and off, and
+    every cutoff's approximate score from one cumulative sum in sorted
+    order. Only the cutoffs within rounding distance of the best are
+    rescored exactly, at O(n) each, so the result is the exact maximum.
+    per-class mode maximizes each class's own binary F-beta independently,
+    scoring all of a class's cutoffs from one cumulative sum. Either mode
+    sorts each class's column once per call, O(n log n). Ties always break
+    toward the smallest cutoff, and a zero cutoff is always +0.0. Classes
+    without a single positive keep ``DEFAULT_CUTOFF``.
 
     The returned score is the objective the mode optimizes: sample-averaged
     F-beta for coordinate mode, mean per-class F-beta for per-class mode.
@@ -122,15 +123,16 @@ def optimize_thresholds(
     if mode == "per-class":
         best = np.zeros(n_labels)  # a class without positives scores 0
         for j in optimizable:
-            cuts, tp, pp = _sweep(scores[:, j], y[:, j])
-            # the lowest cutoff predicts every sample, so tp[0] is the positive count
-            f = fbeta_from_counts(tp, pp - tp, tp[0] - tp, beta)
-            i = int(np.argmax(f))  # the first maximum is the smallest cutoff
+            order, last, cuts = _runs(scores[:, j])
+            tp = np.cumsum(y[order, j])[last]
+            # the lowest cutoff predicts every sample, so tp[-1] is the positive count
+            f = fbeta_from_counts(tp, last + 1 - tp, tp[-1] - tp, beta)
+            i = len(f) - 1 - int(np.argmax(f[::-1]))  # the last maximum is the smallest cutoff
             cutoffs[j], best[j] = cuts[i], f[i]
         return cutoffs, float(best.mean())
 
     # per-row true, predicted and truth positives, carried across labels
-    order = {j: np.argsort(-scores[:, j], kind="stable") for j in optimizable}
+    runs = {j: _runs(scores[:, j]) for j in optimizable}
     pred = scores >= cutoffs[None, :]
     tp, pp, pos = (pred & y).sum(axis=1), pred.sum(axis=1), y.sum(axis=1)
     current = float(fbeta_from_counts(tp, pp - tp, pos - tp, beta).mean())
@@ -143,14 +145,12 @@ def optimize_thresholds(
     for _ in range(20):
         improved = False
         for j in optimizable:
-            col, y_j, rows = scores[:, j], y[:, j], order[j]
+            col, y_j, (rows, last, cuts) = scores[:, j], y[:, j], runs[j]
             on = col >= cutoffs[j]
             tp_o, pp_o = tp - (on & y_j), pp - on  # every label's counts but j's
             t1 = tp_o + y_j
             f_off = fbeta_from_counts(tp_o, pp_o - tp_o, pos - tp_o, beta)
             f_on = fbeta_from_counts(t1, pp_o + 1 - t1, pos - t1, beta)
-            ranked = col[rows]
-            last = np.flatnonzero(np.r_[ranked[1:] != ranked[:-1], True])  # each score's last row
             gain = (f_on - f_off)[rows]
             approx = (f_off.sum() + np.cumsum(gain)[last]) / n
             # a cutoff whose next lower score changes no row's F scores the
@@ -158,7 +158,7 @@ def optimize_thresholds(
             moved = np.cumsum(gain != 0.0)[last]
             near = (approx >= approx.max() - band) & np.r_[moved[1:] != moved[:-1], True]
             best_s, best_t = current, cutoffs[j]
-            for th in ranked[last][near][::-1]:
+            for th in cuts[near][::-1]:
                 s = float(np.where(col >= th, f_on, f_off).mean())
                 if s > best_s or (s == best_s and th < best_t):
                     best_s, best_t = s, float(th)

@@ -1,14 +1,17 @@
 """Brute-force oracle for canopy.thresholds: one rescoring per candidate.
 
-This is the threshold code canopy shipped before the sorted count sweep:
+This is the threshold code canopy shipped before the sorted sweeps:
 ``pr_curve`` and per-class mode re-threshold the column and recount for
 every candidate cutoff, coordinate mode rescores the whole prediction at
 every candidate, and both F-beta helpers compute the counts form
 ``(1+b²)tp / ((1+b²)tp + fp + b²fn)`` inline. It is the oracle for the
-sorted count sweep of ``pr_curve`` and per-class mode, and also for
-coordinate mode's sorted sweep, which rescores exactly only the candidates
-near its approximate maximum. The property tests in
-``test_threshold_oracle.py`` require the library to match it byte for byte.
+library's sorted runs of equal scores, from which ``pr_curve``, per-class
+mode and coordinate mode all read their candidates; coordinate mode
+rescores exactly only the candidates near its approximate maximum. The
+oracle's candidates come from ``np.unique``, which may give a run of
+zeros as -0.0, while the library writes every zero cutoff as +0.0. The
+property tests in ``test_threshold_oracle.py`` require the library to
+match it byte for byte once the oracle's zero cutoffs are made +0.0.
 """
 
 from __future__ import annotations

@@ -46,6 +46,13 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             LabelVocabulary(names=("a", "b"), weather_count=3)
 
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_weather_count_must_be_an_integer(self, value):
+        with pytest.raises(TypeError, match="^weather_count must be an integer, got "):
+            LabelVocabulary(names=("a", "b"), weather_count=value)
+        vocab = LabelVocabulary(names=("a", "b"), weather_count=np.int64(1))
+        assert type(vocab.weather_count) is int
+
 
 class TestMatrices:
     def test_label_matrix_rejects_non_binary(self):

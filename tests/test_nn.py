@@ -445,6 +445,38 @@ class TestTraining:
             train(net, x, y, x, y, TrainConfig(max_epochs=2, **{setting: value}))
         assert all((a == b).all() for a, b in zip(net.get_state(), start))
 
+    @pytest.mark.parametrize("setting, value", [
+        ("batch_size", True), ("batch_size", 4.5), ("max_epochs", 2.5), ("patience", "3"),
+    ])
+    def test_count_settings_must_be_integers(self, setting, value):
+        """batch_size=True used to train with batches of one, and a float count
+        to fail deep inside training with a TypeError naming no setting."""
+        from canopy.nn import TrainConfig
+
+        with pytest.raises(TypeError, match=f"^{setting} must be an integer, got "):
+            TrainConfig(**{setting: value})
+
+    @pytest.mark.parametrize("setting, value", [
+        ("in_dim", 2.5), ("out_dim", True), ("hidden", (2.7,)), ("hidden", (True,)),
+        ("hidden", ("3",)), ("weather_count", True),
+    ])
+    def test_network_widths_must_be_integers(self, setting, value):
+        """A hidden width of 2.7 used to build a layer of 2, True one of 1 and
+        "3" one of 3; a weather_count of 1.5 failed as a slice index."""
+        name = "hidden widths" if setting == "hidden" else setting
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            NetworkSpec(**{"in_dim": 3, "out_dim": 2, setting: value})
+
+    def test_counts_are_stored_as_plain_ints(self):
+        from canopy.nn import TrainConfig
+
+        spec = NetworkSpec(in_dim=np.int64(3), out_dim=np.int32(2), hidden=(np.int64(4),),
+                           loss="hybrid", weather_count=np.int64(1))
+        cfg = TrainConfig(batch_size=np.int64(8), max_epochs=np.int16(2), patience=np.int64(1))
+        counts = (spec.in_dim, spec.out_dim, *spec.hidden, spec.weather_count, cfg.batch_size,
+                  cfg.max_epochs, cfg.patience)
+        assert [type(c) for c in counts] == [int] * 7
+
     @pytest.mark.parametrize("value", [-1e-3, -math.inf, math.nan, math.inf])
     def test_negative_or_non_finite_min_delta_refused(self, value):
         """A NaN min_delta used to make every epoch stale, so training

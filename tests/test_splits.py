@@ -95,6 +95,18 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError, match=exact):
             FoldAssignment(fold_of=np.array([0, 1, 3]), k=k)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_fold_count_must_be_an_integer(self, k):
+        """A float k used to fail inside the splitter or bincount with a
+        TypeError naming no setting; True passed as 1."""
+        truth = LabelMatrix(values=np.ones((3, 1), dtype=np.int8), vocab=make_vocab(1))
+        exact = "^k must be an integer, got "
+        with pytest.raises(TypeError, match=exact):
+            stratified_kfold(truth, k=k, seed=0)
+        with pytest.raises(TypeError, match=exact):
+            FoldAssignment(fold_of=np.array([0, 1, 0]), k=k)
+        assert type(FoldAssignment(fold_of=np.array([0, 1, 0]), k=np.int64(2)).k) is int
+
 
 @st.composite
 def split_problems(draw):

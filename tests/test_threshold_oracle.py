@@ -1,7 +1,7 @@
-"""The sorted count sweep, the carried per-row counts and the sorted
-coordinate sweep in canopy.thresholds against the per-candidate brute force
-in reference_thresholds: byte-identical cutoffs, scores and precision-recall
-curves."""
+"""The sorted runs of pr_curve and per-class mode, the carried per-row counts
+and the sorted coordinate sweep in canopy.thresholds against the
+per-candidate brute force in reference_thresholds: byte-identical cutoffs,
+scores and precision-recall curves, once a zero cutoff is written +0.0."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from canopy.data import LabelMatrix, ProbMatrix, make_rng
 from canopy.metrics import sample_fbeta
-from canopy.thresholds import apply_thresholds, optimize_thresholds, pr_curve
+from canopy.thresholds import DEFAULT_CUTOFF, apply_thresholds, optimize_thresholds, pr_curve
 
 from conftest import make_vocab
 from reference_thresholds import reference_optimize_thresholds, reference_pr_curve
@@ -66,6 +66,16 @@ def tied_problems(draw):
     return scores, truth, beta
 
 
+@st.composite
+def signed_zero_problems(draw):
+    """tied_problems with a drawn share of the zero scores stored as -0.0."""
+    scores, truth, beta = draw(tied_problems())
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    scores[(scores == 0.0) & (rng.random(scores.shape) < share)] = -0.0
+    return scores, truth, beta
+
+
 def same_bytes(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -78,14 +88,15 @@ def assert_matches_oracle(scores, truth, beta):
     for mode in ("coordinate", "per-class"):
         cutoffs, score = optimize_thresholds(probs, labels, beta=beta, mode=mode)
         want_cutoffs, want_score = reference_optimize_thresholds(probs, labels, beta, mode)
-        assert same_bytes(cutoffs, want_cutoffs), mode
+        # the oracle's np.unique may keep a -0.0; the library writes +0.0
+        assert same_bytes(cutoffs, want_cutoffs + 0.0), mode
         assert type(score) is float and same_bytes(score, want_score), mode
     for j in np.flatnonzero(truth.any(axis=0)):
         got = pr_curve(scores[:, j], truth[:, j])
         want = reference_pr_curve(scores[:, j], truth[:, j])
         assert got.positive_count == want.positive_count
         for field in ("thresholds", "precision", "recall"):
-            assert same_bytes(getattr(got, field), getattr(want, field)), field
+            assert same_bytes(getattr(got, field), getattr(want, field) + 0.0), field
 
 
 @settings(max_examples=300, deadline=None)
@@ -100,6 +111,54 @@ def test_heavy_ties_match_per_candidate_oracle(problem):
     """Thousands of rows on few score levels: every candidate within the band
     of the approximate maximum is rescored exactly, and nothing else can win."""
     assert_matches_oracle(*problem)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_zero_problems())
+def test_signed_zeros_match_per_candidate_oracle(problem):
+    """0.0 and -0.0 in one column form one run, whose cutoff is +0.0."""
+    assert_matches_oracle(*problem)
+
+
+def mixed_zero_run():
+    """600 zeros of either sign among 400 higher scores, shuffled."""
+    rng = make_rng(25)
+    zeros = np.where(rng.random(600) < 0.5, 0.0, -0.0)
+    return rng.permutation(np.r_[zeros, rng.integers(1, 11, 400) / 10])
+
+
+@pytest.mark.parametrize("column", [[0.0, -0.0, 0.5], [-0.0, 0.0, 0.5], mixed_zero_run()],
+                         ids=["zero first", "minus zero first", "mixed run"])
+def test_signed_zero_tie_gives_a_positive_zero_cutoff(column):
+    """Every row is positive, so every search picks the cutoff 0 whichever
+    zero bits the rows hold in whatever order; it used to return -0.0 for
+    some row orders and modes."""
+    scores = np.asarray(column, dtype=np.float64)[:, None]
+    truth = np.ones(scores.shape, dtype=bool)
+    vocab = make_vocab(1)
+    probs = ProbMatrix(values=scores, vocab=vocab)
+    labels = LabelMatrix(values=truth.astype(np.int8), vocab=vocab)
+    for mode in ("coordinate", "per-class"):
+        cutoffs, score = optimize_thresholds(probs, labels, beta=2.0, mode=mode)
+        assert same_bytes(cutoffs, np.zeros(1)) and score == 1.0, mode
+    assert same_bytes(pr_curve(scores[:, 0], truth[:, 0]).thresholds[:1], np.zeros(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems() | signed_zero_problems())
+def test_per_class_cutoffs_lie_on_the_pr_curve(problem):
+    """A label with a positive takes one of its curve's thresholds; a label
+    without one keeps the default."""
+    scores, truth, beta = problem
+    vocab = make_vocab(scores.shape[1])
+    probs = ProbMatrix(values=scores, vocab=vocab)
+    labels = LabelMatrix(values=truth.astype(np.int8), vocab=vocab)
+    cutoffs, _ = optimize_thresholds(probs, labels, beta=beta, mode="per-class")
+    for j, cutoff in enumerate(cutoffs):
+        if truth[:, j].any():
+            assert cutoff in pr_curve(scores[:, j], truth[:, j]).thresholds
+        else:
+            assert cutoff == DEFAULT_CUTOFF
 
 
 @pytest.mark.parametrize("seed", [904, 2096, 2332, 3015])

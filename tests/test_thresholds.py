@@ -211,8 +211,9 @@ class TestOptimizeThresholds:
     @pytest.mark.parametrize("shape", ["noisy", "plateau"])
     def test_paper_scale_coordinate_tuning_stays_n_log_n(self, shape):
         """40,479 x 17 with 6-decimal scores, ~40k distinct per label: one
-        sort per label and O(n) per label visit keep this far under budget,
-        where rescoring every candidate at O(n) would take many minutes.
+        sort per label and O(n) per label visit keep coordinate mode, then
+        per-class mode and one pr_curve per label, far under budget, where
+        rescoring every candidate at O(n) would take many minutes.
         "plateau" gives 16 labels one positive on top and ~20k rows with no
         positive just below it, all tied with the top cutoff in score."""
         n, k = 40_479, 17
@@ -234,12 +235,18 @@ class TestOptimizeThresholds:
         tm = LabelMatrix(values=truth.astype(np.int8), vocab=vocab)
         with Budget(10.0):
             cutoffs, score = optimize_thresholds(pm, tm, beta=2.0, mode="coordinate")
+            per_class, _ = optimize_thresholds(pm, tm, beta=2.0, mode="per-class")
+            curves = [pr_curve(pm.values[:, j], truth[:, j]) for j in range(k)]
 
         def f2_at(c):
             return sample_fbeta(apply_thresholds(pm, c), tm, 2.0)
 
         assert score == pytest.approx(f2_at(cutoffs), abs=1e-12)
         assert score >= f2_at(np.full(k, DEFAULT_CUTOFF))
+        for j, curve in enumerate(curves):
+            distinct = np.unique(pm.values[:, j])
+            assert np.array_equal(curve.thresholds[-len(distinct):], distinct)
+            assert per_class[j] in curve.thresholds
 
     def test_zero_positive_class_keeps_default(self):
         vocab = make_vocab(2)
