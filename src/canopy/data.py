@@ -45,12 +45,13 @@ def check_int(name: str, value, least: int | None = None) -> int:
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; the single PRNG used across the package."""
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(check_int("seed", seed))
 
 
 def spawn_seeds(seed: int, n: int) -> list[int]:
     """Derive n independent child seeds deterministically from one seed."""
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(int(seed)).spawn(n)]
+    root = np.random.SeedSequence(check_int("seed", seed))
+    return [int(s.generate_state(1)[0]) for s in root.spawn(n)]
 
 
 @dataclass(frozen=True)

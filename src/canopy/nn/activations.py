@@ -6,14 +6,12 @@ import numpy as np
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, output in (0, 1)."""
+    """Numerically stable logistic function, output in [0, 1]: exp only ever
+    sees -|x|, and a NaN keeps its sign bit (minimum returns the NaN operand)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def relu(x):

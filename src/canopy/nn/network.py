@@ -73,7 +73,6 @@ class Network:
         self.state = np.concatenate([a.ravel() for _, _, a in held])
         self.theta = self.state[:n_params]
         self.grad = np.zeros_like(self.theta)
-        self.params = [self.theta]
         self.spans: list[tuple[int, str, int]] = []  # (layer index, name, stop) in theta
         start = 0
         for i, name, a in held:
@@ -129,12 +128,12 @@ class Network:
 
     def loss_and_gradients(
         self, x: np.ndarray, y: np.ndarray, train: bool = True, rng=None
-    ) -> tuple[float, list[np.ndarray]]:
-        """One forward/backward pass; returns (loss, [grad])."""
+    ) -> tuple[float, np.ndarray]:
+        """One forward/backward pass; returns (loss, ``grad``)."""
         logits = self.forward(x, train=train, rng=rng)
         loss, dlogits = loss_and_grad(self.spec.loss, logits, y, self.spec.weather_count)
         self.backward(dlogits)
-        return loss, [self.grad]
+        return loss, self.grad
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward through the head; rows of probabilities."""

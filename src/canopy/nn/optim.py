@@ -21,15 +21,15 @@ class OptimizerDiverged(RuntimeError):
 
 
 class Adam:
-    """In-place Adam/AMSGrad over a fixed list of parameter arrays (a Network
-    passes one, ``theta``); ``alpha`` and ``epsilon`` must be positive, finite."""
+    """In-place Adam/AMSGrad over one parameter array (a Network passes
+    ``theta``); ``alpha`` and ``epsilon`` must be positive, finite."""
 
     beta1 = 0.9
     beta2 = 0.999
 
     def __init__(
         self,
-        params: list[np.ndarray],
+        w: np.ndarray,
         alpha: float = 0.001,
         epsilon: float = 1e-8,
         amsgrad: bool = False,
@@ -42,25 +42,24 @@ class Adam:
         self.epsilon = float(epsilon)
         self.amsgrad = bool(amsgrad)
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.v_hat_max = [np.zeros_like(p) for p in params] if amsgrad else None
+        self.m = np.zeros_like(w)
+        self.v = np.zeros_like(w)
+        self.v_hat_max = np.zeros_like(w) if amsgrad else None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError("params/grads do not match the optimizer state")
-        for i, g in enumerate(grads):
-            if not np.isfinite(g).all():
-                raise OptimizerDiverged(f"non-finite gradient in parameter {i} at step {self.t + 1}")
+    def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        """Step ``w`` in place along gradient ``g``; both are checked before any write."""
+        if w.shape != self.m.shape or g.shape != self.m.shape:
+            raise ValueError(
+                f"w {w.shape} and g {g.shape} do not match the optimizer's {self.m.shape}")
+        if not np.isfinite(g).all():
+            raise OptimizerDiverged(f"non-finite gradient at step {self.t + 1}")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for i, (w, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            if self.amsgrad:
-                np.maximum(self.v_hat_max[i], v_hat, out=self.v_hat_max[i])
-                v_hat = self.v_hat_max[i]
-            w -= self.alpha * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        if self.amsgrad:
+            v_hat = np.maximum(self.v_hat_max, v_hat, out=self.v_hat_max)
+        w -= self.alpha * m_hat / (np.sqrt(v_hat) + self.epsilon)

@@ -37,6 +37,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("batch_size", "max_epochs", "patience"):
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+        object.__setattr__(self, "seed", check_int("seed", self.seed))
         if self.optimizer not in ("adam", "amsgrad"):
             raise ValueError("optimizer must be 'adam' or 'amsgrad'")
         if not 0.0 <= self.min_delta < np.inf:  # NaN fails too
@@ -101,12 +102,8 @@ def train(
             raise ValueError(
                 f"validation data: {name} has shape {a.shape}, the network needs {width} columns")
     rng = make_rng(config.seed)
-    optimizer = Adam(
-        network.params,
-        alpha=config.learning_rate,
-        epsilon=config.epsilon,
-        amsgrad=config.optimizer == "amsgrad",
-    )
+    optimizer = Adam(network.theta, alpha=config.learning_rate, epsilon=config.epsilon,
+                     amsgrad=config.optimizer == "amsgrad")
     history: dict[str, list[float]] = {"train_loss": [], "val_loss": [], "val_f2": []}
     n = x.shape[0]
     best_loss = np.inf
@@ -132,14 +129,14 @@ def train(
         for i, start in enumerate(starts):
             stop = starts[i + 1] if i + 1 < len(starts) else n
             idx = order[start:stop]
-            loss, grads = network.loss_and_gradients(x[idx], y[idx], train=True, rng=rng)
+            loss, grad = network.loss_and_gradients(x[idx], y[idx], train=True, rng=rng)
             if not np.isfinite(loss):
                 state = network.get_state()
                 raise TrainingDiverged(f"epoch {epoch}: non-finite loss", state, history)
             try:
-                optimizer.step(network.params, grads)  # checks every gradient before any write
+                optimizer.step(network.theta, grad)  # checks the gradient before any write
             except OptimizerDiverged as exc:
-                k = np.flatnonzero(~np.isfinite(grads[0]))[0]
+                k = np.flatnonzero(~np.isfinite(grad))[0]
                 i, name, _ = next(span for span in network.spans if k < span[2])
                 message = (f"epoch {epoch}: non-finite gradient in layer {i} {name}"
                            f" at step {optimizer.t + 1}")

@@ -175,27 +175,27 @@ def test_c06_optimizer_first_step_convergence_and_monotone_max():
             w = rng.normal(size=10)
             start = w.copy()
             g = rng.uniform(0.5, 3.0, size=10) * np.sign(rng.normal(size=10))
-            Adam([w], amsgrad=amsgrad).step([w], [g])
+            Adam(w, amsgrad=amsgrad).step(w, g)
             np.testing.assert_allclose(np.abs(start - w), 0.001, rtol=1e-6)
 
         # quadratic bowl reaches |w| < 1e-3 within 5000 steps at defaults
         for amsgrad in (False, True):
             w = make_rng(42).uniform(-0.5, 0.5, size=8)
-            opt = Adam([w], amsgrad=amsgrad)
+            opt = Adam(w, amsgrad=amsgrad)
             for _ in range(5000):
-                opt.step([w], [2.0 * w])
+                opt.step(w, 2.0 * w)
                 if np.linalg.norm(w) < 1e-3:
                     break
             assert np.linalg.norm(w) < 1e-3
 
         # AMSGrad corrected second moment never decreases
         w = rng.normal(size=5)
-        opt = Adam([w], amsgrad=True)
-        prev = opt.v_hat_max[0].copy()
+        opt = Adam(w, amsgrad=True)
+        prev = opt.v_hat_max.copy()
         for _ in range(1000):
-            opt.step([w], [rng.normal(size=5)])
-            assert (opt.v_hat_max[0] >= prev).all()
-            prev = opt.v_hat_max[0].copy()
+            opt.step(w, rng.normal(size=5))
+            assert (opt.v_hat_max >= prev).all()
+            prev = opt.v_hat_max.copy()
 
 
 def test_c07_gradient_check_50_random_configurations():
@@ -205,10 +205,10 @@ def test_c07_gradient_check_50_random_configurations():
         for seed in range(50):
             net, x, y = random_config(seed)
             _, analytic = net.loss_and_gradients(x, y, train=True)
-            analytic = [g.copy() for g in analytic]
+            analytic = analytic.copy()
             numeric = numeric_gradients(net, x, y)
             # array by array, as before the parameters became one vector
-            for a, n in zip(per_array(net, analytic[0]), per_array(net, numeric[0])):
+            for a, n in zip(per_array(net, analytic), per_array(net, numeric)):
                 denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-4)
                 assert np.linalg.norm(a - n) / denom < 1e-4, f"config {seed}"
 

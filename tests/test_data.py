@@ -145,6 +145,20 @@ class TestRng:
         assert s1 == s2
         assert len(set(s1)) == 4
 
+    @pytest.mark.parametrize("seed", [0.7, 2.9, True, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        """A float or bool seed used to be truncated without a word: 0.7
+        drew as 0, True as 1 and spawn_seeds(2.9, 2) as spawn_seeds(2, 2)."""
+        with pytest.raises(TypeError, match="^seed must be an integer, got "):
+            make_rng(seed)
+        with pytest.raises(TypeError, match="^seed must be an integer, got "):
+            spawn_seeds(seed, 2)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5), np.int8(5)])
+    def test_numpy_integer_seeds_draw_as_the_plain_int(self, seed):
+        assert make_rng(seed).random(6).tobytes() == np.random.default_rng(5).random(6).tobytes()
+        assert spawn_seeds(seed, 3) == spawn_seeds(5, 3)
+
 
 class TestTagFiles:
     def test_row_under_17_label_vocab(self, tmp_path):

@@ -147,41 +147,49 @@ class TestAdam:
         w = rng.normal(size=12)
         start = w.copy()
         g = rng.uniform(0.5, 2.0, size=12) * np.sign(rng.normal(size=12))
-        opt = Adam([w])
-        opt.step([w], [g])
+        opt = Adam(w)
+        opt.step(w, g)
         delta = start - w
         assert np.sign(delta).tolist() == np.sign(g).tolist()
         np.testing.assert_allclose(np.abs(delta), 0.001, rtol=1e-6)
 
     def test_zero_gradient_is_fixed_point(self):
         w = np.ones(5)
-        opt = Adam([w])
+        opt = Adam(w)
         for _ in range(10):
-            opt.step([w], [np.zeros(5)])
+            opt.step(w, np.zeros(5))
         assert (w == 1.0).all()
 
     def test_defaults(self):
-        opt = Adam([np.zeros(1)])
+        opt = Adam(np.zeros(1))
         assert (opt.alpha, opt.beta1, opt.beta2, opt.epsilon) == (0.001, 0.9, 0.999, 1e-8)
 
     @pytest.mark.parametrize("setting", ["alpha", "epsilon"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-3])
     def test_non_finite_or_non_positive_setting_refused(self, setting, value):
         with pytest.raises(ValueError, match=f"{setting} must be positive and finite"):
-            Adam([np.zeros(2)], **{setting: value})
+            Adam(np.zeros(2), **{setting: value})
+
+    @pytest.mark.parametrize("w_size, g_size", [(3, 2), (2, 3), (3, 4)])
+    def test_shape_mismatch_refused_before_any_write(self, w_size, g_size):
+        opt = Adam(np.zeros(3))
+        w = np.ones(w_size)
+        with pytest.raises(ValueError, match="do not match the optimizer's"):
+            opt.step(w, np.zeros(g_size))
+        assert (w == 1.0).all() and opt.t == 0 and not opt.m.any() and not opt.v.any()
 
     def test_non_finite_gradient_aborts(self):
         w = np.ones(3)
-        opt = Adam([w])
+        opt = Adam(w)
         with pytest.raises(OptimizerDiverged, match="non-finite"):
-            opt.step([w], [np.array([1.0, np.nan, 0.0])])
+            opt.step(w, np.array([1.0, np.nan, 0.0]))
 
     @pytest.mark.parametrize("amsgrad", [False, True])
     def test_quadratic_bowl_converges(self, amsgrad):
         w = make_rng(42).uniform(-0.5, 0.5, size=8)
-        opt = Adam([w], amsgrad=amsgrad)
+        opt = Adam(w, amsgrad=amsgrad)
         for step in range(5000):
-            opt.step([w], [2.0 * w])
+            opt.step(w, 2.0 * w)
             if np.linalg.norm(w) < 1e-3:
                 break
         assert np.linalg.norm(w) < 1e-3
@@ -191,10 +199,10 @@ class TestAmsgrad:
     def test_constant_gradients_match_adam_trajectory(self):
         g = np.array([0.3, -0.7, 1.1])
         w_adam, w_ams = np.zeros(3), np.zeros(3)
-        adam, ams = Adam([w_adam]), Adam([w_ams], amsgrad=True)
+        adam, ams = Adam(w_adam), Adam(w_ams, amsgrad=True)
         for _ in range(10):
-            adam.step([w_adam], [g.copy()])
-            ams.step([w_ams], [g.copy()])
+            adam.step(w_adam, g.copy())
+            ams.step(w_ams, g.copy())
             # the corrected second moment is the constant g^2 either way;
             # the running max only reorders ulp-level rounding
             np.testing.assert_allclose(w_adam, w_ams, rtol=1e-12, atol=1e-18)
@@ -203,28 +211,28 @@ class TestAmsgrad:
         # hand trace: g1 = 10 then zeros; after the spike the corrected
         # second moment is exactly 100, and AMSGrad pins it there
         w_adam, w_ams = np.zeros(1), np.zeros(1)
-        adam, ams = Adam([w_adam]), Adam([w_ams], amsgrad=True)
+        adam, ams = Adam(w_adam), Adam(w_ams, amsgrad=True)
         spike = np.array([10.0])
-        adam.step([w_adam], [spike])
-        ams.step([w_ams], [spike])
-        assert ams.v_hat_max[0][0] == pytest.approx(100.0)
+        adam.step(w_adam, spike)
+        ams.step(w_ams, spike)
+        assert ams.v_hat_max[0] == pytest.approx(100.0)
         for t in range(2, 5):
-            adam.step([w_adam], [np.zeros(1)])
-            ams.step([w_ams], [np.zeros(1)])
-            assert ams.v_hat_max[0][0] == pytest.approx(100.0)
+            adam.step(w_adam, np.zeros(1))
+            ams.step(w_ams, np.zeros(1))
+            assert ams.v_hat_max[0] == pytest.approx(100.0)
             # Adam's corrected second moment decays below the spike level
-            v_hat_adam = adam.v[0][0] / (1 - 0.999**t)
+            v_hat_adam = adam.v[0] / (1 - 0.999**t)
             assert v_hat_adam < 100.0
 
     def test_v_hat_max_non_decreasing_over_random_steps(self):
         rng = make_rng(8)
         w = rng.normal(size=6)
-        opt = Adam([w], amsgrad=True)
-        prev = opt.v_hat_max[0].copy()
+        opt = Adam(w, amsgrad=True)
+        prev = opt.v_hat_max.copy()
         for _ in range(1000):
-            opt.step([w], [rng.normal(size=6)])
-            assert (opt.v_hat_max[0] >= prev - 0.0).all()
-            prev = opt.v_hat_max[0].copy()
+            opt.step(w, rng.normal(size=6))
+            assert (opt.v_hat_max >= prev - 0.0).all()
+            prev = opt.v_hat_max.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +262,26 @@ def relu_margin(network: Network, x: np.ndarray) -> float:
 
 
 def numeric_gradients(network: Network, x, y, h=1e-5):
-    grads = []
-    for p in network.params:
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            up, _ = loss_and_grad(
-                network.spec.loss, network.forward(x, train=True), y,
-                network.spec.weather_count,
-            )
-            p[idx] = orig - h
-            down, _ = loss_and_grad(
-                network.spec.loss, network.forward(x, train=True), y,
-                network.spec.weather_count,
-            )
-            p[idx] = orig
-            g[idx] = (up - down) / (2 * h)
-            it.iternext()
-        grads.append(g)
-    return grads
+    p = network.theta
+    g = np.zeros_like(p)
+    it = np.nditer(p, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        orig = p[idx]
+        p[idx] = orig + h
+        up, _ = loss_and_grad(
+            network.spec.loss, network.forward(x, train=True), y,
+            network.spec.weather_count,
+        )
+        p[idx] = orig - h
+        down, _ = loss_and_grad(
+            network.spec.loss, network.forward(x, train=True), y,
+            network.spec.weather_count,
+        )
+        p[idx] = orig
+        g[idx] = (up - down) / (2 * h)
+        it.iternext()
+    return g
 
 
 def per_array(network: Network, vector: np.ndarray) -> list[np.ndarray]:
@@ -320,11 +326,11 @@ class TestGradientCheck:
     def test_analytic_matches_central_differences(self, seed):
         net, x, y = random_config(seed)
         _, analytic = net.loss_and_gradients(x, y, train=True)
-        analytic = [g.copy() for g in analytic]
+        analytic = analytic.copy()
         numeric = numeric_gradients(net, x, y)
         # compare array by array: one norm over the whole vector would let a
         # small array's error hide behind a large one
-        for a, n in zip(per_array(net, analytic[0]), per_array(net, numeric[0])):
+        for a, n in zip(per_array(net, analytic), per_array(net, numeric)):
             # floor the denominator: a bias feeding batch norm has an exactly
             # zero gradient, where both sides are pure rounding noise
             denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-4)
@@ -414,12 +420,12 @@ class TestTraining:
         states = []
 
         def poisoned(*args, **kwargs):
-            loss, grads = original(*args, **kwargs)
+            loss, grad = original(*args, **kwargs)
             calls.append(1)
             states.append(net.get_state())
             if len(calls) == 12:  # epoch 3 of 5 batches per epoch
-                net.layers[0].db[0] = np.inf  # lands in grads[0], the gradient vector
-            return loss, grads
+                net.layers[0].db[0] = np.inf  # lands in grad, the gradient vector
+            return loss, grad
 
         net.loss_and_gradients = poisoned
         cfg = TrainConfig(batch_size=16, max_epochs=10, patience=10, seed=7)
@@ -447,10 +453,12 @@ class TestTraining:
 
     @pytest.mark.parametrize("setting, value", [
         ("batch_size", True), ("batch_size", 4.5), ("max_epochs", 2.5), ("patience", "3"),
+        ("seed", 2.9), ("seed", True), ("seed", "3"),
     ])
     def test_count_settings_must_be_integers(self, setting, value):
         """batch_size=True used to train with batches of one, and a float count
-        to fail deep inside training with a TypeError naming no setting."""
+        to fail deep inside training with a TypeError naming no setting; a seed
+        of 2.9 used to be kept and train as seed 2."""
         from canopy.nn import TrainConfig
 
         with pytest.raises(TypeError, match=f"^{setting} must be an integer, got "):
@@ -472,10 +480,11 @@ class TestTraining:
 
         spec = NetworkSpec(in_dim=np.int64(3), out_dim=np.int32(2), hidden=(np.int64(4),),
                            loss="hybrid", weather_count=np.int64(1))
-        cfg = TrainConfig(batch_size=np.int64(8), max_epochs=np.int16(2), patience=np.int64(1))
+        cfg = TrainConfig(batch_size=np.int64(8), max_epochs=np.int16(2), patience=np.int64(1),
+                          seed=np.uint32(5))
         counts = (spec.in_dim, spec.out_dim, *spec.hidden, spec.weather_count, cfg.batch_size,
-                  cfg.max_epochs, cfg.patience)
-        assert [type(c) for c in counts] == [int] * 7
+                  cfg.max_epochs, cfg.patience, cfg.seed)
+        assert [type(c) for c in counts] == [int] * 8
 
     @pytest.mark.parametrize("value", [-1e-3, -math.inf, math.nan, math.inf])
     def test_negative_or_non_finite_min_delta_refused(self, value):
@@ -630,7 +639,6 @@ class TestParameterVector:
 
     @staticmethod
     def check_layout(net: Network) -> None:
-        assert len(net.params) == 1 and net.params[0] is net.theta
         assert net.theta.shape == net.grad.shape and net.theta.ndim == 1
         assert net.theta.base is net.state and net.theta.ctypes.data == net.state.ctypes.data
         start, spans = 0, []
@@ -670,9 +678,9 @@ class TestParameterVector:
     def test_init(self):
         net = Network.init(self.SPEC, seed=1)
         self.check_layout(net)
-        _, grads = net.loss_and_gradients(make_rng(1).normal(size=(5, 4)),
-                                          np.tile([1.0, 0, 1, 0, 1], (5, 1)), rng=make_rng(1))
-        assert len(grads) == 1 and grads[0] is net.grad and net.grad.any()
+        _, grad = net.loss_and_gradients(make_rng(1).normal(size=(5, 4)),
+                                         np.tile([1.0, 0, 1, 0, 1], (5, 1)), rng=make_rng(1))
+        assert grad is net.grad and net.grad.any()
 
     def test_train(self):
         net = self.trained()
