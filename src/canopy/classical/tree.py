@@ -244,7 +244,9 @@ def tree_fit(
                 feats = np.arange(n_features)
             if cutpoint == "best":
                 block = order if n_candidates == n_features else order[feats]
-                found = _best_splits(XT[feats[:, None], block], block, target, n_classes)
+                # one flat take: row f of XT starts at f * len(y)
+                values = XT.ravel().take(block + (feats * len(y))[:, None])
+                found = _best_splits(values, block, target, n_classes)
             else:
                 found = _random_splits(XT[feats[:, None], idx], idx, target, n_classes, rng)
             for j, s, t, m in zip(feats[found[0]].tolist(), *found[1:]):

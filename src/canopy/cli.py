@@ -65,7 +65,7 @@ def _checked(convert, accept):
 
 
 _index = _checked(int, lambda n: n >= 0)
-_fold_count = _checked(int, lambda k: k >= 2)
+_count2 = _checked(int, lambda n: n >= 2)  # folds; batch-norm batches
 _count = _checked(int, lambda n: n >= 1)
 _rate = _checked(float, lambda r: 0.0 <= r < 1.0)  # NaN fails too
 _unit = _checked(float, lambda u: 0.0 <= u <= 1.0)
@@ -83,7 +83,7 @@ def _beta(value) -> float:
 
 KINDS = {
     _index: "a non-negative integer",
-    _fold_count: "an integer >= 2",
+    _count2: "an integer >= 2",
     _count: "a positive integer",
     _counts: "comma-separated positive integers",
     _rate: "a number in [0, 1)",
@@ -101,13 +101,13 @@ OPTIONS = {
     "beta": (2, _beta),
     "mode": ("coordinate", str),
     "vocab": ("infer", str),
-    "k": (5, _fold_count),
+    "k": (5, _count2),
     "seed": (0, _index),
     "weights": (None, _counts),
     "val_fold": (0, _index),
     "hidden": ("64", _counts),
     "dropout": (0.25, _rate),
-    "batch_size": (128, _count),
+    "batch_size": (128, _count2),
     "epochs": (50, _count),
     "patience": (10, _count),
     "optimizer": ("amsgrad", str),

@@ -1,7 +1,10 @@
 """Network layers: dense (optionally fused with an activation), batch
 normalization with running statistics, standalone activation, and inverted
-dropout. Each layer caches what its own backward pass needs. ``PARAMS``
-names its trainable arrays, whose gradients (``dW`` for ``W``, ...)
+dropout. Each layer caches what its own backward pass needs, and writes in
+place only into its own arrays and those it made, never into its input,
+the gradient it is given or another layer's cache; a network's first
+``Dense`` skips the gradient with respect to its input, which nothing
+reads. ``PARAMS`` names its trainable arrays, whose gradients (``dW`` for ``W``, ...)
 ``backward`` writes in place; ``ARRAYS`` is ``PARAMS`` and then any running
 statistics, in the order a checkpoint saves them. Every array is updated in
 place, never rebound, so in a ``Network`` each stays a view into its
@@ -38,14 +41,18 @@ class Dense:
 
     def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
         self._x = x
-        self._out = self._act(x @ self.W + self.b)
+        z = x @ self.W
+        z += self.b
+        self._out = self._act(z)
         return self._out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Write ``dW`` and ``db``; return the gradient with respect to the
+        input, or None when ``input_grad`` is false (a network's first layer)."""
         dz = self._act_grad(self._out, grad)
-        self.dW[...] = self._x.T @ dz
-        self.db[...] = dz.sum(axis=0)
-        return dz @ self.W.T
+        np.matmul(self._x.T, dz, out=self.dW)
+        np.add.reduce(dz, axis=0, out=self.db)
+        return dz @ self.W.T if input_grad else None
 
 
 class Activation:
@@ -100,12 +107,15 @@ class BatchNorm:
 
     def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
         if train:
-            if x.shape[0] < 2:
+            m = x.shape[0]
+            if m < 2:
                 raise ValueError("batch norm in train mode needs a batch of >= 2")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)  # biased, 1/m
+            # np.mean's and np.var's arithmetic, with the batch centred once
+            mean = np.add.reduce(x, axis=0) / m
+            x_hat = x - mean
+            var = np.add.reduce(x_hat * x_hat, axis=0) / m  # biased, 1/m
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            x_hat = (x - mean) * inv_std
+            x_hat *= inv_std
             for running, batch in ((self.running_mean, mean), (self.running_var, var)):
                 running *= self.momentum
                 running += (1 - self.momentum) * batch
@@ -114,22 +124,30 @@ class BatchNorm:
             inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
             x_hat = (x - self.running_mean) * inv_std
             self._cache = None
-        return self.gamma * x_hat + self.beta
+        out = self.gamma * x_hat
+        out += self.beta
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        """Backprop through the batch mean and variance:
+        inv_std / m * (m dx_hat - sum(dx_hat) - x_hat sum(dx_hat x_hat)),
+        with dx_hat = grad gamma, evaluated in that order on one scratch array."""
         if self._cache is None:
             raise RuntimeError("backward requires a preceding train-mode forward")
         x_hat, inv_std = self._cache
         m = x_hat.shape[0]
-        self.dgamma[...] = (grad * x_hat).sum(axis=0)
-        self.dbeta[...] = grad.sum(axis=0)
-        dx_hat = grad * self.gamma
-        # backprop through the batch mean and variance
-        return (
-            inv_std
-            / m
-            * (m * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0))
-        )
+        scratch = np.multiply(grad, x_hat)
+        np.add.reduce(scratch, axis=0, out=self.dgamma)
+        np.add.reduce(grad, axis=0, out=self.dbeta)
+        dx = np.multiply(grad, self.gamma)
+        dx_hat_sum = np.add.reduce(dx, axis=0)
+        np.multiply(dx, x_hat, out=scratch)
+        np.multiply(x_hat, np.add.reduce(scratch, axis=0), out=scratch)
+        dx *= m
+        dx -= dx_hat_sum
+        dx -= scratch
+        dx *= inv_std / m
+        return dx
 
 
 class Dropout:

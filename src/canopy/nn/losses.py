@@ -21,15 +21,28 @@ from .activations import sigmoid, softmax
 CLAMP = 1e-12
 
 
-def _clamped_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.clip(p, CLAMP, 1.0 - CLAMP))
+def _clamped_log(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log(clip(p, CLAMP, 1 - CLAMP)), written into ``out`` (``p`` itself may
+    be passed) or a new array."""
+    q = np.maximum(p, CLAMP, out=out)
+    np.minimum(q, 1.0 - CLAMP, out=q)
+    return np.log(q, out=q)
 
 
 def _bce(logits: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
+    """-(t log p + (1 - t) log(1 - p)).sum() / cells and (p - t) / cells,
+    built in place in that order."""
     p = sigmoid(logits)
     n_cells = truth.size
-    loss = -(truth * _clamped_log(p) + (1.0 - truth) * _clamped_log(1.0 - p)).sum() / n_cells
-    return float(loss), (p - truth) / n_cells
+    terms = _clamped_log(p)
+    terms *= truth
+    negative = np.subtract(1.0, p)
+    _clamped_log(negative, out=negative)
+    negative *= 1.0 - truth
+    terms += negative
+    p -= truth
+    p /= n_cells
+    return float(-terms.sum() / n_cells), p
 
 
 def _softmax_ce(logits: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:

@@ -120,11 +120,14 @@ class Network:
             out = layer.forward(out, train=train, rng=rng)
         return out
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Write every parameter gradient into ``grad``. The gradient with
+        respect to the input is not computed: the first layer (a ``Dense``)
+        stops at its ``dW`` and ``db``."""
         grad = grad_logits
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             grad = layer.backward(grad)
-        return grad
+        self.layers[0].backward(grad, input_grad=False)
 
     def loss_and_gradients(
         self, x: np.ndarray, y: np.ndarray, train: bool = True, rng=None

@@ -45,6 +45,7 @@ class Adam:
         self.m = np.zeros_like(w)
         self.v = np.zeros_like(w)
         self.v_hat_max = np.zeros_like(w) if amsgrad else None
+        self._scratch = (np.empty_like(w), np.empty_like(w))
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         """Step ``w`` in place along gradient ``g``; both are checked before any write."""
@@ -54,12 +55,22 @@ class Adam:
         if not np.isfinite(g).all():
             raise OptimizerDiverged(f"non-finite gradient at step {self.t + 1}")
         self.t += 1
+        # one in-place pass per line, through two scratch arrays, in the order of
+        # m += (1 - b1) g;  v += ((1 - b2) g) g;  w -= (alpha m_hat) / (sqrt(v_hat) + eps)
+        a, b = self._scratch
+        np.multiply(g, 1.0 - self.beta1, out=a)
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
+        self.m += a
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        a *= g
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
+        self.v += a
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=a)  # m_hat
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=b)  # v_hat
         if self.amsgrad:
-            v_hat = np.maximum(self.v_hat_max, v_hat, out=self.v_hat_max)
-        w -= self.alpha * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.maximum(self.v_hat_max, b, out=self.v_hat_max)
+        np.sqrt(self.v_hat_max if self.amsgrad else b, out=b)
+        b += self.epsilon
+        a *= self.alpha
+        a /= b
+        w -= a

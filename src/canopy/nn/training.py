@@ -81,7 +81,8 @@ def train(
     gradient's message names the array of its first non-finite entry.
     Training data with no rows, or with ``x`` and ``y`` of different row
     counts, is refused before the first step, and so is validation data
-    with no rows, unequal row counts, or widths other than the network's.
+    with no rows, unequal row counts, or widths other than the network's,
+    and a batch-normalized network with ``batch_size`` below 2.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -116,6 +117,9 @@ def train(
     has_bn = network.spec.batch_norm
     if has_bn and n < 2:
         raise ValueError("batch-normalized networks need at least 2 training samples")
+    if has_bn and config.batch_size < 2:
+        raise ValueError(
+            f"batch-normalized networks need batch_size >= 2, got {config.batch_size}")
     starts = list(range(0, n, config.batch_size))
     # BN cannot normalize a single row: fold a trailing singleton into the
     # previous batch (sizes become b, ..., b, b+1)

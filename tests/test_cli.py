@@ -184,8 +184,9 @@ BAD_FLAG_VALUES = [
     # each value refused by its kind, where a later check used to refuse it
     # without naming the flag, or only after reading every input
     *[(["stack", "--truth", "missing.csv", "--folds", "missing.csv", option, value], option, None)
-      for option, value in [("--epochs", "0"), ("--batch-size", "-3"), ("--patience", "0"),
-                            ("--hidden", "0"), ("--hidden", "64,0"), ("--dropout", "1")]],
+      for option, value in [("--epochs", "0"), ("--batch-size", "-3"), ("--batch-size", "1"),
+                            ("--patience", "0"), ("--hidden", "0"), ("--hidden", "64,0"),
+                            ("--dropout", "1")]],
     (["vote", "--pred", "missing.csv", "--weights", "0,1"], "--weights", None),
     (["preprocess", "--in", "missing.npy", "--out", "o.npy", "--augment", "spin"],
      "--augment", None),

@@ -495,6 +495,21 @@ class TestTraining:
         with pytest.raises(ValueError, match="min_delta must be non-negative and finite"):
             TrainConfig(min_delta=value)
 
+    def test_batch_of_one_refused_for_batch_norm_before_the_first_step(self):
+        """batch_size=1 used to fail in the first step, inside batch norm,
+        with a message that named no setting."""
+        from canopy.nn import TrainConfig, train
+
+        rng = make_rng(12)
+        x, y = self.separable_problem(rng, n=10)
+        net = Network.init(NetworkSpec(in_dim=3, out_dim=3, hidden=(4,), batch_norm=True), seed=12)
+        start = net.get_state()
+        with pytest.raises(ValueError, match="^batch-normalized networks need batch_size >= 2, got 1$"):
+            train(net, x, y, x, y, TrainConfig(batch_size=1, max_epochs=2))
+        assert net.get_state().tobytes() == start.tobytes()
+        plain = Network.init(NetworkSpec(in_dim=3, out_dim=3, hidden=(4,)), seed=12)
+        assert train(plain, x, y, x, y, TrainConfig(batch_size=1, max_epochs=2)).epochs_run == 2
+
     def test_empty_training_set_refused_before_the_first_step(self):
         """Without batch norm, no rows used to run every epoch with no batch
         and record a NaN train loss."""
