@@ -33,6 +33,7 @@ from .data import (
     FOLD_HEADER,
     KEY_COLUMN,
     TAG_HEADER,
+    THRESHOLD_HEADER,
     DataError,
     FeatureMatrix,
     LabelMatrix,
@@ -152,29 +153,33 @@ def _read_config_file(path: str) -> dict[str, list[str]]:
         if "=" not in line:
             raise DataError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        out.setdefault(key.strip().replace("-", "_"), []).append(value.strip())
+        out.setdefault(key.strip(), []).append(value.strip())
     return out
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Config-file values fill in flags the user did not set explicitly. Each
-    key obeys its flag's own ``choices``; a repeatable (``append``) flag takes
-    every value of its key, any other flag the last."""
+    """Config-file values fill in flags the user did not set explicitly. Keys
+    are the long names of flags that take a value, ``config`` aside; each obeys
+    its flag's ``choices``, and a repeatable (``append``) flag takes every value
+    of its key, any other flag the last."""
     if not getattr(args, "config", None):
         return
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in commands.choices[args.command]._actions}
+    actions = {flag[2:]: a for a in commands.choices[args.command]._actions
+               for flag in a.option_strings if flag.startswith("--")}
     for key, values in _read_config_file(args.config).items():
         action = actions.get(key)
-        if action is None or not hasattr(args, key):
+        if action is None:
             raise DataError(f"{args.config}: unknown config key {key!r}")
+        if action.nargs == 0 or action.dest == "config":
+            raise DataError(f"{args.config}: config key {key!r} cannot be set in a config file")
         for raw in values:
             if action.choices is not None and raw not in action.choices:
                 allowed = ", ".join(action.choices)
                 raise DataError(f"{args.config}: {key} must be one of {allowed}, got {raw!r}")
-        if getattr(args, key) is None:  # an explicit flag wins
+        if getattr(args, action.dest) is None:  # an explicit flag wins
             repeatable = isinstance(action, argparse._AppendAction)
-            setattr(args, key, values if repeatable else values[-1])
+            setattr(args, action.dest, values if repeatable else values[-1])
 
 
 def _stamp(path: str | Path) -> tuple[int, int, int] | None:
@@ -433,12 +438,12 @@ def cmd_train(args, manifest: Manifest) -> int:
 
 
 def cmd_stack(args, manifest: Manifest) -> int:
+    if not args.probs:
+        raise DataError("stack needs at least one --probs file")
     train = TrainConfig(batch_size=args.batch_size, max_epochs=args.epochs,
                         patience=args.patience, optimizer=args.optimizer, seed=args.seed)
     config = MetaLearnerConfig(hidden_units=args.hidden, dropout=args.dropout, train=train)
     truth_ids, truth = manifest.load(args.truth, load_tags, _vocab_from_arg(args))
-    if not args.probs:
-        raise DataError("stack needs at least one --probs file")
     blocks = []
     for path in args.probs:
         prob_ids, probs = manifest.load(path, load_probs, truth.vocab)
@@ -516,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="per-class + Total scoreboard for predictions")
     p.add_argument("--pred", required=True, help="probability CSV (hard 0/1 also fine)")
     p.add_argument("--truth", required=True, help="tag CSV with ground truth")
-    p.add_argument("--thresholds", help="label,threshold CSV; default uniform cutoff")
+    p.add_argument("--thresholds", help=f"{','.join(THRESHOLD_HEADER)} CSV; default uniform cutoff")
     _option(p, "cutoff", "uniform cutoff in [0, 1]")
     p.add_argument("--out", help="write the scoreboard as CSV here")
     _add_common(p, cmd_metrics, with_seed=False)
@@ -526,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     _option(p, "beta", "F-beta weight")
     _option(p, "mode", choices=("coordinate", "per-class"))
-    p.add_argument("--out", help="write label,threshold CSV here")
+    p.add_argument("--out", help=f"write {','.join(THRESHOLD_HEADER)} CSV here")
     _add_common(p, cmd_tune_thresholds, with_seed=False)
 
     p = sub.add_parser("vote", help="weighted majority vote over hard predictions")
@@ -573,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "patience")
     _option(p, "optimizer", choices=("adam", "amsgrad"))
     p.add_argument("--out", help="validation-fold meta probabilities CSV")
-    p.add_argument("--thresholds-out", help="tuned label,threshold CSV")
+    p.add_argument("--thresholds-out", help=f"tuned {','.join(THRESHOLD_HEADER)} CSV")
     p.add_argument("--checkpoint", help="meta-learner checkpoint JSON")
     _add_common(p, cmd_stack)
 

@@ -27,6 +27,7 @@ FLOAT_FMT = f"%.{DECIMALS}f"
 KEY_COLUMN = "image_name"  # the first header cell of every per-sample CSV
 TAG_HEADER = (KEY_COLUMN, "tags")
 FOLD_HEADER = (KEY_COLUMN, "fold")
+THRESHOLD_HEADER = ("label", "threshold")
 
 
 class DataError(Exception):

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LabelMatrix, LabelVocabulary, ProbMatrix, _Rows, frozen, make_rng
+from .data import LabelMatrix, LabelVocabulary, ProbMatrix, _Rows, frozen
 from .nn import Network, NetworkSpec, TrainConfig, TrainResult, train
 
 
@@ -142,14 +142,12 @@ def stack_train(
     truth: LabelMatrix,
     config: MetaLearnerConfig,
     seed: int,
-    val_indices=None,
+    val_indices,
 ) -> StackModel:
     """Train the integrated-stacking meta-learner on out-of-fold features.
 
-    The validation split driving early stopping and best-F2 checkpointing
-    is either the explicit ``val_indices`` (e.g. one CV fold) or, by
-    default, the trailing ``round(0.2 n)`` rows (at least one) of a
-    permutation seeded with ``seed``; the other rows train.
+    ``val_indices`` (e.g. one CV fold) is the validation split driving early
+    stopping and best-F2 checkpointing; the other rows train.
     """
     if features.n_samples != truth.n_samples:
         raise ValueError("features and truth disagree on the number of samples")
@@ -157,17 +155,10 @@ def stack_train(
         raise ValueError("features and truth use different vocabularies")
 
     n = features.n_samples
-    if val_indices is not None:
-        va = _sample_indices(val_indices, n, "val_indices")
-        if va.size == 0 or va.size >= n:
-            raise ValueError("val_indices must be a proper non-empty subset")
-        tr = np.setdiff1d(np.arange(n), va)
-    else:
-        n_val = max(1, int(round(n * 0.2)))
-        if n_val >= n:
-            raise ValueError("not enough samples to carve out a validation split")
-        order = make_rng(seed).permutation(n)
-        tr, va = order[:-n_val], order[-n_val:]
+    va = _sample_indices(val_indices, n, "val_indices")
+    if va.size == 0 or va.size >= n:
+        raise ValueError("val_indices must be a proper non-empty subset")
+    tr = np.setdiff1d(np.arange(n), va)
 
     spec = NetworkSpec(
         in_dim=features.values.shape[1],

@@ -5,7 +5,7 @@ checkpointing. Everything runs on float64 numpy for exact reproducibility.
 
 from .activations import relu, sigmoid, softmax
 from .layers import Activation, BatchNorm, Dense, Dropout
-from .losses import loss_and_grad, predict_head
+from .losses import head_loss, loss_and_grad, predict_head
 from .network import Network, NetworkSpec
 from .optim import Adam, OptimizerDiverged
 from .training import TrainConfig, TrainingDiverged, TrainResult, train
@@ -23,6 +23,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainingDiverged",
+    "head_loss",
     "load_checkpoint",
     "loss_and_grad",
     "predict_head",

@@ -79,28 +79,21 @@ class BatchNorm:
     Train mode normalizes with the biased batch statistics (and needs a
     batch of at least 2); inference normalizes with the frozen running
     statistics, so repeated calls are pure. Running stats follow, in place,
-    running = momentum * running + (1 - momentum) * batch.
+    running = momentum * running + (1 - momentum) * batch, momentum = 0.99.
     """
 
     PARAMS = ("gamma", "beta")
     ARRAYS = (*PARAMS, "running_mean", "running_var")
+    momentum = 0.99
 
-    def __init__(
-        self,
-        n_features: int,
-        epsilon: float = 1e-5,
-        momentum: float = 0.99,
-    ):
+    def __init__(self, n_features: int, epsilon: float = 1e-5):
         if epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must lie in (0, 1)")
         self.gamma = np.ones(n_features)
         self.beta = np.zeros(n_features)
         self.running_mean = np.zeros(n_features)
         self.running_var = np.ones(n_features)
         self.epsilon = float(epsilon)
-        self.momentum = float(momentum)
         self.dgamma = np.zeros(n_features)
         self.dbeta = np.zeros(n_features)
         self._cache = None

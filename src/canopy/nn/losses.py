@@ -8,8 +8,8 @@ Three kinds:
   columns (mutually exclusive labels, truth one-hot there) plus mean BCE
   over the remaining columns; the two terms add.
 
-Probabilities are clamped to [1e-12, 1 - 1e-12] inside the logs only, so
-the returned gradients are those of the unclamped loss.
+Losses and gradients start from ``predict_head``'s probabilities, clamped to
+[1e-12, 1 - 1e-12] inside the logs only: the gradients are the unclamped loss's.
 """
 
 from __future__ import annotations
@@ -29,30 +29,21 @@ def _clamped_log(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.log(q, out=q)
 
 
-def _bce(logits: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
-    """-(t log p + (1 - t) log(1 - p)).sum() / cells and (p - t) / cells,
-    built in place in that order."""
-    p = sigmoid(logits)
-    n_cells = truth.size
+def _bce(p: np.ndarray, truth: np.ndarray) -> float:
+    """-(t log p + (1 - t) log(1 - p)).sum() / cells, built in place in that order."""
     terms = _clamped_log(p)
     terms *= truth
     negative = np.subtract(1.0, p)
     _clamped_log(negative, out=negative)
     negative *= 1.0 - truth
     terms += negative
-    p -= truth
-    p /= n_cells
-    return float(-terms.sum() / n_cells), p
+    return float(-terms.sum() / truth.size)
 
 
-def _softmax_ce(logits: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
-    rows = truth.sum(axis=1)
-    if not np.allclose(rows, 1.0):
+def _softmax_ce(p: np.ndarray, truth: np.ndarray) -> float:
+    if not np.allclose(truth.sum(axis=1), 1.0):
         raise ValueError("softmax cross-entropy requires one-hot truth rows")
-    p = softmax(logits)
-    n = truth.shape[0]
-    loss = -(truth * _clamped_log(p)).sum() / n
-    return float(loss), (p - truth) / n
+    return float(-(truth * _clamped_log(p)).sum() / truth.shape[0])
 
 
 def check_head(kind: str, weather_count: int, width: int) -> None:
@@ -67,24 +58,6 @@ def check_head(kind: str, weather_count: int, width: int) -> None:
         )
 
 
-def loss_and_grad(
-    kind: str, logits: np.ndarray, truth: np.ndarray, weather_count: int = 0
-) -> tuple[float, np.ndarray]:
-    """Return (scalar loss, dloss/dlogits) for a batch."""
-    logits = np.asarray(logits, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if logits.shape != truth.shape:
-        raise ValueError(f"logits {logits.shape} and truth {truth.shape} differ")
-    check_head(kind, weather_count, logits.shape[-1])
-    if kind == "bce":
-        return _bce(logits, truth)
-    if kind == "softmax_ce":
-        return _softmax_ce(logits, truth)
-    wl, wg = _softmax_ce(logits[:, :weather_count], truth[:, :weather_count])
-    gl, gg = _bce(logits[:, weather_count:], truth[:, weather_count:])
-    return wl + gl, np.concatenate([wg, gg], axis=1)
-
-
 def predict_head(kind: str, logits: np.ndarray, weather_count: int = 0) -> np.ndarray:
     """Map logits to probabilities with the head matching the loss kind."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -96,3 +69,33 @@ def predict_head(kind: str, logits: np.ndarray, weather_count: int = 0) -> np.nd
     return np.concatenate(
         [softmax(logits[:, :weather_count]), sigmoid(logits[:, weather_count:])], axis=1
     )
+
+
+def head_loss(kind: str, probs: np.ndarray, truth: np.ndarray, weather_count: int = 0) -> float:
+    """The loss of ``predict_head``'s ``probs`` against ``truth``; ``probs`` is not written."""
+    if kind == "bce":
+        return _bce(probs, truth)
+    if kind == "softmax_ce":
+        return _softmax_ce(probs, truth)
+    wc = weather_count
+    return _softmax_ce(probs[:, :wc], truth[:, :wc]) + _bce(probs[:, wc:], truth[:, wc:])
+
+
+def loss_and_grad(
+    kind: str, logits: np.ndarray, truth: np.ndarray, weather_count: int = 0
+) -> tuple[float, np.ndarray]:
+    """Return (scalar loss, dloss/dlogits) for a batch: ``p - t`` over the
+    rows in softmax columns, over the cells in sigmoid columns."""
+    logits = np.asarray(logits, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if logits.shape != truth.shape:
+        raise ValueError(f"logits {logits.shape} and truth {truth.shape} differ")
+    p = predict_head(kind, logits, weather_count)
+    loss = head_loss(kind, p, truth, weather_count)
+    p -= truth
+    if kind == "hybrid":
+        p[:, :weather_count] /= len(truth)
+        p[:, weather_count:] /= truth[:, weather_count:].size
+    else:
+        p /= len(truth) if kind == "softmax_ce" else truth.size
+    return loss, p

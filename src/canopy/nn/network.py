@@ -130,10 +130,10 @@ class Network:
         self.layers[0].backward(grad, input_grad=False)
 
     def loss_and_gradients(
-        self, x: np.ndarray, y: np.ndarray, train: bool = True, rng=None
+        self, x: np.ndarray, y: np.ndarray, rng=None
     ) -> tuple[float, np.ndarray]:
-        """One forward/backward pass; returns (loss, ``grad``)."""
-        logits = self.forward(x, train=train, rng=rng)
+        """One train-mode forward/backward pass; returns (loss, ``grad``)."""
+        logits = self.forward(x, train=True, rng=rng)
         loss, dlogits = loss_and_grad(self.spec.loss, logits, y, self.spec.weather_count)
         self.backward(dlogits)
         return loss, self.grad

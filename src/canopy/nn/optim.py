@@ -7,8 +7,8 @@ Per step t (incremented first):
     AMSGrad only:  v_hat <- max(previous v_hat, v_hat)   (elementwise)
     w <- w - alpha * m_hat / (sqrt(v_hat) + eps)
 
-b1 = 0.9 and b2 = 0.999 are fixed (Kingma & Ba 2015); alpha defaults to
-0.001 and eps to 1e-8.
+b1 = 0.9, b2 = 0.999 and eps = 1e-8 are fixed (Kingma & Ba 2015); alpha
+defaults to 0.001.
 """
 
 from __future__ import annotations
@@ -22,24 +22,16 @@ class OptimizerDiverged(RuntimeError):
 
 class Adam:
     """In-place Adam/AMSGrad over one parameter array (a Network passes
-    ``theta``); ``alpha`` and ``epsilon`` must be positive, finite."""
+    ``theta``); ``alpha`` must be positive and finite."""
 
     beta1 = 0.9
     beta2 = 0.999
+    epsilon = 1e-8
 
-    def __init__(
-        self,
-        w: np.ndarray,
-        alpha: float = 0.001,
-        epsilon: float = 1e-8,
-        amsgrad: bool = False,
-    ):
+    def __init__(self, w: np.ndarray, alpha: float = 0.001, amsgrad: bool = False):
         if not 0.0 < alpha < np.inf:  # NaN fails too
             raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-        if not 0.0 < epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
         self.alpha = float(alpha)
-        self.epsilon = float(epsilon)
         self.amsgrad = bool(amsgrad)
         self.t = 0
         self.m = np.zeros_like(w)

@@ -3,10 +3,10 @@ best-validation checkpointing.
 
 The two rules are fixed and watch different values. Training stops once
 ``patience`` consecutive epochs fail to bring the validation loss below the
-best so far minus ``min_delta`` (patience on validation loss, Prechelt 1998).
+best so far (patience on validation loss, Prechelt 1998).
 The returned parameters are those of the first epoch with the highest
 validation sample-F2, each prediction binarized at ``DEFAULT_CUTOFF``.
-Adam's moment decays are fixed at 0.9 and 0.999.
+Adam's moment decays are fixed at 0.9 and 0.999, and its epsilon at 1e-8.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from ..data import check_int, make_rng
 from ..metrics import sample_fbeta
 from ..thresholds import DEFAULT_CUTOFF
-from .losses import loss_and_grad, predict_head
+from .losses import head_loss
 from .network import Network
 from .optim import Adam, OptimizerDiverged
 
@@ -29,9 +29,7 @@ class TrainConfig:
     max_epochs: int = 100
     learning_rate: float = 0.001
     optimizer: str = "adam"  # adam | amsgrad
-    epsilon: float = 1e-8
     patience: int = 10
-    min_delta: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -40,8 +38,6 @@ class TrainConfig:
         object.__setattr__(self, "seed", check_int("seed", self.seed))
         if self.optimizer not in ("adam", "amsgrad"):
             raise ValueError("optimizer must be 'adam' or 'amsgrad'")
-        if not 0.0 <= self.min_delta < np.inf:  # NaN fails too
-            raise ValueError(f"min_delta must be non-negative and finite, got {self.min_delta!r}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -103,7 +99,7 @@ def train(
             raise ValueError(
                 f"validation data: {name} has shape {a.shape}, the network needs {width} columns")
     rng = make_rng(config.seed)
-    optimizer = Adam(network.theta, alpha=config.learning_rate, epsilon=config.epsilon,
+    optimizer = Adam(network.theta, alpha=config.learning_rate,
                      amsgrad=config.optimizer == "amsgrad")
     history: dict[str, list[float]] = {"train_loss": [], "val_loss": [], "val_f2": []}
     n = x.shape[0]
@@ -133,7 +129,7 @@ def train(
         for i, start in enumerate(starts):
             stop = starts[i + 1] if i + 1 < len(starts) else n
             idx = order[start:stop]
-            loss, grad = network.loss_and_gradients(x[idx], y[idx], train=True, rng=rng)
+            loss, grad = network.loss_and_gradients(x[idx], y[idx], rng=rng)
             if not np.isfinite(loss):
                 state = network.get_state()
                 raise TrainingDiverged(f"epoch {epoch}: non-finite loss", state, history)
@@ -147,16 +143,12 @@ def train(
                 raise TrainingDiverged(message, network.get_state(), history) from exc
             batch_losses.append(loss)
 
-        val_logits = network.forward(x_val, train=False)
-        val_loss, _ = loss_and_grad(
-            network.spec.loss, val_logits, y_val, network.spec.weather_count
-        )
-        val_probs = predict_head(network.spec.loss, val_logits, network.spec.weather_count)
-        val_pred = (val_probs >= DEFAULT_CUTOFF).astype(np.int8)
-        val_f2 = sample_fbeta(val_pred, y_val.astype(np.int8))
+        val_probs = network.predict_proba(x_val)
+        val_loss = head_loss(spec.loss, val_probs, y_val, spec.weather_count)
+        val_f2 = sample_fbeta((val_probs >= DEFAULT_CUTOFF).astype(np.int8), y_val.astype(np.int8))
 
         history["train_loss"].append(float(np.mean(batch_losses)))
-        history["val_loss"].append(float(val_loss))
+        history["val_loss"].append(val_loss)
         history["val_f2"].append(float(val_f2))
 
         if val_f2 > best_f2:  # sample-F2 of 0/1 predictions is finite
@@ -164,7 +156,7 @@ def train(
             best_state = network.get_state()
             best_epoch = epoch
 
-        if val_loss < best_loss - config.min_delta:
+        if val_loss < best_loss:
             best_loss = val_loss
             stale = 0
         else:

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, LabelMatrix, LabelVocabulary, ProbMatrix, format_rows, read_table
+from .data import (THRESHOLD_HEADER, DataError, LabelMatrix, LabelVocabulary, ProbMatrix,
+                   format_rows, read_table)
 from .metrics import check_beta, fbeta_from_counts
 
 DEFAULT_CUTOFF = 0.5  # the decision cutoff wherever none is tuned or given
@@ -174,7 +175,7 @@ def optimize_thresholds(
 
 
 def save_thresholds(path: str | Path, vocab: LabelVocabulary, cutoffs) -> None:
-    """Two-column CSV `label,threshold`, each cutoff exactly ``FLOAT_FMT % t``."""
+    """Two-column CSV with header THRESHOLD_HEADER, each cutoff exactly ``FLOAT_FMT % t``."""
     th = _cutoffs(cutoffs, len(vocab))
     bad = np.flatnonzero(~((th >= 0.0) & (th <= 1.0)))  # NaN fails both
     if bad.size:
@@ -183,12 +184,13 @@ def save_thresholds(path: str | Path, vocab: LabelVocabulary, cutoffs) -> None:
             f"cutoff {float(th[j])!r} for label {vocab.names[j]!r} is not a finite number in [0, 1]"
         )
     with open(path, "wb") as fh:
-        fh.write(b"label,threshold\n" + format_rows(vocab.names, th[:, None]))
+        fh.write((",".join(THRESHOLD_HEADER) + "\n").encode())
+        fh.write(format_rows(vocab.names, th[:, None]))
 
 
 def load_thresholds(path: str | Path, vocab: LabelVocabulary) -> np.ndarray:
-    """Read a `label,threshold` CSV back into vocabulary order."""
-    table = read_table(path, ("label", "threshold"), width=2, bounds=(0.0, 1.0))
+    """Read a THRESHOLD_HEADER CSV back into vocabulary order."""
+    table = read_table(path, THRESHOLD_HEADER, width=2, bounds=(0.0, 1.0))
     cutoffs = dict(zip(table.ids, table.values[:, 0]))
     try:
         return np.array([cutoffs[name] for name in vocab.names])

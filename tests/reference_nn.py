@@ -5,7 +5,9 @@ the step was made to allocate little and skip unused work.
 ``ReferenceAdam`` keeps a list of moment arrays per parameter array and
 rebuilds each moment every step (``m = b1 m + (1 - b1) g``);
 ``reference_sigmoid`` writes the two halves of the logistic function
-through boolean masks. ``ReferenceDense`` and ``ReferenceBatchNorm`` build
+through boolean masks, and ``reference_loss_and_grad`` applies each loss
+kind's head inside its own loss, where the library derives every loss from
+``predict_head``'s probabilities. ``ReferenceDense`` and ``ReferenceBatchNorm`` build
 every intermediate as a new array (batch norm reduces its batch through
 ``mean`` and ``var``), and the dense layer always returns the gradient with
 respect to its input; ``reference_bce`` clamps with ``np.clip``. The
@@ -153,3 +155,22 @@ def reference_bce(logits, truth):
 def reference_softmax_ce_loss(p, truth):
     """Mean categorical cross-entropy of softmax probabilities ``p``."""
     return float(-(truth * _reference_clamped_log(p)).sum() / truth.shape[0])
+
+
+def _reference_softmax_ce(logits, truth):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    return reference_softmax_ce_loss(p, truth), (p - truth) / truth.shape[0]
+
+
+def reference_loss_and_grad(kind, logits, truth, weather_count=0):
+    """Loss and gradient with each kind's head applied inside its own loss,
+    the hybrid's two halves computed apart and their gradients concatenated."""
+    if kind == "bce":
+        return reference_bce(logits, truth)
+    if kind == "softmax_ce":
+        return _reference_softmax_ce(logits, truth)
+    wc = weather_count
+    soft_loss, soft_grad = _reference_softmax_ce(logits[:, :wc], truth[:, :wc])
+    loss, grad = reference_bce(logits[:, wc:], truth[:, wc:])
+    return soft_loss + loss, np.concatenate([soft_grad, grad], axis=1)

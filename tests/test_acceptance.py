@@ -204,7 +204,7 @@ def test_c07_gradient_check_50_random_configurations():
     with Budget(10.0):
         for seed in range(50):
             net, x, y = random_config(seed)
-            _, analytic = net.loss_and_gradients(x, y, train=True)
+            _, analytic = net.loss_and_gradients(x, y)
             analytic = analytic.copy()
             numeric = numeric_gradients(net, x, y)
             # array by array, as before the parameters became one vector

@@ -200,6 +200,9 @@ BAD_FLAG_VALUES = [
      "--val-fold", None),
     (["stack", "--truth", "missing.csv", "--folds", "missing.csv"], "--val-fold",
      "val-fold = -1"),
+    # a missing repeatable input flag is refused before any file is read
+    (["vote", "--out", "voted.csv"], "--pred", None),
+    (["stack", "--truth", "missing.csv", "--folds", "missing.csv"], "--probs", None),
 ]
 
 
@@ -548,6 +551,12 @@ class TestStackCommand:
         assert named in one_line_error(code, capsys)
         assert not (workspace[0] / "meta.json").exists()
 
+    def test_missing_probs_refused_before_the_truth_is_read(self, workspace, capsys):
+        code = main(["stack", "--truth", "truth.csv", "--folds", "folds.csv"])
+        assert "stack needs at least one --probs file" in one_line_error(code, capsys)
+        manifest = json.loads((workspace[0] / "stack.manifest.json").read_text())
+        assert manifest["inputs"] == {} and manifest["status"] == "error"
+
     def test_allocation_that_cannot_succeed_is_one_line_error(self, workspace, capsys, monkeypatch):
         """numpy refuses an array larger than memory (a huge --hidden, say)
         with a MemoryError; the run ends like any other failed one."""
@@ -689,6 +698,35 @@ class TestConfigAndSeeds:
                      "--k", "2", "--out", "f2.csv"]) == 0
         _, folds2 = load_folds(tmp / "f2.csv")
         assert folds2.k == 2
+
+    def test_config_keys_are_long_flag_names(self, workspace, capsys):
+        """``in`` names --in, whose dest is ``infile``; the dest is no key."""
+        tmp, *_ = workspace
+        img = make_rng(3).uniform(0, 255, size=(2, 3, 3))
+        np.save(tmp / "raw.npy", img)
+        (tmp / "run.cfg").write_text("in = raw.npy\nmode = tf\n")
+        assert main(["preprocess", "--in", "raw.npy", "--out", "x.npy", "--config", "run.cfg"]) == 0
+        from canopy.imageprep import preprocess
+
+        assert (np.load(tmp / "x.npy") == preprocess(img, "tf")).all()
+        (tmp / "run.cfg").write_text("infile = raw.npy\n")
+        code = main(["preprocess", "--in", "raw.npy", "--out", "y.npy", "--config", "run.cfg"])
+        assert "run.cfg: unknown config key 'infile'" in one_line_error(code, capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        ("random-augment", "true"), ("config", "other.cfg"), ("help", "yes"),
+    ])
+    def test_config_key_of_a_flag_without_a_value_refused(self, workspace, capsys, key, value):
+        """``random-augment = true`` and ``config = other.cfg`` used to be
+        dropped without a word: the first flag takes no value, and the
+        config file is read only once."""
+        tmp, *_ = workspace
+        np.save(tmp / "raw.npy", np.zeros((2, 2, 3)))
+        (tmp / "run.cfg").write_text(f"{key} = {value}\n")
+        code = main(["preprocess", "--in", "raw.npy", "--out", "x.npy", "--config", "run.cfg"])
+        err = one_line_error(code, capsys)
+        assert f"run.cfg: config key {key!r} cannot be set in a config file" in err
+        assert not (tmp / "x.npy").exists()
 
     def test_unknown_config_key_is_error(self, workspace, capsys):
         tmp, *_ = workspace

@@ -213,7 +213,7 @@ class TestStackTrain:
             train=TrainConfig(batch_size=64, max_epochs=80, patience=80,
                               learning_rate=0.01, seed=3)
         )
-        model = stack_train(stacked, truth, config, seed=3)
+        model = stack_train(stacked, truth, config, seed=3, val_indices=np.arange(320, 400))
         assert max(model.history["val_f2"]) >= 0.99
 
     def test_learns_identity_when_one_model_is_clean(self):
@@ -229,8 +229,8 @@ class TestStackTrain:
             train=TrainConfig(batch_size=64, max_epochs=60, patience=60,
                               learning_rate=0.01, seed=0)
         )
-        model = stack_train(stacked, truth, config, seed=0)
         va = np.arange(320, 400)
+        model = stack_train(stacked, truth, config, seed=0, val_indices=va)
         probs = model.predict(stacked.values[va])
         pred = LabelMatrix(values=(probs.values >= 0.5).astype(np.int8), vocab=vocab)
         val_truth = LabelMatrix(values=truth.values[va], vocab=vocab)
@@ -251,8 +251,8 @@ class TestStackTrain:
         config = MetaLearnerConfig(
             train=TrainConfig(batch_size=32, max_epochs=8, patience=8, seed=5)
         )
-        h1 = stack_train(stacked, truth, config, seed=5).history
-        h2 = stack_train(stacked, truth, config, seed=5).history
+        h1 = stack_train(stacked, truth, config, seed=5, val_indices=np.arange(96, 120)).history
+        h2 = stack_train(stacked, truth, config, seed=5, val_indices=np.arange(96, 120)).history
         assert h1 == h2
 
     def test_explicit_validation_indices(self):
@@ -265,31 +265,6 @@ class TestStackTrain:
         )
         model = stack_train(stacked, truth, config, seed=1, val_indices=np.arange(30))
         assert len(model.history["val_f2"]) >= 1
-
-    @pytest.mark.parametrize("n, n_val", [(2, 1), (7, 1), (12, 2), (13, 3), (90, 18)])
-    def test_default_split_validates_on_the_last_fifth_of_a_seeded_permutation(
-        self, monkeypatch, n, n_val
-    ):
-        """Without val_indices, the trailing round(0.2 n) rows (at least one)
-        of make_rng(seed).permutation(n) validate and the rest train."""
-        import canopy.ensemble
-        from canopy.nn import TrainResult
-
-        seen = {}
-
-        def fake_train(network, x, y, x_val, y_val, config):
-            seen.update(train=x[:, 0], val=x_val[:, 0])
-            return TrainResult(network=network, history={}, best_epoch=1, epochs_run=1)
-
-        monkeypatch.setattr(canopy.ensemble, "train", fake_train)
-        vocab = make_vocab(2)
-        rows = np.arange(n) / n  # column 0 names each row
-        stacked = StackedFeatures(values=np.column_stack([rows, rows]), n_models=1, vocab=vocab)
-        truth = LabelMatrix(values=np.ones((n, 2), dtype=np.int8), vocab=vocab)
-        stack_train(stacked, truth, MetaLearnerConfig(), seed=4)
-        order = make_rng(4).permutation(n)
-        assert (seen["val"] * n).round().astype(int).tolist() == order[n - n_val:].tolist()
-        assert (seen["train"] * n).round().astype(int).tolist() == order[: n - n_val].tolist()
 
     @pytest.mark.parametrize(
         "val_indices, message",
@@ -322,7 +297,7 @@ class TestStackTrain:
         train = TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=2)
         for loss, weather_count in (("hybrid", 2), ("bce", 0)):
             config = MetaLearnerConfig(loss=loss, train=train)
-            model = stack_train(stacked, truth, config, seed=2)
+            model = stack_train(stacked, truth, config, seed=2, val_indices=np.arange(32, 40))
             assert model.network.spec.weather_count == weather_count
 
     def test_vocabulary_mismatch_rejected(self):
@@ -332,4 +307,5 @@ class TestStackTrain:
         stacked = StackedFeatures(values=models[0].values, n_models=1, vocab=vocab)
         other_truth = LabelMatrix(values=truth.values, vocab=make_vocab(3, weather=1))
         with pytest.raises(ValueError, match="vocabular"):
-            stack_train(stacked, other_truth, MetaLearnerConfig(), seed=0)
+            stack_train(stacked, other_truth, MetaLearnerConfig(), seed=0,
+                        val_indices=np.arange(32, 40))

@@ -1,7 +1,9 @@
 """canopy.nn's training step against the forms in reference_nn: Adam's
 one-array step against the list loop, the maskless sigmoid against the
-masked one, and the in-place dense and batch-norm layers and losses against
-the ones that built every intermediate as a new array. Parameters, moments,
+masked one, the in-place dense and batch-norm layers and losses against
+the ones that built every intermediate as a new array, and each loss, taken
+from ``predict_head``'s probabilities, against each head applied inside its
+own loss. Parameters, moments,
 activations, running statistics, losses and gradients are compared byte for
 byte, NaN and infinities included; a network's first layer must compute no
 input gradient."""
@@ -17,10 +19,10 @@ from hypothesis.extra.numpy import arrays
 from canopy.classical.gbm import sigmoid as gbm_sigmoid
 from canopy.data import make_rng
 from canopy.nn import (Activation, Adam, BatchNorm, Dense, Dropout, Network, NetworkSpec,
-                       OptimizerDiverged, loss_and_grad, sigmoid)
+                       OptimizerDiverged, head_loss, loss_and_grad, predict_head, sigmoid)
 
 from reference_nn import (ReferenceAdam, ReferenceBatchNorm, ReferenceDense, reference_bce,
-                          reference_sigmoid, reference_softmax_ce_loss)
+                          reference_loss_and_grad, reference_sigmoid)
 
 STEPS = 300
 
@@ -32,16 +34,15 @@ STEPS = 300
     seed=st.integers(0, 2**32 - 1),
     zero_share=st.sampled_from([0.0, 0.3, 1.0]),
     alpha=st.sampled_from([1e-3, 1e-2, 0.5]),
-    epsilon=st.sampled_from([1e-8, 1e-3]),
 )
-def test_adam_step_matches_the_list_loop(amsgrad, size, seed, zero_share, alpha, epsilon):
+def test_adam_step_matches_the_list_loop(amsgrad, size, seed, zero_share, alpha):
     """300 steps of gradients whose magnitudes run from 1e-8 to 1e3, with a
     drawn share of zero entries and every 50th gradient all zero."""
     rng = make_rng(seed)
     w = rng.normal(size=size)
     w_ref = w.copy()
-    opt = Adam(w, alpha, epsilon, amsgrad)
-    ref = ReferenceAdam([w_ref], alpha, epsilon, amsgrad)
+    opt = Adam(w, alpha, amsgrad)
+    ref = ReferenceAdam([w_ref], alpha, amsgrad=amsgrad)
     for step in range(STEPS):
         g = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-8, 3, size=size)
         g[rng.random(size) < zero_share] = 0.0
@@ -166,39 +167,55 @@ def check_batch_norm(m, width, constant, epsilon, rng):
 
 
 LOGITS = [0.0, -0.0, 30.0, -30.0, 800.0, -800.0, math.inf, -math.inf]
+KINDS = st.sampled_from(["bce", "softmax_ce", "hybrid"])
+
+
+def head_problem(rng, m, width, kind, soft, special_share):
+    """Logits with a ``special_share`` of LOGITS, whose probabilities hit the
+    clamps, truth (fractional if ``soft``, one-hot in softmax columns) and
+    the head's weather count."""
+    logits = wide_values(rng, (m, width))
+    special = rng.random((m, width)) < special_share
+    logits[special] = rng.choice(LOGITS, size=int(special.sum()))
+    truth = rng.random((m, width)) if soft else (rng.random((m, width)) < 0.3).astype(np.float64)
+    soft_columns = (0 if kind == "bce" else width if kind == "softmax_ce"
+                    else int(rng.integers(1, width)))
+    if soft_columns:
+        truth[:, :soft_columns] = np.eye(soft_columns)[rng.integers(soft_columns, size=m)]
+    return logits, truth, soft_columns if kind == "hybrid" else 0
 
 
 @settings(max_examples=100, deadline=None)
-@given(m=BATCHES, width=st.integers(2, 9), kind=st.sampled_from(["bce", "softmax_ce", "hybrid"]),
-       soft=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@given(m=BATCHES, width=st.integers(2, 9), kind=KINDS, soft=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 def test_losses_match_the_reference(m, width, kind, soft, seed):
-    """Loss and gradient of each head; logits include values whose
-    probabilities hit the clamps, and bce truth may be fractional."""
-    rng = make_rng(seed)
-    logits = wide_values(rng, (m, width))
-    special = rng.random((m, width)) < 0.1
-    logits[special] = rng.choice(LOGITS, size=int(special.sum()))
-    truth = rng.random((m, width)) if soft else (rng.random((m, width)) < 0.3).astype(np.float64)
-    wc = 0 if kind == "bce" else width if kind == "softmax_ce" else int(rng.integers(1, width))
-    if wc:
-        truth[:, :wc] = np.eye(wc)[rng.integers(wc, size=m)]
+    """Loss and gradient of each head, against each head applied inside its
+    own loss; the logits are not written."""
+    logits, truth, wc = head_problem(make_rng(seed), m, width, kind, soft, 0.1)
     logits_before = logits.tobytes()
     with np.errstate(invalid="ignore"):  # softmax of an infinite logit is NaN on both sides
-        loss, grad = loss_and_grad(kind, logits, truth, wc if kind == "hybrid" else 0)
-        if wc:
-            shifted = logits[:, :wc] - logits[:, :wc].max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            p = e / e.sum(axis=1, keepdims=True)
-            soft_loss = reference_softmax_ce_loss(p, truth[:, :wc])
-            soft_grad = (p - truth[:, :wc]) / m
-    if kind == "softmax_ce":
-        want_loss, want_grad = soft_loss, soft_grad
-    else:
-        want_loss, want_grad = reference_bce(logits[:, wc:], truth[:, wc:])
-        if wc:
-            want_loss, want_grad = soft_loss + want_loss, np.concatenate([soft_grad, want_grad], 1)
+        loss, grad = loss_and_grad(kind, logits, truth, wc)
+        want_loss, want_grad = reference_loss_and_grad(kind, logits, truth, wc)
     assert same(loss, want_loss) and same(grad, want_grad)
     assert logits.tobytes() == logits_before
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=BATCHES, width=st.integers(2, 9), kind=KINDS, soft=st.booleans(),
+       special_share=st.sampled_from([0.1, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_head_loss_of_predict_head_is_the_training_loss(m, width, kind, soft, special_share, seed):
+    """``head_loss`` of ``predict_head``'s probabilities, as validation
+    computes it, is the loss a training batch computes, and leaves the
+    probabilities as they were."""
+    logits, truth, wc = head_problem(make_rng(seed), m, width, kind, soft, special_share)
+    with np.errstate(invalid="ignore"):
+        probs = predict_head(kind, logits, wc)
+        probs_before = probs.tobytes()
+        loss = head_loss(kind, probs, truth, wc)
+        want, _ = loss_and_grad(kind, logits, truth, wc)
+        reference, _ = reference_loss_and_grad(kind, logits, truth, wc)
+    assert same(loss, want) and same(loss, reference)
+    assert probs.tobytes() == probs_before
 
 
 def reference_layers(network: Network) -> list:
@@ -259,7 +276,7 @@ def test_training_steps_match_the_reference(m, hidden, dropout, amsgrad, seed):
     for step in range(6):
         x = rng.normal(size=(m, 4))
         y = (rng.random((m, 3)) < 0.4).astype(np.float64)
-        loss, grad = net.loss_and_gradients(x, y, train=True, rng=draws)
+        loss, grad = net.loss_and_gradients(x, y, rng=draws)
         want_loss, want_grads = reference_step(ref, x, y, ref_draws)
         assert same(loss, want_loss), f"step {step + 1}"
         assert same(grad, np.concatenate([g.ravel() for g in want_grads])), f"step {step + 1}"
