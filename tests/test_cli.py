@@ -713,6 +713,21 @@ class TestConfigAndSeeds:
         code = main(["preprocess", "--in", "raw.npy", "--out", "y.npy", "--config", "run.cfg"])
         assert "run.cfg: unknown config key 'infile'" in one_line_error(code, capsys)
 
+    @pytest.mark.parametrize("argv, key", [
+        (["preprocess", "--in", "raw.npy", "--out", "x.npy"], "random_augment"),
+        (["stack", "--probs", "p.csv", "--truth", "truth.csv", "--folds", "f.csv", "--out",
+          "x.npy"], "batch_size"),
+    ], ids=["preprocess", "stack"])
+    def test_dest_spelling_is_no_key(self, workspace, capsys, argv, key):
+        """Only long flag names are keys: ``random_augment`` and ``batch_size``
+        are the dests of --random-augment and --batch-size."""
+        tmp, *_ = workspace
+        np.save(tmp / "raw.npy", np.zeros((2, 2, 3)))
+        (tmp / "run.cfg").write_text(f"{key} = 8\n")
+        code = main([*argv, "--config", "run.cfg"])
+        assert f"run.cfg: unknown config key {key!r}" in one_line_error(code, capsys)
+        assert not (tmp / "x.npy").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("random-augment", "true"), ("config", "other.cfg"), ("help", "yes"),
     ])

@@ -300,6 +300,15 @@ class TestStackTrain:
             model = stack_train(stacked, truth, config, seed=2, val_indices=np.arange(32, 40))
             assert model.network.spec.weather_count == weather_count
 
+    def test_validation_fold_is_required(self):
+        """Every caller names its validation rows; there is no default split."""
+        rng = make_rng(9)
+        vocab = make_vocab(3, weather=1)
+        truth, models = synthetic_base_models(rng, 40, vocab, [0.1])
+        stacked = StackedFeatures(values=models[0].values, n_models=1, vocab=vocab)
+        with pytest.raises(TypeError, match="val_indices"):
+            stack_train(stacked, truth, MetaLearnerConfig(), seed=0)
+
     def test_vocabulary_mismatch_rejected(self):
         rng = make_rng(11)
         vocab = make_vocab(3)

@@ -9,9 +9,11 @@ from canopy.nn import (
     Adam,
     BatchNorm,
     Dense,
+    Dropout,
     Network,
     NetworkSpec,
     OptimizerDiverged,
+    head_loss,
     load_checkpoint,
     loss_and_grad,
     predict_head,
@@ -140,6 +142,24 @@ class TestLosses:
     def test_softmax_ce_requires_one_hot(self):
         with pytest.raises(ValueError, match="one-hot"):
             loss_and_grad("softmax_ce", np.zeros((2, 3)), np.array([[1.0, 1.0, 0.0]] * 2))
+
+    @pytest.mark.parametrize("kind, weather_count", [("bce", 0), ("softmax_ce", 0), ("hybrid", 2)])
+    def test_head_loss_leaves_the_probabilities_unwritten(self, kind, weather_count):
+        """Validation scores the same probabilities after taking their loss,
+        so the clamp and log must not run in place on them; saturated logits
+        give exact 0s and 1s that the clamp would move."""
+        rng = make_rng(11)
+        logits = rng.choice([-800.0, -1.0, 0.0, 1.0, 800.0], size=(6, 4))
+        truth = (rng.random((6, 4)) < 0.5).astype(np.float64)
+        block = {"bce": 0, "softmax_ce": 4, "hybrid": weather_count}[kind]
+        if block:
+            truth[:, :block] = 0.0
+            truth[np.arange(6), rng.integers(0, block, size=6)] = 1.0
+        probs = predict_head(kind, logits, weather_count)
+        before = probs.copy()
+        loss = head_loss(kind, probs, truth, weather_count)
+        assert probs.tobytes() == before.tobytes()
+        assert loss == loss_and_grad(kind, logits, truth, weather_count)[0]
 
 
 class TestAdam:
@@ -397,6 +417,24 @@ class TestTraining:
                 monkeypatch.setattr(module, "loss_and_grad", counted)
         result, _, _ = self.train_small(max_epochs=3, patience=3)  # 80 rows, batches of 16
         assert result.epochs_run == 3 and len(calls) == 3 * 5
+
+    def test_loss_and_gradients_is_a_train_mode_pass(self):
+        """Dropout draws its mask from the rng and batch norm moves its
+        running statistics: there is no inference-mode gradient."""
+        spec = NetworkSpec(in_dim=3, out_dim=2, hidden=(6,), batch_norm=True, dropout=0.5,
+                           loss="bce")
+        net = Network.init(spec, seed=12)
+        assert any(isinstance(layer, Dropout) for layer in net.layers)
+        norm = next(layer for layer in net.layers if isinstance(layer, BatchNorm))
+        rng = make_rng(12)
+        x, y = rng.normal(size=(10, 3)), (rng.random((10, 2)) < 0.5).astype(np.float64)
+        start = norm.running_mean.copy()
+        first, _ = net.loss_and_gradients(x, y, make_rng(1))
+        assert not (norm.running_mean == start).all()
+        second, _ = net.loss_and_gradients(x, y, make_rng(2))
+        assert first != second
+        with pytest.raises(ValueError, match="needs an rng"):
+            net.loss_and_gradients(x, y)
 
     def test_fixed_seed_bit_identical_history(self):
         r1, _, _ = self.train_small(seed=3)

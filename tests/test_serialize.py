@@ -217,6 +217,12 @@ DAMAGE = {
     "hidden width disagrees with spec": (None, lambda raw, doc: _set(doc, ("spec", "hidden"), [7])),
     "activation disagrees with spec": (None, lambda raw, doc: _set(
         doc, ("layers", 2, "name"), "sigmoid")),
+    "batch-norm momentum off its constant": (None, lambda raw, doc: _set(
+        doc, ("layers", 1, "momentum"), 0.9)),
+    "batch-norm epsilon disagrees with spec": (None, lambda raw, doc: _set(
+        doc, ("layers", 1, "epsilon"), 0.0)),
+    "dropout rate disagrees with spec": (None, lambda raw, doc: _set(
+        doc, ("layers", 3, "rate"), 0.5)),
     "empty tree": ("tree", lambda raw, doc: [_set(doc, (*TREE, a), []) for a in
                                              ("feature", "threshold", "left", "right",
                                               "value", "n_samples")]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canopy.data import LabelMatrix, LabelVocabulary, ProbMatrix, make_rng
+from canopy.data import DataError, LabelMatrix, LabelVocabulary, ProbMatrix, make_rng
 from canopy.metrics import sample_fbeta
 from canopy.thresholds import (
     DEFAULT_CUTOFF,
@@ -303,3 +303,11 @@ class TestThresholdIo:
         text = path.read_text()
         assert text.splitlines()[0] == "label,threshold"
         assert "0.157288" in text
+
+    def test_other_header_refused(self, tmp_path):
+        """save_thresholds and load_thresholds share one header."""
+        vocab = make_vocab(2)
+        path = tmp_path / "th.csv"
+        path.write_text("label,cutoff\nlabel_0,0.5\nlabel_1,0.5\n")
+        with pytest.raises(DataError, match="label,threshold"):
+            load_thresholds(path, vocab)
