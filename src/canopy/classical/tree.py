@@ -160,11 +160,11 @@ def _random_splits(block, rows, y, n_classes: int, rng):
 
 
 def check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Every learner's training data: (n, f) float64 ``X`` and n > 0 ``y``."""
+    """Every learner's training data: (n, f) float64 ``X`` with f > 0 and n > 0 ``y``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
-        raise ValueError("X must be (n, f) with a matching non-empty y")
+    if X.ndim != 2 or X.shape[1] == 0 or len(X) != len(y) or len(y) == 0:
+        raise ValueError("X must be (n, f) with f > 0 and a matching non-empty y")
     return X, y
 
 

@@ -20,8 +20,10 @@ import json
 import os
 import secrets
 import sys
+from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -49,10 +51,10 @@ from .ensemble import MetaLearnerConfig, StackedFeatures, stack_train, weighted_
 from .imageprep import (AUGMENT_OPS, MODES, augment, load_image_array, preprocess,
                         random_augment, save_image_array)
 from .metrics import check_beta, report, sample_fbeta, score_csv
-from .nn import TrainConfig, save_checkpoint
+from .nn import OPTIMIZERS, TrainConfig, save_checkpoint
 from .splits import cv_evaluate, load_folds, save_folds, stratified_kfold
-from .thresholds import (DEFAULT_CUTOFF, apply_thresholds, load_thresholds, optimize_thresholds,
-                         save_thresholds)
+from .thresholds import (DEFAULT_CUTOFF, TUNING_MODES, apply_thresholds, load_thresholds,
+                         optimize_thresholds, save_thresholds)
 
 
 def _checked(convert, accept):
@@ -93,55 +95,44 @@ KINDS = {
     _augment_ops: f"a comma list of {','.join(AUGMENT_OPS)}",
 }
 
-# option -> (hard default, conversion). Defaults apply only after --config
-# merging, so a config file can fill any flag the user left unset (explicit
-# flags always win); then every value is converted, once, before any input
-# is read. A seed left unset comes from $CANOPY_SEED before the default.
-OPTIONS = {
-    "cutoff": (DEFAULT_CUTOFF, _unit),
-    "beta": (2, _beta),
-    "mode": ("coordinate", str),
-    "vocab": ("infer", str),
-    "k": (5, _count2),
-    "seed": (0, _index),
-    "weights": (None, _counts),
-    "val_fold": (0, _index),
-    "hidden": ("64", _counts),
-    "dropout": (0.25, _rate),
-    "batch_size": (128, _count2),
-    "epochs": (50, _count),
-    "patience": (10, _count),
-    "optimizer": ("amsgrad", str),
-    "augment": (None, _augment_ops),
-}
+
+class Flag:
+    """A flag, declared once: ``--name`` on the command line, ``name`` as a
+    config-file key, ``dest`` in the parsed arguments. A value left unset
+    comes from the config file, then the ``env`` variable (none if empty:
+    os.environ holds no empty name), then ``default``; ``kind`` (a KINDS
+    converter) then converts it once. A ``repeat`` flag takes every value
+    given; a ``valueless`` one is a switch. A plain slotted class: a
+    dataclass would compile its methods on every import."""
+
+    __slots__ = ("name", "help", "kind", "default", "choices", "required", "repeat",
+                 "valueless", "env", "dest")
+
+    def __init__(self, name: str, help: str = "", kind: Callable | None = None,
+                 default: object = None, choices: tuple[str, ...] | None = None,
+                 required: bool = False, repeat: bool = False, valueless: bool = False,
+                 env: str = "", dest: str = ""):
+        self.name, self.help, self.kind, self.default = name, help, kind, default
+        self.choices, self.required, self.repeat = choices, required, repeat
+        self.valueless, self.env, self.dest = valueless, env, dest or name.replace("-", "_")
+
+    def help_text(self) -> str | None:
+        """The help, ending in "required" or the default if there is one."""
+        note = "required" if self.required else (
+            self.default is not None and f"default {self.default}")
+        return f"{self.help} ({note})" if self.help and note else self.help or note or None
 
 
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
+Command = namedtuple("Command", "run help flags")  # a subcommand's function, help, Flags
 
 
-def _resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Merge --config, fill defaults, and convert every option; a value that
-    does not convert is an error naming its flag (or CANOPY_SEED)."""
-    _apply_config(args, parser)
-    for key, (default, convert) in OPTIONS.items():
-        if not hasattr(args, key) or (key, args.command) == ("mode", "preprocess"):
-            continue  # preprocess's --mode is the pixel convention and has no default
-        name, value = _flag(key), getattr(args, key)
-        if value is None and key == "seed" and "CANOPY_SEED" in os.environ:
-            name, value = "CANOPY_SEED", os.environ["CANOPY_SEED"]
-        elif value is None:
-            value = default
-        try:
-            setattr(args, key, None if value is None else convert(value))
-        except ValueError:
-            raise DataError(f"{name} expects {KINDS[convert]}, got {value!r}") from None
-
-
-def _read_config_file(path: str) -> dict[str, list[str]]:
-    """key = value lines; '#' comments; keys use the long flag names. Each
-    key maps to its values in file order (a repeatable flag takes them all)."""
-    out: dict[str, list[str]] = {}
+def _merge_config(args: argparse.Namespace, flags: tuple[Flag, ...]) -> None:
+    """Values from the ``key = value`` lines of the config file ('#' starts a
+    comment) fill in flags the command line left unset. Keys are the long
+    names of flags that take a value, ``config`` aside; each value obeys its
+    flag's choices, and a repeatable flag takes every value of its key in
+    file order, any other flag the last."""
+    path, by_name, lines = args.config, {flag.name: flag for flag in flags}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -153,33 +144,45 @@ def _read_config_file(path: str) -> dict[str, list[str]]:
         if "=" not in line:
             raise DataError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        out.setdefault(key.strip(), []).append(value.strip())
-    return out
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Config-file values fill in flags the user did not set explicitly. Keys
-    are the long names of flags that take a value, ``config`` aside; each obeys
-    its flag's ``choices``, and a repeatable (``append``) flag takes every value
-    of its key, any other flag the last."""
-    if not getattr(args, "config", None):
-        return
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {flag[2:]: a for a in commands.choices[args.command]._actions
-               for flag in a.option_strings if flag.startswith("--")}
-    for key, values in _read_config_file(args.config).items():
-        action = actions.get(key)
-        if action is None:
-            raise DataError(f"{args.config}: unknown config key {key!r}")
-        if action.nargs == 0 or action.dest == "config":
-            raise DataError(f"{args.config}: config key {key!r} cannot be set in a config file")
+        lines.setdefault(key.strip(), []).append(value.strip())
+    for key, values in lines.items():
+        flag = by_name.get(key)
+        if key in ("config", "help") or (flag is not None and flag.valueless):
+            raise DataError(f"{path}: config key {key!r} cannot be set in a config file")
+        if flag is None:
+            raise DataError(f"{path}: unknown config key {key!r}")
         for raw in values:
-            if action.choices is not None and raw not in action.choices:
-                allowed = ", ".join(action.choices)
-                raise DataError(f"{args.config}: {key} must be one of {allowed}, got {raw!r}")
-        if getattr(args, action.dest) is None:  # an explicit flag wins
-            repeatable = isinstance(action, argparse._AppendAction)
-            setattr(args, action.dest, values if repeatable else values[-1])
+            if flag.choices is not None and raw not in flag.choices:
+                allowed = ", ".join(flag.choices)
+                raise DataError(f"{path}: {key} must be one of {allowed}, got {raw!r}")
+        if getattr(args, flag.dest) is None:  # an explicit flag wins
+            setattr(args, flag.dest, values if flag.repeat else values[-1])
+
+
+def _resolve(args: argparse.Namespace, command: Command, parser: argparse.ArgumentParser) -> None:
+    """Fill every flag the command line left unset, from the config file,
+    then its environment variable, then its default; a required flag still
+    unset is a usage error (exit 2). Then convert each value once, before any
+    input is read: a value that does not convert is an error naming its flag,
+    or the variable it came from."""
+    if args.config:
+        _merge_config(args, command.flags)
+    unset = [flag for flag in command.flags if getattr(args, flag.dest) is None]
+    from_env = {flag.dest for flag in unset if flag.env in os.environ}
+    for flag in unset:
+        setattr(args, flag.dest, os.environ[flag.env] if flag.dest in from_env else flag.default)
+    missing = [f"--{f.name}" for f in command.flags if f.required and getattr(args, f.dest) is None]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
+    for flag in command.flags:
+        value = getattr(args, flag.dest)
+        if flag.kind is None or value is None:
+            continue
+        try:
+            setattr(args, flag.dest, flag.kind(value))
+        except ValueError:
+            name = flag.env if flag.dest in from_env else f"--{flag.name}"
+            raise DataError(f"{name} expects {KINDS[flag.kind]}, got {value!r}") from None
 
 
 def _stamp(path: str | Path) -> tuple[int, int, int] | None:
@@ -260,7 +263,7 @@ class Manifest:
         """Write ``<out>.manifest.json`` (``<command>.manifest.json`` without
         --out). A failed run has reported its error already, so not this one's."""
         self.doc.update(
-            config={k: v for k, v in vars(args).items() if k not in ("func", "command")},
+            config={k: v for k, v in vars(args).items() if k != "command"},
             finished=datetime.now(timezone.utc).isoformat(),
             status="ok" if code == 0 else "error",
             exit_code=code,
@@ -491,116 +494,97 @@ def cmd_preprocess(args, manifest: Manifest) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flags
 # ---------------------------------------------------------------------------
 
 
-def _option(p: argparse.ArgumentParser, key: str, text: str = "", **kwargs) -> None:
-    """Add the flag of OPTIONS ``key``; its help ends with the default."""
-    default = f"default {OPTIONS[key][0]}"
-    p.add_argument(_flag(key), help=f"{text} ({default})" if text else default, **kwargs)
+_COMMON = (Flag("vocab", default="infer", choices=("amazon", "infer")),
+           Flag("config", "key=value config file; explicit flags win"),
+           Flag("seed", "PRNG seed, else $CANOPY_SEED", _index, 0, env="CANOPY_SEED"))
+_VOCAB, _CONFIG, _SEED = _COMMON
+_TAGS = Flag("tags", "tag CSV", required=True)
+_TRUTH = Flag("truth", "tag CSV with ground truth", required=True)
+_FIT = (Flag("features", f".npy or {KEY_COLUMN},... CSV", required=True),
+        Flag("learner", choices=LEARNER_KINDS, required=True),
+        Flag("param", "learner hyperparameter key=value", repeat=True))
+_K = Flag("k", "fold count", _count2, 5)
+
+# subcommand -> its function, help and flags, in --help order
+SUBCOMMANDS = {
+    "metrics": Command(cmd_metrics, "per-class + Total scoreboard for predictions", (
+        Flag("pred", "probability CSV (hard 0/1 also fine)", required=True), _TRUTH,
+        Flag("thresholds", f"{','.join(THRESHOLD_HEADER)} CSV; default uniform cutoff"),
+        Flag("cutoff", "uniform cutoff in [0, 1]", _unit, DEFAULT_CUTOFF),
+        Flag("out", "write the scoreboard as CSV here"), _VOCAB, _CONFIG)),
+    "tune-thresholds": Command(
+        cmd_tune_thresholds, "optimize per-class cutoffs on a validation split", (
+            Flag("probs", "probability CSV", required=True), _TRUTH,
+            Flag("beta", "F-beta weight", _beta, 2),
+            Flag("mode", default="coordinate", choices=TUNING_MODES),
+            Flag("out", f"write {','.join(THRESHOLD_HEADER)} CSV here"), _VOCAB, _CONFIG)),
+    "vote": Command(cmd_vote, "weighted majority vote over hard predictions", (
+        Flag("pred", "prediction CSV (repeat per model)", repeat=True),
+        Flag("weights", "comma-separated positive integers, one per --pred", _counts),
+        Flag("out"), _VOCAB, _CONFIG)),
+    "split": Command(cmd_split, "stratified k-fold assignment", (
+        _TAGS, _K, Flag("out", f"write {','.join(FOLD_HEADER)} CSV here"), *_COMMON)),
+    "cv": Command(cmd_cv, "stratified cross-validated evaluation of a learner", (
+        _TAGS, *_FIT, _K, Flag("out", "fold Total rows + average as CSV"),
+        Flag("oof-out", "write out-of-fold probabilities CSV"),
+        Flag("folds-out", "write the fold assignment CSV"), *_COMMON)),
+    "train": Command(cmd_train, "fit a per-label classical model on all data", (
+        _TAGS, *_FIT, Flag("out", "write the model JSON here"),
+        Flag("probs-out", "write training-set probabilities CSV"), *_COMMON)),
+    "stack": Command(cmd_stack, "train the integrated-stacking meta-learner", (
+        _TRUTH, Flag("probs", "per-model OOF probability CSV (repeat)", repeat=True),
+        Flag("folds", f"{','.join(FOLD_HEADER)} CSV", required=True),
+        Flag("val-fold", kind=_index, default=0),
+        Flag("hidden", "comma list of hidden widths", _counts, "64"),
+        Flag("dropout", "rate in [0, 1)", _rate, 0.25),
+        Flag("batch-size", kind=_count2, default=128), Flag("epochs", kind=_count, default=50),
+        Flag("patience", kind=_count, default=10),
+        Flag("optimizer", default="amsgrad", choices=OPTIMIZERS),
+        Flag("out", "validation-fold meta probabilities CSV"),
+        Flag("thresholds-out", f"tuned {','.join(THRESHOLD_HEADER)} CSV"),
+        Flag("checkpoint", "meta-learner checkpoint JSON"), *_COMMON)),
+    "preprocess": Command(cmd_preprocess, "pixel-convention preprocessing and augmentation", (
+        Flag("mode", "omit to only augment", choices=MODES),
+        Flag("in", ".npy or pixel CSV", required=True, dest="infile"),
+        Flag("out", ".npy or pixel CSV to write", required=True),
+        Flag("augment", f"comma list of {','.join(AUGMENT_OPS)}", _augment_ops),
+        Flag("random-augment", valueless=True), _CONFIG, _SEED)),
+}
 
 
-def _add_common(p: argparse.ArgumentParser, func, with_seed: bool = True, with_vocab: bool = True):
-    p.set_defaults(func=func)
-    if with_vocab:
-        _option(p, "vocab", choices=("amazon", "infer"))
-    p.add_argument("--config", help="key=value config file; explicit flags win")
-    if with_seed:
-        _option(p, "seed", "PRNG seed, else $CANOPY_SEED")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and each subcommand's parser, built from SUBCOMMANDS.
+    They split the command line, refuse a value outside a flag's choices and
+    render --help; ``_resolve`` does everything else."""
     parser = argparse.ArgumentParser(
         prog="canopy",
         description="Multi-label scene-tagging toolkit: metrics, thresholds, ensembles.",
     )
     parser.add_argument("--version", action="version", version=f"canopy {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("metrics", help="per-class + Total scoreboard for predictions")
-    p.add_argument("--pred", required=True, help="probability CSV (hard 0/1 also fine)")
-    p.add_argument("--truth", required=True, help="tag CSV with ground truth")
-    p.add_argument("--thresholds", help=f"{','.join(THRESHOLD_HEADER)} CSV; default uniform cutoff")
-    _option(p, "cutoff", "uniform cutoff in [0, 1]")
-    p.add_argument("--out", help="write the scoreboard as CSV here")
-    _add_common(p, cmd_metrics, with_seed=False)
-
-    p = sub.add_parser("tune-thresholds", help="optimize per-class cutoffs on a validation split")
-    p.add_argument("--probs", required=True)
-    p.add_argument("--truth", required=True)
-    _option(p, "beta", "F-beta weight")
-    _option(p, "mode", choices=("coordinate", "per-class"))
-    p.add_argument("--out", help=f"write {','.join(THRESHOLD_HEADER)} CSV here")
-    _add_common(p, cmd_tune_thresholds, with_seed=False)
-
-    p = sub.add_parser("vote", help="weighted majority vote over hard predictions")
-    p.add_argument("--pred", action="append", help="prediction CSV (repeat per model)")
-    p.add_argument("--weights", help="comma-separated positive integers, one per --pred")
-    p.add_argument("--out")
-    _add_common(p, cmd_vote, with_seed=False)
-
-    p = sub.add_parser("split", help="stratified k-fold assignment")
-    p.add_argument("--tags", required=True)
-    _option(p, "k", "fold count")
-    p.add_argument("--out", help=f"write {','.join(FOLD_HEADER)} CSV here")
-    _add_common(p, cmd_split)
-
-    p = sub.add_parser("cv", help="stratified cross-validated evaluation of a learner")
-    p.add_argument("--tags", required=True)
-    p.add_argument("--features", required=True, help=f".npy or {KEY_COLUMN},... CSV")
-    p.add_argument("--learner", choices=LEARNER_KINDS, required=True)
-    p.add_argument("--param", action="append", help="learner hyperparameter key=value")
-    _option(p, "k", "fold count")
-    p.add_argument("--out", help="fold Total rows + average as CSV")
-    p.add_argument("--oof-out", help="write out-of-fold probabilities CSV")
-    p.add_argument("--folds-out", help="write the fold assignment CSV")
-    _add_common(p, cmd_cv)
-
-    p = sub.add_parser("train", help="fit a per-label classical model on all data")
-    p.add_argument("--tags", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--learner", choices=LEARNER_KINDS, required=True)
-    p.add_argument("--param", action="append")
-    p.add_argument("--out", help="write the model JSON here")
-    p.add_argument("--probs-out", help="write training-set probabilities CSV")
-    _add_common(p, cmd_train)
-
-    p = sub.add_parser("stack", help="train the integrated-stacking meta-learner")
-    p.add_argument("--truth", required=True)
-    p.add_argument("--probs", action="append", help="per-model OOF probability CSV (repeat)")
-    p.add_argument("--folds", required=True, help=f"{','.join(FOLD_HEADER)} CSV")
-    _option(p, "val_fold")
-    _option(p, "hidden", "comma list of hidden widths")
-    _option(p, "dropout", "rate in [0, 1)")
-    _option(p, "batch_size")
-    _option(p, "epochs")
-    _option(p, "patience")
-    _option(p, "optimizer", choices=("adam", "amsgrad"))
-    p.add_argument("--out", help="validation-fold meta probabilities CSV")
-    p.add_argument("--thresholds-out", help=f"tuned {','.join(THRESHOLD_HEADER)} CSV")
-    p.add_argument("--checkpoint", help="meta-learner checkpoint JSON")
-    _add_common(p, cmd_stack)
-
-    p = sub.add_parser("preprocess", help="pixel-convention preprocessing and augmentation")
-    p.add_argument("--mode", choices=MODES, help="omit to only augment")
-    p.add_argument("--in", dest="infile", required=True, help=".npy or pixel CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--augment", help=f"comma list of {','.join(AUGMENT_OPS)}")
-    p.add_argument("--random-augment", action="store_true")
-    _add_common(p, cmd_preprocess, with_vocab=False)
-
-    return parser
+    parsers = {}
+    for name, command in SUBCOMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            how = ({"action": "store_true"} if flag.valueless else
+                   {"action": "append" if flag.repeat else "store", "choices": flag.choices})
+            p.add_argument(f"--{flag.name}", dest=flag.dest, help=flag.help_text(), **how)
+    return parser, parsers
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser, parsers = build_parser()
     args = parser.parse_args(argv)
+    command = SUBCOMMANDS[args.command]
     manifest = Manifest(args, argv)
     try:
-        _resolve_options(args, parser)
-        code = args.func(args, manifest)
+        _resolve(args, command, parsers[args.command])
+        code = command.run(args, manifest)
         manifest.write(args, code, None)
         return code
     except (DataError, ValueError, OSError, RuntimeError, MemoryError) as exc:

@@ -204,6 +204,8 @@ class FeatureMatrix(_Rows):
         names = None if self.feature_names is None else tuple(self.feature_names)
         width = None if names is None else len(names)
         v = frozen(self.values, np.float64, "feature matrix", width=width, entries="finite")
+        if v.shape[1] == 0:  # a learner would fit only priors, a silently wrong board
+            raise ValueError("feature matrix has no columns")
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "values", v)
 
@@ -665,5 +667,7 @@ def load_features(path: str | Path) -> tuple[list[str] | None, FeatureMatrix]:
     table = read_table(path, (KEY_COLUMN,), bounds=(-np.inf, np.inf))
     if not table.ids:
         raise DataError(f"{path}: no feature rows")
-    names = tuple(table.header[1:])
-    return table.ids, FeatureMatrix(values=table.values, feature_names=names or None)
+    try:
+        return table.ids, FeatureMatrix(values=table.values, feature_names=table.header[1:])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -8,7 +8,7 @@ from .layers import Activation, BatchNorm, Dense, Dropout
 from .losses import head_loss, loss_and_grad, predict_head
 from .network import Network, NetworkSpec
 from .optim import Adam, OptimizerDiverged
-from .training import TrainConfig, TrainingDiverged, TrainResult, train
+from .training import OPTIMIZERS, TrainConfig, TrainingDiverged, TrainResult, train
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "Dropout",
     "Network",
     "NetworkSpec",
+    "OPTIMIZERS",
     "OptimizerDiverged",
     "TrainConfig",
     "TrainResult",

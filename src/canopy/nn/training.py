@@ -23,12 +23,15 @@ from .network import Network
 from .optim import Adam, OptimizerDiverged
 
 
+OPTIMIZERS = ("adam", "amsgrad")  # TrainConfig.optimizer
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 128
     max_epochs: int = 100
     learning_rate: float = 0.001
-    optimizer: str = "adam"  # adam | amsgrad
+    optimizer: str = "adam"  # one of OPTIMIZERS
     patience: int = 10
     seed: int = 0
 
@@ -36,8 +39,8 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "patience"):
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", check_int("seed", self.seed))
-        if self.optimizer not in ("adam", "amsgrad"):
-            raise ValueError("optimizer must be 'adam' or 'amsgrad'")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
 
 
 class TrainingDiverged(RuntimeError):

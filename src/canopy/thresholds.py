@@ -19,6 +19,7 @@ from .data import (THRESHOLD_HEADER, DataError, LabelMatrix, LabelVocabulary, Pr
 from .metrics import check_beta, fbeta_from_counts
 
 DEFAULT_CUTOFF = 0.5  # the decision cutoff wherever none is tuned or given
+TUNING_MODES = ("coordinate", "per-class")  # optimize_thresholds' modes
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,8 @@ def optimize_thresholds(
     Either way it is never below the same objective at ``DEFAULT_CUTOFF``.
     """
     check_beta(beta)
-    if mode not in ("coordinate", "per-class"):
-        raise ValueError("mode must be 'coordinate' or 'per-class'")
+    if mode not in TUNING_MODES:
+        raise ValueError(f"mode must be one of {TUNING_MODES}")
     if probs.n_samples == 0:
         raise ValueError("cannot optimize thresholds on an empty dataset")
     if probs.values.shape != truth.values.shape:

@@ -315,9 +315,11 @@ FITS = {"tree": tree_fit, "gbm": gbm_fit, "lda": lda_fit, "forest": forest_fit}
     (np.zeros((4, 2)), [0, 1, 0]),
     (np.zeros((4, 2)), [0, 1, 0, 1, 1]),
     (np.zeros((0, 2)), []),
-], ids=["1-D X", "3-D X", "short y", "long y", "no samples"])
+    (np.zeros((4, 0)), [0, 1, 0, 1]),
+], ids=["1-D X", "3-D X", "short y", "long y", "no samples", "no features"])
 def test_every_learner_checks_its_data_in_one_place(kind, X, y):
-    with pytest.raises(ValueError, match=r"^X must be \(n, f\) with a matching non-empty y$"):
+    message = r"^X must be \(n, f\) with f > 0 and a matching non-empty y$"
+    with pytest.raises(ValueError, match=message):
         FITS[kind](X, y)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from canopy.cli import OPTIONS, Manifest, build_parser, main
+from canopy.cli import SUBCOMMANDS, Manifest, main
 from canopy.data import (
     LabelMatrix,
     ProbMatrix,
@@ -200,6 +200,9 @@ BAD_FLAG_VALUES = [
      "--val-fold", None),
     (["stack", "--truth", "missing.csv", "--folds", "missing.csv"], "--val-fold",
      "val-fold = -1"),
+    (["cv", "--tags", "missing.csv", "--features", "missing.csv"], "run.cfg: learner",
+     "learner = bogus"),
+    (["preprocess", "--in", "missing.npy", "--out", "o.npy"], "run.cfg: mode", "mode = bogus"),
     # a missing repeatable input flag is refused before any file is read
     (["vote", "--out", "voted.csv"], "--pred", None),
     (["stack", "--truth", "missing.csv", "--folds", "missing.csv"], "--probs", None),
@@ -221,28 +224,32 @@ def test_bad_flag_value_named_before_reading(workspace, capsys, argv, flag, conf
 
 
 def test_every_option_has_a_bad_value_case():
-    """A flag added to OPTIONS later cannot skip the named-error check."""
-    named = {flag.removeprefix("run.cfg: ").removeprefix("--").replace("-", "_")
-             for _, flag, _ in BAD_FLAG_VALUES}
-    assert set(OPTIONS) <= named
+    """A flag with a kind or choices, declared later, cannot skip the
+    named-error check."""
+    named = {flag.removeprefix("run.cfg: ").removeprefix("--") for _, flag, _ in BAD_FLAG_VALUES}
+    checked = {flag.name for command in SUBCOMMANDS.values() for flag in command.flags
+               if flag.kind is not None or flag.choices is not None}
+    assert checked <= named
 
 
-def test_help_shows_every_option_default():
-    """Each subcommand's --help shows the OPTIONS default of each of its
-    flags, so no help string restates one."""
-    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    checked = set()
-    for command, sub in commands.choices.items():
-        text = " ".join(sub.format_help().split())  # undo argparse's line wrapping
-        for action in sub._actions:
-            default = OPTIONS.get(action.dest, (None,))[0]
-            if default is None or (action.dest, command) == ("mode", "preprocess"):
+def test_help_shows_every_option_default(capsys):
+    """Each subcommand's --help shows each flag's declared default, or marks
+    it required, at the end of its help line, so no help string restates one."""
+    for command, declared in SUBCOMMANDS.items():
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        for flag in declared.flags:
+            shown = flag.help_text()
+            if flag.required:
+                assert shown.endswith(("required", "(required)")), shown
+            elif flag.default is not None:
+                default = f"default {flag.default}"
+                assert shown.endswith((default, f"({default})")), shown
+            else:
                 continue
-            shown = " ".join(action.help.split())
-            assert shown in text, (command, action.dest)
-            assert shown.endswith((f"default {default}", f"(default {default})")), shown
-            checked.add(action.dest)
-    assert checked == {key for key, (default, _) in OPTIONS.items() if default is not None}
+            assert f"--{flag.name}" in text and " ".join(shown.split()) in text, (command, shown)
 
 
 @pytest.mark.parametrize("argv", [
@@ -439,6 +446,20 @@ class TestLearnerParamErrors:
         err = self.run("cv", "rf", 'max_depth="deep"', capsys)
         assert repr("rf") in err
         assert data_work == []
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("features", ["nofeat.csv", "nofeat.npy"])
+def test_feature_file_without_columns_named(workspace, capsys, command, features):
+    """A feature file without columns used to fit priors only: cv printed a
+    prior-only scoreboard and train saved leaf-only trees, both exit 0."""
+    tmp, ids, *_ = workspace
+    (tmp / "nofeat.csv").write_text("image_name\n" + "".join(f"{s}\n" for s in ids))
+    np.save(tmp / "nofeat.npy", np.zeros((len(ids), 0)))
+    code = main([command, "--tags", "truth.csv", "--features", features, "--learner", "tree",
+                 "--out", "out.json"])
+    assert f"error: {features}: feature matrix has no columns" in one_line_error(code, capsys)
+    assert not (tmp / "out.json").exists()
 
 
 class TestTrainCommand:
@@ -684,6 +705,36 @@ class TestPreprocessCommand:
         assert "raw.csv" in one_line_error(code, capsys)
 
 
+# subcommand -> (flags given once by flag and once by config line, other
+# options, output suffix); each run also sets --out, or ``out`` in the config
+CONFIG_RUNS = {
+    "metrics": ({"pred": "probs.csv", "truth": "truth.csv", "cutoff": "0.3"}, [], ".csv"),
+    "tune-thresholds": ({"probs": "probs.csv", "truth": "truth.csv", "mode": "per-class"}, [],
+                        ".csv"),
+    "vote": ({"pred": "hard.csv", "weights": "3"}, [], ".csv"),
+    "split": ({"tags": "truth.csv", "k": "3", "seed": "2"}, [], ".csv"),
+    "cv": ({"tags": "truth.csv", "features": "features.csv", "learner": "tree"},
+           ["--k", "2", "--param", "max_depth=2"], ".csv"),
+    "train": ({"tags": "truth.csv", "features": "features.csv", "learner": "tree"},
+              ["--param", "max_depth=2"], ".json"),
+    "stack": ({"truth": "truth.csv", "folds": "folds.csv", "probs": "probs.csv"},
+              ["--epochs", "2", "--batch-size", "8", "--hidden", "4"], ".csv"),
+    "preprocess": ({"in": "raw.npy", "mode": "caffe", "augment": "flip_ud"}, [], ".npy"),
+}
+
+
+@pytest.fixture
+def config_inputs(workspace):
+    """The workspace plus hard predictions, folds and an image."""
+    tmp, ids, vocab, truth, _ = workspace
+    save_probs(tmp / "hard.csv", ids, ProbMatrix(values=truth.values * 1.0, vocab=vocab))
+    folds = np.arange(len(ids)) % 4
+    (tmp / "folds.csv").write_text(
+        "image_name,fold\n" + "".join(f"{s},{f}\n" for s, f in zip(ids, folds)))
+    np.save(tmp / "raw.npy", make_rng(3).uniform(0, 255, size=(3, 4, 3)))
+    return tmp
+
+
 class TestConfigAndSeeds:
     def test_config_file_fills_defaults_but_flags_win(self, workspace, capsys):
         tmp, ids, vocab, truth, _ = workspace
@@ -742,6 +793,50 @@ class TestConfigAndSeeds:
         err = one_line_error(code, capsys)
         assert f"run.cfg: config key {key!r} cannot be set in a config file" in err
         assert not (tmp / "x.npy").exists()
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_required_flags_from_config_write_the_same_bytes(self, config_inputs, capsys,
+                                                             command):
+        """Every flag a CONFIG_RUNS entry sets, required ones and --out too,
+        may come from --config: the run writes the bytes and records the
+        settings that the same flags do."""
+        tmp = config_inputs
+        keys, options, suffix = CONFIG_RUNS[command]
+        required = {f.name for f in SUBCOMMANDS[command].flags if f.required}
+        assert required <= set(keys) | {"out"}
+        flags = [arg for key, value in keys.items() for arg in (f"--{key}", value)]
+        assert main([command, *flags, *options, "--out", f"flags{suffix}"]) == 0
+        lines = [f"{key} = {value}" for key, value in keys.items()]
+        (tmp / "run.cfg").write_text("\n".join([*lines, f"out = config{suffix}"]) + "\n")
+        assert main([command, *options, "--config", "run.cfg"]) == 0
+        assert (tmp / f"flags{suffix}").read_bytes() == (tmp / f"config{suffix}").read_bytes()
+        records = [json.loads((tmp / f"{name}{suffix}.manifest.json").read_text())["config"]
+                   for name in ("flags", "config")]
+        for record in records:
+            del record["out"], record["config"]
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("command,missing", [
+        (command, flag.name) for command, declared in SUBCOMMANDS.items()
+        for flag in declared.flags if flag.required
+    ])
+    def test_required_flag_missing_from_flags_and_config_exits_two(
+            self, config_inputs, capsys, command, missing):
+        """A required flag set neither on the command line nor in the config
+        file is a usage error after the merge: exit 2, argparse's wording, no
+        manifest."""
+        tmp = config_inputs
+        keys, options, suffix = CONFIG_RUNS[command]
+        lines = [f"{key} = {value}" for key, value in {**keys, "out": f"x{suffix}"}.items()
+                 if key != missing]
+        (tmp / "run.cfg").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, *options, "--config", "run.cfg"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"canopy {command}: error: the following arguments are required: "
+                            f"--{missing}\n")
+        assert not list(tmp.glob("*.manifest.json"))
 
     def test_unknown_config_key_is_error(self, workspace, capsys):
         tmp, *_ = workspace

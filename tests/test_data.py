@@ -70,6 +70,11 @@ class TestMatrices:
         with pytest.raises(ValueError):
             ProbMatrix(values=np.array([[0.1, np.nan, 0.0]]), vocab=VOCAB3)
 
+    @pytest.mark.parametrize("names", [None, ()])
+    def test_feature_matrix_without_columns_refused(self, names):
+        with pytest.raises(ValueError, match="^feature matrix has no columns$"):
+            FeatureMatrix(values=np.zeros((3, 0)), feature_names=names)
+
     def test_column_count_must_match_vocab(self):
         with pytest.raises(ValueError):
             LabelMatrix(values=np.zeros((2, 4)), vocab=VOCAB3)
