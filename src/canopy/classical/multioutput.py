@@ -163,7 +163,7 @@ def _fork_share(spec: LearnerSpec, X, Y, seeds, labels):
         finally:
             os._exit(code)
     os.close(w)
-    return pid, open(r, "rb"), labels
+    return pid, os.fdopen(r, "rb"), labels
 
 
 def _fit_shares(spec: LearnerSpec, X, Y, seeds, shares, names) -> list[tuple[int, Any]]:

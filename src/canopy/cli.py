@@ -3,13 +3,13 @@
 Every run whose command line parses writes a manifest sidecar (JSON), a
 failed run too: status (ok/error), exit code, error message, command,
 resolved configuration and seed, tool version, timestamps, and the sha256
-of every input read and every output written. Outputs are written beside
-their destination and moved into place, so no file is ever half-written.
-Identical inputs reproduce outputs bit-identically.
+of every input read (of the bytes parsed) and every output written. Outputs
+are written beside their destination and moved into place, so no file is
+ever half-written. Identical inputs reproduce outputs bit-identically.
 
-Exit codes: 0 success, 1 data, validation or training error, 2 usage error.
-Floats are printed with 6 decimals. The only environment variable honored
-is CANOPY_SEED (default seed when --seed is not given).
+Flags are spelled in full and never empty. Exit codes: 0 success, 1 data,
+validation or training error, 2 usage error. Floats are printed with 6
+decimals. CANOPY_SEED, the default --seed, is the only environment variable.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .data import (
     load_probs,
     load_tags,
     open_csv,
+    recording_inputs,
     save_probs,
 )
 from .ensemble import MetaLearnerConfig, StackedFeatures, stack_train, weighted_vote
@@ -72,8 +73,7 @@ _count2 = _checked(int, lambda n: n >= 2)  # folds; batch-norm batches
 _count = _checked(int, lambda n: n >= 1)
 _rate = _checked(float, lambda r: 0.0 <= r < 1.0)  # NaN fails too
 _unit = _checked(float, lambda u: 0.0 <= u <= 1.0)
-_augment_ops = _checked(str, lambda ops: not ops or all(
-    op.strip() in AUGMENT_OPS for op in ops.split(",")))
+_augment_ops = _checked(str, lambda ops: all(op.strip() in AUGMENT_OPS for op in ops.split(",")))
 
 
 def _counts(value) -> tuple[int, ...]:
@@ -162,15 +162,19 @@ def _merge_config(args: argparse.Namespace, flags: tuple[Flag, ...]) -> None:
 def _resolve(args: argparse.Namespace, command: Command, parser: argparse.ArgumentParser) -> None:
     """Fill every flag the command line left unset, from the config file,
     then its environment variable, then its default; a required flag still
-    unset is a usage error (exit 2). Then convert each value once, before any
-    input is read: a value that does not convert is an error naming its flag,
-    or the variable it came from."""
+    unset is a usage error (exit 2), an empty one a data error. Then convert
+    each value once, before any input is read: a value that does not convert
+    is an error naming its flag, or the variable it came from."""
     if args.config:
         _merge_config(args, command.flags)
     unset = [flag for flag in command.flags if getattr(args, flag.dest) is None]
     from_env = {flag.dest for flag in unset if flag.env in os.environ}
     for flag in unset:
         setattr(args, flag.dest, os.environ[flag.env] if flag.dest in from_env else flag.default)
+    for flag in command.flags:  # an empty path would read as unset, or as no file
+        value = getattr(args, flag.dest)
+        if flag.kind is None and "" in (flag.repeat and value or [value]):
+            raise DataError(f"--{flag.name} must not be empty")
     missing = [f"--{f.name}" for f in command.flags if f.required and getattr(args, f.dest) is None]
     if missing:
         parser.error(f"the following arguments are required: {', '.join(missing)}")
@@ -185,23 +189,6 @@ def _resolve(args: argparse.Namespace, command: Command, parser: argparse.Argume
             raise DataError(f"{name} expects {KINDS[flag.kind]}, got {value!r}") from None
 
 
-def _stamp(path: str | Path) -> tuple[int, int, int] | None:
-    """(size, mtime in ns, inode) of a file, None if it cannot be stat'ed."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return st.st_size, st.st_mtime_ns, st.st_ino
-
-
-def _digest(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _replace_file(path: str | Path, writer, *args) -> str:
     """``writer(tmp, *args)`` on a new file beside ``path`` (same suffix: some
     writers pick the format from it), moved onto ``path``; returns its sha256.
@@ -211,7 +198,7 @@ def _replace_file(path: str | Path, writer, *args) -> str:
     tmp = dest.parent / f".{dest.stem}-tmp-{secrets.token_hex(8)}{dest.suffix}"
     try:
         writer(tmp, *args)
-        digest = _digest(tmp)
+        digest = hashlib.sha256(tmp.read_bytes()).hexdigest()
         os.replace(tmp, dest)
     except OSError as exc:
         raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
@@ -227,8 +214,8 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 class Manifest:
-    """The run's audit record and the one way a subcommand reads or writes a
-    file: ``load`` and ``output`` record each file's sha256."""
+    """The run's audit record: ``output``, the one way a subcommand writes a
+    file, records its sha256, and ``data.read_input`` each input's."""
 
     def __init__(self, args: argparse.Namespace, argv: list[str]):
         self.doc = {
@@ -241,18 +228,6 @@ class Manifest:
             "outputs": {},
             "started": datetime.now(timezone.utc).isoformat(),
         }
-
-    def load(self, path: str, loader, *args):
-        """``loader(path, *args)``, then the digest of the file it read. A
-        file that changes in between is refused: the digest would not be of
-        the bytes that were parsed."""
-        before = _stamp(path)
-        result = loader(path, *args)
-        digest = _digest(path)
-        if _stamp(path) != before:
-            raise DataError(f"{path}: file changed while it was read")
-        self.doc["inputs"][str(path)] = digest
-        return result
 
     def output(self, path: str | None, writer, *args) -> None:
         """``writer(path, *args)`` through a temporary file, if ``path`` is set."""
@@ -336,11 +311,11 @@ def _parse_params(pairs: list[str] | None) -> dict:
 
 
 def cmd_metrics(args, manifest: Manifest) -> int:
-    truth_ids, truth = manifest.load(args.truth, load_tags, _vocab_from_arg(args))
-    prob_ids, probs = manifest.load(args.pred, load_probs, truth.vocab)
+    truth_ids, truth = load_tags(args.truth, _vocab_from_arg(args))
+    prob_ids, probs = load_probs(args.pred, truth.vocab)
     probs = _align_rows(truth_ids, prob_ids, probs, args.pred, "predictions", extra_ok=False)
     if args.thresholds:
-        cutoffs = manifest.load(args.thresholds, load_thresholds, truth.vocab)
+        cutoffs = load_thresholds(args.thresholds, truth.vocab)
     else:
         cutoffs = np.full(truth.n_labels, args.cutoff)
     pred = apply_thresholds(probs, cutoffs)
@@ -351,8 +326,8 @@ def cmd_metrics(args, manifest: Manifest) -> int:
 
 
 def cmd_tune_thresholds(args, manifest: Manifest) -> int:
-    truth_ids, truth = manifest.load(args.truth, load_tags, _vocab_from_arg(args))
-    prob_ids, probs = manifest.load(args.probs, load_probs, truth.vocab)
+    truth_ids, truth = load_tags(args.truth, _vocab_from_arg(args))
+    prob_ids, probs = load_probs(args.probs, truth.vocab)
     probs = _align_rows(truth_ids, prob_ids, probs, args.probs, "predictions", extra_ok=False)
     cutoffs, score = optimize_thresholds(probs, truth, beta=args.beta, mode=args.mode)
     print(f"achieved {args.mode} F{args.beta:g} = {FLOAT_FMT % score}")
@@ -383,10 +358,10 @@ def cmd_vote(args, manifest: Manifest) -> int:
     if len(weights) != len(args.pred):
         raise DataError(f"{len(args.pred)} --pred files but {len(weights)} weights")
     first = args.pred[0]
-    ids0, hard = manifest.load(first, _load_hard_predictions, _vocab_from_arg(args))
+    ids0, hard = _load_hard_predictions(first, _vocab_from_arg(args))
     preds = [hard]
     for path in args.pred[1:]:
-        ids, hard = manifest.load(path, _load_hard_predictions, hard.vocab)
+        ids, hard = _load_hard_predictions(path, hard.vocab)
         if ids != ids0:
             raise DataError(f"{path}: sample ids/order differ from {first}")
         preds.append(hard)
@@ -399,7 +374,7 @@ def cmd_vote(args, manifest: Manifest) -> int:
 
 
 def cmd_split(args, manifest: Manifest) -> int:
-    ids, truth = manifest.load(args.tags, load_tags, _vocab_from_arg(args))
+    ids, truth = load_tags(args.tags, _vocab_from_arg(args))
     _check_k(args, truth)
     folds = stratified_kfold(truth, args.k, args.seed)
     counts = np.bincount(folds.fold_of, minlength=folds.k)
@@ -410,8 +385,8 @@ def cmd_split(args, manifest: Manifest) -> int:
 
 def cmd_cv(args, manifest: Manifest) -> int:
     spec = LearnerSpec(kind=args.learner, params=_parse_params(args.param))
-    ids, truth = manifest.load(args.tags, load_tags, _vocab_from_arg(args))
-    feat_ids, features = manifest.load(args.features, load_features)
+    ids, truth = load_tags(args.tags, _vocab_from_arg(args))
+    feat_ids, features = load_features(args.features)
     features = _align_rows(ids, feat_ids, features, args.features, "features", extra_ok=True)
     _check_k(args, truth)
     result = cv_evaluate(spec, features, truth, k=args.k, seed=args.seed)
@@ -427,8 +402,8 @@ def cmd_cv(args, manifest: Manifest) -> int:
 
 def cmd_train(args, manifest: Manifest) -> int:
     spec = LearnerSpec(kind=args.learner, params=_parse_params(args.param))
-    ids, truth = manifest.load(args.tags, load_tags, _vocab_from_arg(args))
-    feat_ids, features = manifest.load(args.features, load_features)
+    ids, truth = load_tags(args.tags, _vocab_from_arg(args))
+    feat_ids, features = load_features(args.features)
     features = _align_rows(ids, feat_ids, features, args.features, "features", extra_ok=True)
     model = fit_multioutput(spec, features, truth, seed=args.seed)
     probs = predict_multioutput(model, features)
@@ -446,15 +421,15 @@ def cmd_stack(args, manifest: Manifest) -> int:
     train = TrainConfig(batch_size=args.batch_size, max_epochs=args.epochs,
                         patience=args.patience, optimizer=args.optimizer, seed=args.seed)
     config = MetaLearnerConfig(hidden_units=args.hidden, dropout=args.dropout, train=train)
-    truth_ids, truth = manifest.load(args.truth, load_tags, _vocab_from_arg(args))
+    truth_ids, truth = load_tags(args.truth, _vocab_from_arg(args))
     blocks = []
     for path in args.probs:
-        prob_ids, probs = manifest.load(path, load_probs, truth.vocab)
+        prob_ids, probs = load_probs(path, truth.vocab)
         probs = _align_rows(truth_ids, prob_ids, probs, path, "predictions", extra_ok=False)
         blocks.append(probs.values)
     values = np.concatenate(blocks, axis=1)
     features = StackedFeatures(values=values, n_models=len(blocks), vocab=truth.vocab)
-    fold_ids, folds = manifest.load(args.folds, load_folds)
+    fold_ids, folds = load_folds(args.folds)
     if fold_ids != truth_ids:
         raise DataError(f"{args.folds}: sample ids/order differ from {args.truth}")
     if args.val_fold >= folds.k:
@@ -478,7 +453,7 @@ def cmd_stack(args, manifest: Manifest) -> int:
 
 
 def cmd_preprocess(args, manifest: Manifest) -> int:
-    img = manifest.load(args.infile, load_image_array)
+    img = load_image_array(args.infile)
     if args.augment:
         for op in args.augment.split(","):
             img = augment(img, op.strip())
@@ -561,14 +536,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     They split the command line, refuse a value outside a flag's choices and
     render --help; ``_resolve`` does everything else."""
     parser = argparse.ArgumentParser(
-        prog="canopy",
+        prog="canopy", allow_abbrev=False,
         description="Multi-label scene-tagging toolkit: metrics, thresholds, ensembles.",
     )
     parser.add_argument("--version", action="version", version=f"canopy {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {}
     for name, command in SUBCOMMANDS.items():
-        p = parsers[name] = sub.add_parser(name, help=command.help)
+        p = parsers[name] = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for flag in command.flags:
             how = ({"action": "store_true"} if flag.valueless else
                    {"action": "append" if flag.repeat else "store", "choices": flag.choices})
@@ -584,7 +559,8 @@ def main(argv: list[str] | None = None) -> int:
     manifest = Manifest(args, argv)
     try:
         _resolve(args, command, parsers[args.command])
-        code = command.run(args, manifest)
+        with recording_inputs(manifest.doc["inputs"]):
+            code = command.run(args, manifest)
         manifest.write(args, code, None)
         return code
     except (DataError, ValueError, OSError, RuntimeError, MemoryError) as exc:

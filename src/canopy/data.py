@@ -11,10 +11,12 @@ sequences on the same build.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from array import array
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 from tokenize import TokenError
@@ -233,14 +235,40 @@ def validate_weather_block(labels: LabelMatrix) -> None:
 # and has one row per key; read_table makes every check they share.
 # ---------------------------------------------------------------------------
 
+_INPUTS: ContextVar[dict[str, str] | None] = ContextVar("canopy_inputs", default=None)
+
 
 @contextmanager
-def open_csv(path: str | Path) -> Iterator[Iterator[list[str]]]:
-    """A csv.reader over the file as UTF-8 text with line endings kept as
-    written; open, decode and CSV errors (such as a field over the csv
-    module's size limit) become a DataError naming the file."""
+def recording_inputs(inputs: dict[str, str]) -> Iterator[None]:
+    """While open, :func:`read_input` records the sha256 of each file's bytes in ``inputs``."""
+    token = _INPUTS.set(inputs)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        yield
+    finally:
+        _INPUTS.reset(token)
+
+
+def read_input(path: str | Path) -> bytes:
+    """The bytes of input file ``path``; one that cannot be read is a DataError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if (inputs := _INPUTS.get()) is not None:
+        inputs[str(path)] = hashlib.sha256(raw).hexdigest()
+    return raw
+
+
+@contextmanager
+def open_csv(path: str | Path, raw: bytes | None = None) -> Iterator[Iterator[list[str]]]:
+    """A csv.reader over ``raw`` (without it, ``path`` read only as far as the
+    caller iterates) as UTF-8 text with line endings kept as written; open,
+    decode and CSV errors (such as a field over the csv module's size limit)
+    become a DataError naming the file."""
+    try:
+        with (open(path, "r", encoding="utf-8", newline="") if raw is None else
+              io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")) as fh:
             yield csv.reader(fh)
     except (OSError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -253,7 +281,7 @@ def load_npy(path: str | Path, build):
     read, holds no array (a damaged header makes numpy raise SyntaxError or
     TokenError), or holds one ``build`` rejects, is a DataError naming it."""
     try:
-        arr = np.load(path)
+        arr = np.load(io.BytesIO(read_input(path)))
         if not isinstance(arr, np.ndarray):
             arr.close()
             raise ValueError("an .npz archive, not an .npy array")
@@ -270,12 +298,11 @@ def save_json(path: str | Path, fmt: str, version: int, body: dict) -> None:
 
 def load_json(path: str | Path, fmt: str, version: int, build):
     """``build(document)`` for a JSON object written by :func:`save_json` with
-    this header. Invalid JSON or UTF-8, another header, a missing key, a value
-    of the wrong type, or anything ``build`` rejects is a ValueError that
-    starts with the path."""
+    this header. A file that cannot be read is a DataError; invalid JSON or
+    UTF-8, another header, a missing key, a value of the wrong type, or
+    anything ``build`` rejects is a ValueError; both start with the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_input(path).decode("utf-8"))
         if not isinstance(doc, dict) or doc.get("format") != fmt:
             raise ValueError(f"not a {fmt} file")
         if doc.get("version") != version:
@@ -318,8 +345,9 @@ def read_table(
     first bad row, or returns the table for the forms only it reads (quoted
     cells, blank lines, ``1_000`` and non-ASCII digits for ``float()``).
     """
-    table = _bulk_table(path, fixed, width, bounds)
-    return table if table is not None else _stream_table(path, fixed, width, bounds)
+    raw = read_input(path)
+    table = _bulk_table(raw, fixed, width, bounds)
+    return table if table is not None else _stream_table(path, raw, fixed, width, bounds)
 
 
 #: every byte but the ones csv.reader treats specially; a UTF-8 multi-byte
@@ -328,12 +356,12 @@ _PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
 
 
 def _bulk_table(
-    path: str | Path,
+    raw: bytes,
     fixed: tuple[str, ...],
     width: int | None,
     bounds: tuple[float, float] | None,
 ) -> Table | None:
-    """:func:`read_table` over the file's bytes at once, or None unless
+    """:func:`read_table` over the file's bytes ``raw`` at once, or None unless
     :func:`_stream_table` would return the same table.
 
     The file must be plain: no quote, NUL or bare CR, every line (the last
@@ -347,10 +375,9 @@ def _bulk_table(
     to check that it is UTF-8, when it is not ASCII.
     """
     try:
-        raw = Path(path).read_bytes()
         if not raw.isascii():
             raw.decode("utf-8")
-    except (OSError, UnicodeDecodeError):
+    except UnicodeDecodeError:
         return None  # the streaming reader words the error
     end = raw.find(b"\n") + 1
     if not end:
@@ -404,18 +431,19 @@ def _bulk_table(
 
 def _stream_table(
     path: str | Path,
+    raw: bytes,
     fixed: tuple[str, ...],
     width: int | None,
     bounds: tuple[float, float] | None,
 ) -> Table:
-    """:func:`read_table` one csv.reader row at a time: the reader of tag
-    and fold files, and the error locator of numeric ones."""
+    """:func:`read_table` one csv.reader row at a time over ``raw``: the
+    reader of tag and fold files, and the error locator of numeric ones."""
     ids: list[str] = []
     seen: set[str] = set()
     lines = array("l")
     cells: list[str] = []
     buf = array("d")
-    with open_csv(path) as reader:
+    with open_csv(path, raw) as reader:
         header = [c.strip() for c in next(reader, [])]
         if header[: len(fixed)] != list(fixed):
             raise DataError(f"{path}: expected header starting with {','.join(fixed)!r}")
@@ -661,8 +689,7 @@ def save_probs(path: str | Path, ids: Sequence[str], probs: ProbMatrix) -> None:
 def load_features(path: str | Path) -> tuple[list[str] | None, FeatureMatrix]:
     """Load a feature matrix from .npy (row-aligned, no ids) or from CSV
     with header KEY_COLUMN,<f1>,... (ids in the first column)."""
-    path = Path(path)
-    if path.suffix == ".npy":
+    if Path(path).suffix == ".npy":
         return None, load_npy(path, FeatureMatrix)
     table = read_table(path, (KEY_COLUMN,), bounds=(-np.inf, np.inf))
     if not table.ids:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, load_npy, make_rng, open_csv
+from .data import DataError, load_npy, make_rng, open_csv, read_input
 
 CAFFE_BGR_MEAN = (103.939, 116.779, 123.68)
 TORCH_MEAN = (0.485, 0.456, 0.406)  # outside-source ImageNet constants
@@ -144,10 +144,9 @@ def save_image_array(path: str | Path, img) -> None:
 
 def load_image_array(path: str | Path) -> np.ndarray:
     """An (h, w, 3) image from .npy or a pixel CSV; a defect is a DataError naming ``path``."""
-    path = Path(path)
-    if path.suffix == ".npy":
+    if Path(path).suffix == ".npy":
         return load_npy(path, _image).astype(np.float64, copy=False)
-    with open_csv(path) as reader:
+    with open_csv(path, read_input(path)) as reader:
         rows = list(reader)
     if not rows or not rows[0] or rows[0][0] != PIXELS_MAGIC:
         raise DataError(f"{path}: expected a {PIXELS_MAGIC} header or an .npy file")

@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import contextlib
 import hashlib
 import io
@@ -932,29 +933,46 @@ class TestManifestFiles:
         manifest.output("", lambda *a: calls.append(a))
         assert calls == [] and manifest.doc["outputs"] == {}
 
-    def test_input_digest_recorded_after_load(self, workspace):
+    def test_input_digest_keyed_as_spelled(self, workspace):
+        """Each input's key is the path as given on the command line, a ``./``
+        prefix included, for tag and feature files alike."""
         tmp, *_ = workspace
-        manifest = self.manifest()
-        ids, truth = manifest.load("truth.csv", load_tags, "infer")
-        assert manifest.doc["inputs"] == {"truth.csv": sha256(tmp / "truth.csv")}
+        assert main(["train", "--tags", "./truth.csv", "--features", "./features.csv",
+                     "--learner", "tree", "--out", "model.json"]) == 0
+        manifest = json.loads((tmp / "model.json.manifest.json").read_text())
+        assert manifest["inputs"] == {"./truth.csv": sha256(tmp / "truth.csv"),
+                                      "./features.csv": sha256(tmp / "features.csv")}
 
-    def test_input_changed_while_read_is_refused(self, workspace, capsys, monkeypatch):
+    def test_input_changed_after_read_keeps_the_digest_of_the_bytes_parsed(
+            self, workspace, capsys, monkeypatch):
+        """The digest is taken from the bytes the loader parsed, so a file
+        that changes after it was read cannot make the record lie."""
         import canopy.cli
 
         tmp, *_ = workspace
+        parsed = sha256(tmp / "truth.csv")
 
-        def rewriting_loader(path, vocab):
+        def appending_loader(path, vocab):
             result = load_tags(path, vocab)
             with open(path, "a") as fh:
                 fh.write("img_999,label_0\n")
             return result
 
-        monkeypatch.setattr(canopy.cli, "load_tags", rewriting_loader)
-        code = main(["split", "--tags", "truth.csv", "--out", "folds.csv"])
-        err = one_line_error(code, capsys)
-        assert err.strip() == "canopy split: error: truth.csv: file changed while it was read"
+        monkeypatch.setattr(canopy.cli, "load_tags", appending_loader)
+        assert main(["split", "--tags", "truth.csv", "--out", "folds.csv"]) == 0
         manifest = json.loads((tmp / "folds.csv.manifest.json").read_text())
-        assert manifest["inputs"] == {} and not (tmp / "folds.csv").exists()
+        assert manifest["inputs"] == {"truth.csv": parsed}
+        assert sha256(tmp / "truth.csv") != parsed
+
+    def test_input_rejected_after_read_is_listed(self, workspace, capsys):
+        """A file read and then refused by its parser is an input of the run."""
+        tmp, *_ = workspace
+        (tmp / "dup.csv").write_text("image_name,tags\nimg_1,a\nimg_1,b\n")
+        code = main(["split", "--tags", "dup.csv", "--out", "folds.csv"])
+        assert "dup.csv: row 3: duplicate image_name 'img_1'" in one_line_error(code, capsys)
+        manifest = json.loads((tmp / "folds.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["inputs"] == {"dup.csv": sha256(tmp / "dup.csv")}
 
     def test_failed_cv_run_leaves_error_manifest(self, workspace, capsys):
         tmp, *_ = workspace
@@ -1013,3 +1031,145 @@ class TestManifestFiles:
         manifest = json.loads((workspace[0] / "folds.csv.manifest.json").read_text())
         assert manifest["argv"] == argv
         assert manifest["config"]["k"] == 4 and manifest["config"]["seed"] == 0
+
+
+# subcommand runs that between them read every kind of input: tag files
+# (one quoted, so the streaming reader parses it), probability, 0/1
+# probability, threshold, fold and feature files (CSV and .npy), and images
+# (.npy and pixel CSV)
+READ_RUNS = {
+    "metrics": ["metrics", "--pred", "probs.csv", "--truth", "truth.csv",
+                "--thresholds", "cutoffs.csv"],
+    "tune-thresholds": ["tune-thresholds", "--probs", "probs.csv", "--truth", "truth.csv",
+                        "--out", "t.csv"],
+    "vote tags": ["vote", "--pred", "truth.csv", "--pred", "truth2.csv", "--out", "v.csv"],
+    "vote probs": ["vote", "--pred", "hard.csv", "--pred", "hard2.csv", "--out", "v.csv"],
+    "split quoted": ["split", "--tags", "quoted.csv", "--k", "3", "--out", "f.csv"],
+    "cv npy": ["cv", "--tags", "truth.csv", "--features", "features.npy", "--learner", "tree",
+               "--k", "2", "--oof-out", "oof.csv"],
+    "train": ["train", "--tags", "./truth.csv", "--features", "features.csv", "--learner",
+              "tree", "--out", "m.json"],
+    "stack": ["stack", "--truth", "truth.csv", "--probs", "probs.csv", "--folds", "folds.csv",
+              "--epochs", "1", "--batch-size", "8", "--hidden", "4", "--out", "s.csv"],
+    "preprocess npy": ["preprocess", "--in", "raw.npy", "--out", "o.npy", "--mode", "tf"],
+    "preprocess pixels": ["preprocess", "--in", "raw.csv", "--out", "o.npy", "--mode", "tf"],
+}
+
+
+@pytest.fixture
+def read_inputs(config_inputs, monkeypatch):
+    """The config inputs plus one file of every other kind READ_RUNS reads,
+    and the reads of each file: path -> modes it was opened in to read."""
+    from canopy.imageprep import save_image_array
+    from canopy.thresholds import save_thresholds
+
+    tmp = config_inputs
+    for name in ("truth", "hard"):
+        (tmp / f"{name}2.csv").write_bytes((tmp / f"{name}.csv").read_bytes())
+    rows = (tmp / "truth.csv").read_text().splitlines()
+    (tmp / "quoted.csv").write_text(
+        "\n".join([rows[0], *(f'{key},"{tags}"' for key, tags in
+                              (row.split(",") for row in rows[1:]))]) + "\n")
+    save_thresholds(tmp / "cutoffs.csv", make_vocab(4), np.full(4, 0.4))
+    np.save(tmp / "features.npy", make_rng(4).normal(size=(40, 3)))
+    save_image_array(tmp / "raw.csv", np.load(tmp / "raw.npy"))
+    reads: dict[str, list[str]] = {}
+    real = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            reads.setdefault(os.path.normpath(file), []).append(mode)
+        return real(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)  # Path.read_bytes and read_text
+    return tmp, reads
+
+
+@pytest.mark.parametrize("run", READ_RUNS)
+def test_every_input_read_in_full_once(read_inputs, capsys, run):
+    """Each input is read whole once, by the reader that parses it and
+    records its digest; vote also reads the header of each file, to route it
+    to the tag or the probability loader."""
+    tmp, reads = read_inputs
+    argv = READ_RUNS[run]
+    assert main(argv) == 0
+    run_reads = {path: modes for path, modes in reads.items() if "-tmp-" not in path}
+    inputs = json.loads(next(tmp.glob("*.manifest.json")).read_text())["inputs"]
+    spelled = {os.path.normpath(path) for path in inputs}
+    assert {path: modes.count("rb") for path, modes in run_reads.items()} == dict.fromkeys(
+        spelled, 1)
+    peeks = {path: len(modes) - 1 for path, modes in run_reads.items() if len(modes) > 1}
+    assert peeks == (dict.fromkeys(spelled, 1) if argv[0] == "vote" else {})
+    flag_values = {argv[i + 1] for i in range(len(argv) - 1) if argv[i].startswith("--")}
+    assert set(inputs) <= flag_values  # keyed as spelled, "./truth.csv" too
+
+
+def _tree_digests(tmp: Path) -> dict[str, str]:
+    return {p.name: sha256(p) for p in tmp.iterdir() if p.is_file()}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_shortened_flag_is_refused(config_inputs, capsys, command):
+    """Flags are spelled in full: argparse would take ``train --probs x``
+    for ``--probs-out x`` and overwrite x. Every proper prefix of a long flag
+    that is not itself a flag is a usage error that touches no file."""
+    tmp = config_inputs
+    keys, options, suffix = CONFIG_RUNS[command]
+    base = [command, *(arg for key, value in keys.items() for arg in (f"--{key}", value)),
+            *options, "--out", f"x{suffix}"]
+    declared = {f"--{flag.name}" for flag in SUBCOMMANDS[command].flags}
+    before = _tree_digests(tmp)
+    for flag in sorted(declared):
+        for prefix in {flag[:end] for end in range(3, len(flag))} - declared:
+            for argv in ([*base, prefix, "probs.csv"], [*base, f"{prefix}=probs.csv"]):
+                with pytest.raises(SystemExit) as exit_:
+                    main(argv)
+                assert exit_.value.code == 2, argv
+                assert "unrecognized arguments" in capsys.readouterr().err
+    assert _tree_digests(tmp) == before
+
+
+# (command line, config file, flag or variable named); each run would
+# otherwise read no file, count a flag as unset or skip a step
+EMPTY_VALUES = [
+    (["split", "--tags", ""], None, "--tags must not be empty"),
+    (["split"], "tags =", "--tags must not be empty"),
+    (["split", "--tags", "truth.csv", "--out", ""], None, "--out must not be empty"),
+    (["split", "--tags", "truth.csv"], "out =", "--out must not be empty"),
+    (["split", "--tags", "truth.csv", "--config", ""], None, "--config must not be empty"),
+    (["metrics", "--pred", "probs.csv", "--truth", "truth.csv", "--thresholds", ""], None,
+     "--thresholds must not be empty"),
+    (["vote", "--pred", "hard.csv", "--pred", ""], None, "--pred must not be empty"),
+    (["stack", "--truth", "truth.csv", "--folds", "folds.csv"], "probs = probs.csv\nprobs =",
+     "--probs must not be empty"),
+    (["cv", "--tags", "truth.csv", "--features", "features.csv", "--learner", "tree",
+      "--param", ""], None, "--param must not be empty"),
+    (["preprocess", "--in", "raw.npy", "--out", "o.npy", "--augment", ""], None,
+     "--augment expects"),
+    (["split", "--tags", "truth.csv", "--seed", ""], None, "--seed expects"),
+]
+
+
+@pytest.mark.parametrize("argv,config,message", EMPTY_VALUES,
+                         ids=[" ".join(a) + (f" [{c}]" if c else "") for a, c, _ in EMPTY_VALUES])
+def test_empty_flag_value_is_refused_by_name(config_inputs, capsys, argv, config, message):
+    """An empty value used to be read as a file named '' (an error naming
+    no flag), count as unset (--out, --thresholds, --config) or do nothing
+    (--augment). Each is now a one-line error naming the flag."""
+    tmp = config_inputs
+    if config is not None:
+        (tmp / "run.cfg").write_text(config + "\n")
+        argv = [*argv, "--config", "run.cfg"]
+    before = _tree_digests(tmp)
+    err = one_line_error(main(argv), capsys)
+    assert f"canopy {argv[0]}: error: {message}" in err
+    written = set(_tree_digests(tmp)) - set(before)
+    assert len(written) == 1 and written.pop().endswith(".manifest.json")
+
+
+def test_empty_env_seed_names_the_variable(workspace, monkeypatch, capsys):
+    monkeypatch.setenv("CANOPY_SEED", "")
+    code = main(["split", "--tags", "truth.csv", "--out", "f.csv"])
+    assert "error: CANOPY_SEED expects a non-negative integer, got ''" in one_line_error(
+        code, capsys)
