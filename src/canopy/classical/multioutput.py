@@ -157,7 +157,7 @@ def _fork_share(spec: LearnerSpec, X, Y, seeds, labels):
         code = 1
         try:
             os.close(r)
-            with open(w, "wb") as pipe:
+            with os.fdopen(w, "wb") as pipe:
                 pickle.dump(_fit_share(spec, X, Y, seeds, labels, BaseException), pipe)
             code = 0
         finally:

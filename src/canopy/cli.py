@@ -3,9 +3,11 @@
 Every run whose command line parses writes a manifest sidecar (JSON), a
 failed run too: status (ok/error), exit code, error message, command,
 resolved configuration and seed, tool version, timestamps, and the sha256
-of every input read (of the bytes parsed) and every output written. Outputs
-are written beside their destination and moved into place, so no file is
-ever half-written. Identical inputs reproduce outputs bit-identically.
+of every input read and every output written (of the bytes parsed or
+written). Outputs are staged and replace their destinations together after
+the command's last write: a failed run replaces and lists none, and an
+output that is an input or another output is refused. Identical inputs
+reproduce outputs bit-identically.
 
 Flags are spelled in full and never empty. Exit codes: 0 success, 1 data,
 validation or training error, 2 usage error. Floats are printed with 6
@@ -15,10 +17,8 @@ decimals. CANOPY_SEED, the default --seed, is the only environment variable.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import secrets
 import sys
 from collections import namedtuple
 from datetime import datetime, timezone
@@ -45,8 +45,9 @@ from .data import (
     load_probs,
     load_tags,
     open_csv,
-    recording_inputs,
+    recording,
     save_probs,
+    write_output,
 )
 from .ensemble import MetaLearnerConfig, StackedFeatures, stack_train, weighted_vote
 from .imageprep import (AUGMENT_OPS, MODES, augment, load_image_array, preprocess,
@@ -189,33 +190,9 @@ def _resolve(args: argparse.Namespace, command: Command, parser: argparse.Argume
             raise DataError(f"{name} expects {KINDS[flag.kind]}, got {value!r}") from None
 
 
-def _replace_file(path: str | Path, writer, *args) -> str:
-    """``writer(tmp, *args)`` on a new file beside ``path`` (same suffix: some
-    writers pick the format from it), moved onto ``path``; returns its sha256.
-    The writer creates the file, so its mode follows the umask. On failure
-    ``path`` is untouched and the temporary file removed."""
-    dest = Path(path)
-    tmp = dest.parent / f".{dest.stem}-tmp-{secrets.token_hex(8)}{dest.suffix}"
-    try:
-        writer(tmp, *args)
-        digest = hashlib.sha256(tmp.read_bytes()).hexdigest()
-        os.replace(tmp, dest)
-    except OSError as exc:
-        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # the writer refused its data, such as an id it cannot write
-        raise DataError(f"{path}: {exc}") from None
-    finally:
-        tmp.unlink(missing_ok=True)  # already gone once replaced
-    return digest
-
-
-def _write_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
-
-
 class Manifest:
-    """The run's audit record: ``output``, the one way a subcommand writes a
-    file, records its sha256, and ``data.read_input`` each input's."""
+    """The run's audit record. ``output`` is the one way a subcommand writes
+    a file; ``data.recording`` puts the sha256 of each input and output in it."""
 
     def __init__(self, args: argparse.Namespace, argv: list[str]):
         self.doc = {
@@ -230,9 +207,13 @@ class Manifest:
         }
 
     def output(self, path: str | None, writer, *args) -> None:
-        """``writer(path, *args)`` through a temporary file, if ``path`` is set."""
+        """``writer(path, *args)`` if ``path`` is set; data the writer refuses,
+        such as an id it cannot write, is a DataError naming ``path``."""
         if path:
-            self.doc["outputs"][str(path)] = _replace_file(path, writer, *args)
+            try:
+                writer(path, *args)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from None
 
     def write(self, args: argparse.Namespace, code: int, error: str | None) -> None:
         """Write ``<out>.manifest.json`` (``<command>.manifest.json`` without
@@ -246,7 +227,7 @@ class Manifest:
         )
         side = f"{getattr(args, 'out', None) or args.command}.manifest.json"
         try:
-            _replace_file(side, _write_text, json.dumps(self.doc, indent=2, default=str))
+            write_output(side, [json.dumps(self.doc, indent=2, default=str).encode()])
         except DataError:
             if error is None:
                 raise
@@ -321,7 +302,7 @@ def cmd_metrics(args, manifest: Manifest) -> int:
     pred = apply_thresholds(probs, cutoffs)
     rep = report(pred, truth)
     print(rep.to_table_text(), end="")
-    manifest.output(args.out, _write_text, rep.to_csv_text())
+    manifest.output(args.out, write_output, [rep.to_csv_text().encode()])
     return 0
 
 
@@ -393,7 +374,7 @@ def cmd_cv(args, manifest: Manifest) -> int:
     rows = [(str(f), *rep.total) for f, rep in enumerate(result.fold_reports)]
     table = score_csv("fold", [*rows, ("average", *result.average_total)])
     print(table, end="")
-    manifest.output(args.out, _write_text, table)
+    manifest.output(args.out, write_output, [table.encode()])
     oof = ProbMatrix(values=result.oof_probs, vocab=truth.vocab)
     manifest.output(args.oof_out, save_probs, ids, oof)
     manifest.output(args.folds_out, save_folds, ids, result.folds)
@@ -559,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest = Manifest(args, argv)
     try:
         _resolve(args, command, parsers[args.command])
-        with recording_inputs(manifest.doc["inputs"]):
+        with recording(manifest.doc["inputs"], manifest.doc["outputs"]):
             code = command.run(args, manifest)
         manifest.write(args, code, None)
         return code

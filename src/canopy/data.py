@@ -5,7 +5,9 @@ constructor :func:`frozen`: it never aliases the caller's array and is safe
 to share across threads. Randomness everywhere in the
 package flows through :func:`make_rng` / :func:`spawn_seeds`, which pin the
 generator to numpy's PCG64 so a fixed seed reproduces bit-identical
-sequences on the same build.
+sequences on the same build. Every file is read by :func:`read_input` and
+written, whole or not at all, by :func:`write_output`; :func:`recording`
+gathers a run's files.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import secrets
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from pathlib import Path
 from tokenize import TokenError
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -235,17 +240,45 @@ def validate_weather_block(labels: LabelMatrix) -> None:
 # and has one row per key; read_table makes every check they share.
 # ---------------------------------------------------------------------------
 
-_INPUTS: ContextVar[dict[str, str] | None] = ContextVar("canopy_inputs", default=None)
+_RUN: ContextVar[tuple[dict[str, str], list] | None] = ContextVar("canopy_run", default=None)
 
 
 @contextmanager
-def recording_inputs(inputs: dict[str, str]) -> Iterator[None]:
-    """While open, :func:`read_input` records the sha256 of each file's bytes in ``inputs``."""
-    token = _INPUTS.set(inputs)
+def recording(inputs: dict[str, str], outputs: dict[str, str]) -> Iterator[None]:
+    """While open, :func:`read_input` puts each file's sha256 in ``inputs``
+    and :func:`write_output` stages (temporary file, path, sha256)s. A clean
+    exit refuses an output that is an input or another output, then moves
+    the staged files into place in write order and puts their sha256 in
+    ``outputs``; an error removes them all. Paths are keyed as spelled."""
+    staged: list[tuple[Path, str | Path, str]] = []
+    token = _RUN.set((inputs, staged))
     try:
         yield
+        seen = {_identity(path): f"input {path}" for path in inputs}
+        for _, dest, _ in staged:
+            if os.path.isdir(dest):  # os.replace would fail only after earlier outputs moved
+                raise DataError(f"{dest}: cannot write: Is a directory")
+            if (key := _identity(dest)) in seen:
+                raise DataError(f"{dest}: output is the same file as {seen[key]}")
+            seen[key] = f"output {dest}"
+        for tmp, dest, digest in staged:
+            try:
+                os.replace(tmp, dest)
+            except OSError as exc:
+                raise DataError(f"{dest}: cannot write: {exc.strerror or exc}") from exc
+            outputs[str(dest)] = digest
     finally:
-        _INPUTS.reset(token)
+        _RUN.reset(token)
+        for tmp, _, _ in staged:
+            tmp.unlink(missing_ok=True)  # already gone once replaced
+
+
+def _identity(path: str | Path):
+    """``path``'s file as os.path.samefile compares it, or its resolved path if none."""
+    try:
+        return os.stat(path)[1:3]  # st_ino, st_dev
+    except OSError:
+        return os.path.realpath(path)
 
 
 def read_input(path: str | Path) -> bytes:
@@ -255,9 +288,34 @@ def read_input(path: str | Path) -> bytes:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if (inputs := _INPUTS.get()) is not None:
-        inputs[str(path)] = hashlib.sha256(raw).hexdigest()
+    if (run := _RUN.get()) is not None:
+        run[0][str(path)] = hashlib.sha256(raw).hexdigest()
     return raw
+
+
+def write_output(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a new file beside ``path`` (its mode follows the
+    umask) and move it onto ``path``, so no file is ever half-written; inside
+    :func:`recording` the file is hashed as it is written and only staged. A
+    failure removes the new file; an OSError becomes a DataError naming ``path``."""
+    run, dest = _RUN.get(), Path(path)
+    tmp = dest.with_name(f".{dest.name}-tmp-{secrets.token_hex(8)}")
+    digest = None if run is None else hashlib.sha256()
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                if digest is not None:
+                    digest.update(chunk)
+        if run is None:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+        raise
+    if run is not None:
+        run[1].append((tmp, path, digest.hexdigest()))
 
 
 @contextmanager
@@ -290,10 +348,17 @@ def load_npy(path: str | Path, build):
         raise DataError(f"{path}: {exc}") from None
 
 
+def text_chunks(head: str, lines: Iterable[str]) -> Iterator[bytes]:
+    """``head``, then ``lines`` a thousand at a time, as UTF-8 for :func:`write_output`."""
+    yield head.encode()
+    lines = iter(lines)
+    while block := "".join(islice(lines, 1024)):
+        yield block.encode()
+
+
 def save_json(path: str | Path, fmt: str, version: int, body: dict) -> None:
     """Write ``body`` as one JSON object after its ``format``/``version`` header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": fmt, "version": version, **body}, fh)
+    write_output(path, [json.dumps({"format": fmt, "version": version, **body}).encode()])
 
 
 def load_json(path: str | Path, fmt: str, version: int, build):
@@ -646,9 +711,8 @@ def save_tags(path: str | Path, ids: Sequence[str], labels: LabelMatrix) -> None
     # each row as the bytes of its 0/1 cells; each distinct row is spelled once
     rows = np.ascontiguousarray(labels.values).view((np.void, len(names))).ravel().tolist()
     tags = {row: " ".join(name for name, bit in zip(names, row) if bit) for row in set(rows)}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TAG_HEADER) + "\n")
-        fh.writelines(f"{key},{tags[row]}\n" for key, row in zip(keys, rows))
+    lines = (f"{key},{tags[row]}\n" for key, row in zip(keys, rows))
+    write_output(path, text_chunks(",".join(TAG_HEADER) + "\n", lines))
 
 
 # ---------------------------------------------------------------------------
@@ -680,10 +744,9 @@ def save_probs(path: str | Path, ids: Sequence[str], probs: ProbMatrix) -> None:
     exactly ``FLOAT_FMT % v``."""
     keys = written_ids(ids, probs.n_samples)
     v = probs.values
-    with open(path, "wb") as fh:
-        fh.write((",".join((KEY_COLUMN, *probs.vocab.names)) + "\n").encode())
-        for i in range(0, len(v), 1024):
-            fh.write(format_rows(keys[i : i + 1024], v[i : i + 1024]))
+    header = (",".join((KEY_COLUMN, *probs.vocab.names)) + "\n").encode()
+    blocks = (format_rows(keys[i : i + 1024], v[i : i + 1024]) for i in range(0, len(v), 1024))
+    write_output(path, chain([header], blocks))
 
 
 def load_features(path: str | Path) -> tuple[list[str] | None, FeatureMatrix]:

@@ -16,11 +16,12 @@ Images are float arrays of shape (height, width, 3).
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, load_npy, make_rng, open_csv, read_input
+from .data import DataError, load_npy, make_rng, open_csv, read_input, text_chunks, write_output
 
 CAFFE_BGR_MEAN = (103.939, 116.779, 123.68)
 TORCH_MEAN = (0.485, 0.456, 0.406)  # outside-source ImageNet constants
@@ -131,15 +132,13 @@ PIXELS_MAGIC = "#canopy-pixels-v1"
 
 def save_image_array(path: str | Path, img) -> None:
     a = _image(img).astype(np.float64, copy=False)
-    path = Path(path)
-    if path.suffix == ".npy":
-        np.save(path, a)
+    if Path(path).suffix == ".npy":
+        np.save(buf := io.BytesIO(), a)
+        write_output(path, [buf.getbuffer()])
         return
     h, w, c = a.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{PIXELS_MAGIC},{h},{w},{c}\n")
-        for px in a.reshape(-1, c):
-            fh.write(",".join(repr(float(v)) for v in px) + "\n")
+    lines = (",".join(repr(float(v)) for v in px) + "\n" for px in a.reshape(-1, c))
+    write_output(path, text_chunks(f"{PIXELS_MAGIC},{h},{w},{c}\n", lines))
 
 
 def load_image_array(path: str | Path) -> np.ndarray:

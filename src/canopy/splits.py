@@ -26,6 +26,8 @@ from .data import (
     make_rng,
     read_table,
     spawn_seeds,
+    text_chunks,
+    write_output,
     written_ids,
 )
 from .metrics import MetricsReport, report
@@ -171,9 +173,8 @@ def _ramps(counts: np.ndarray) -> np.ndarray:
 def save_folds(path: str | Path, ids: Sequence[str], folds: FoldAssignment) -> None:
     """CSV with header FOLD_HEADER."""
     keys = written_ids(ids, folds.n_samples)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(FOLD_HEADER) + "\n")
-        fh.writelines(f"{key},{f}\n" for key, f in zip(keys, folds.fold_of.tolist()))
+    lines = (f"{key},{f}\n" for key, f in zip(keys, folds.fold_of.tolist()))
+    write_output(path, text_chunks(",".join(FOLD_HEADER) + "\n", lines))
 
 
 def load_folds(path: str | Path) -> tuple[list[str], FoldAssignment]:

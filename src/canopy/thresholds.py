@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (THRESHOLD_HEADER, DataError, LabelMatrix, LabelVocabulary, ProbMatrix,
-                   format_rows, read_table)
+                   format_rows, read_table, write_output)
 from .metrics import check_beta, fbeta_from_counts
 
 DEFAULT_CUTOFF = 0.5  # the decision cutoff wherever none is tuned or given
@@ -184,9 +184,8 @@ def save_thresholds(path: str | Path, vocab: LabelVocabulary, cutoffs) -> None:
         raise ValueError(
             f"cutoff {float(th[j])!r} for label {vocab.names[j]!r} is not a finite number in [0, 1]"
         )
-    with open(path, "wb") as fh:
-        fh.write((",".join(THRESHOLD_HEADER) + "\n").encode())
-        fh.write(format_rows(vocab.names, th[:, None]))
+    header = (",".join(THRESHOLD_HEADER) + "\n").encode()
+    write_output(path, [header, format_rows(vocab.names, th[:, None])])
 
 
 def load_thresholds(path: str | Path, vocab: LabelVocabulary) -> np.ndarray:

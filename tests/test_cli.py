@@ -19,8 +19,10 @@ from canopy.data import (
     load_probs,
     load_tags,
     make_rng,
+    recording,
     save_probs,
     save_tags,
+    write_output,
 )
 from canopy.thresholds import load_thresholds
 
@@ -885,46 +887,53 @@ class TestManifestFiles:
     def manifest(self):
         return Manifest(argparse.Namespace(command="test"), [])
 
+    @pytest.mark.parametrize("recorded", [False, True], ids=["library", "run"])
     @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
-    def test_failing_writer_leaves_destination_untouched(self, tmp_path, existing):
+    def test_failing_chunks_leave_destination_untouched(self, tmp_path, existing, recorded):
+        """Chunks that fail midway leave an absent destination absent and an
+        old one as it was, with no new file left beside it."""
         dest = tmp_path / "out.csv"
         if existing is not None:
             dest.write_bytes(existing)
 
-        def writer(path, text):
-            with open(path, "w") as fh:
-                fh.write(text)
-                fh.flush()
-                raise RuntimeError("disk on fire")
+        def chunks():
+            yield b"half a "
+            raise RuntimeError("disk on fire")
 
-        manifest = self.manifest()
+        outputs = {}
         with pytest.raises(RuntimeError, match="disk on fire"):
-            manifest.output(str(dest), writer, "half a file")
+            with recording({}, outputs) if recorded else contextlib.nullcontext():
+                write_output(dest, chunks())
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if existing is None else ["out.csv"])
         if existing is not None:
             assert dest.read_bytes() == existing
-        assert manifest.doc["outputs"] == {}
+        assert outputs == {}
 
-    @pytest.mark.parametrize("name", ["out.csv", "image.npy", "no_suffix", "a.b.json"])
-    def test_temporary_file_sits_beside_destination_with_its_suffix(self, tmp_path, name):
-        seen = []
+    @pytest.mark.parametrize("recorded", [False, True], ids=["library", "run"])
+    def test_new_file_sits_beside_destination_with_the_umask_mode(self, tmp_path, recorded):
+        (tmp_path / "sub").mkdir()
+        dest = tmp_path / "sub" / "out.csv"
+        beside = []
 
-        def writer(path, text):
-            seen.append(os.path.abspath(path))
-            with open(path, "w") as fh:
-                fh.write(text)
+        def chunks():  # drawn once the new file is open
+            beside.extend(p.name for p in dest.parent.iterdir())
+            yield b"x,"
+            yield b"y\n"
 
-        dest = tmp_path / name
+        outputs = {}
         old = os.umask(0o027)
         try:
-            self.manifest().output(str(dest), writer, "x")
+            with recording({}, outputs) if recorded else contextlib.nullcontext():
+                write_output(str(dest), chunks())
+                assert dest.exists() is not recorded  # a run moves its outputs at its end
         finally:
             os.umask(old)
-        (tmp,) = seen
-        assert os.path.dirname(tmp) == str(tmp_path) and tmp != str(dest)
-        assert os.path.splitext(tmp)[1] == os.path.splitext(name)[1]
+        (tmp,) = beside
+        assert tmp != "out.csv"
+        assert dest.read_bytes() == b"x,y\n"
         assert dest.stat().st_mode & 0o777 == 0o640  # the umask's, not mkstemp's 0600
-        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert [p.name for p in dest.parent.iterdir()] == ["out.csv"]
+        assert outputs == ({str(dest): sha256(dest)} if recorded else {})
 
     def test_unset_path_writes_nothing(self, tmp_path):
         calls = []
@@ -974,22 +983,73 @@ class TestManifestFiles:
         assert manifest["status"] == "error"
         assert manifest["inputs"] == {"dup.csv": sha256(tmp / "dup.csv")}
 
-    def test_failed_cv_run_leaves_error_manifest(self, workspace, capsys):
+    @pytest.mark.parametrize("folds_out, fault", [
+        ("nodir/f.csv", "No such file or directory"), ("adir", "Is a directory")])
+    def test_failed_cv_run_leaves_error_manifest(self, workspace, capsys, folds_out, fault):
+        """A run that fails after some writes, or on its last output's
+        destination, replaces none of its outputs and lists none."""
         tmp, *_ = workspace
+        (tmp / "adir").mkdir()
         code = main([
             "cv", "--tags", "truth.csv", "--features", "features.csv", "--learner", "tree",
-            "--k", "3", "--out", "cv.csv", "--oof-out", "oof.csv", "--folds-out", "nodir/f.csv",
+            "--k", "3", "--out", "cv.csv", "--oof-out", "oof.csv", "--folds-out", folds_out,
         ])
         err = one_line_error(code, capsys)
-        assert "nodir/f.csv" in err
+        assert f"{folds_out}: cannot write: {fault}" in err
         manifest = json.loads((tmp / "cv.csv.manifest.json").read_text())
         assert manifest["status"] == "error" and manifest["exit_code"] == 1
         assert err.strip() == f"canopy cv: error: {manifest['error']}"
-        assert manifest["outputs"] == {"cv.csv": sha256(tmp / "cv.csv"),
-                                       "oof.csv": sha256(tmp / "oof.csv")}
+        assert manifest["outputs"] == {}
         assert set(manifest["inputs"]) == {"truth.csv", "features.csv"}
-        assert not (tmp / "nodir").exists()
+        assert not (tmp / "cv.csv").exists() and not (tmp / "oof.csv").exists()
+        assert not (tmp / "nodir").exists() and not any((tmp / "adir").iterdir())
         assert not [p.name for p in tmp.iterdir() if "-tmp-" in p.name]
+
+    def test_run_failing_after_training_keeps_the_old_outputs(self, workspace, capsys):
+        """stack writes its probabilities and thresholds before the checkpoint
+        it cannot write; the old files stay as they were."""
+        tmp, *_ = workspace
+        (tmp / "folds.csv").write_text(
+            "image_name,fold\n" + "".join(f"img_{i:03d},{i % 4}\n" for i in range(40)))
+        for name in ("meta.csv", "th.csv"):
+            (tmp / name).write_bytes(b"old\n")
+        code = main(["stack", "--truth", "truth.csv", "--probs", "probs.csv",
+                     "--folds", "folds.csv", "--epochs", "1", "--out", "meta.csv",
+                     "--thresholds-out", "th.csv", "--checkpoint", "nodir/ck.json"])
+        assert "nodir/ck.json: cannot write" in one_line_error(code, capsys)
+        assert (tmp / "meta.csv").read_bytes() == (tmp / "th.csv").read_bytes() == b"old\n"
+        manifest = json.loads((tmp / "meta.csv.manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["outputs"] == {}
+        assert not [p.name for p in tmp.iterdir() if "-tmp-" in p.name]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["split", "--tags", "truth.csv", "--out", "truth.csv"],
+         "truth.csv: output is the same file as input truth.csv"),
+        (["split", "--tags", "truth.csv", "--out", "./truth.csv"],
+         "./truth.csv: output is the same file as input truth.csv"),
+        (["vote", "--pred", "truth.csv", "--out", "link.csv"],
+         "link.csv: output is the same file as input truth.csv"),
+        (["cv", "--tags", "truth.csv", "--features", "features.csv", "--learner", "tree",
+          "--k", "3", "--out", "a.csv", "--oof-out", "a.csv"],
+         "a.csv: output is the same file as output a.csv"),
+        (["cv", "--tags", "truth.csv", "--features", "features.csv", "--learner", "tree",
+          "--k", "3", "--out", "new/../a.csv", "--folds-out", "a.csv"],
+         "a.csv: output is the same file as output new/../a.csv"),
+    ], ids=["input", "input ./", "input by link", "output", "output not yet there"])
+    def test_output_that_is_an_input_or_another_output_is_refused(self, workspace, capsys,
+                                                                  argv, message):
+        """Refused before any file is replaced, in one line naming both paths."""
+        tmp, *_ = workspace
+        (tmp / "new").mkdir()
+        (tmp / "link.csv").symlink_to("truth.csv")
+        before = _tree_digests(tmp)
+        err = one_line_error(main(argv), capsys)
+        assert err.strip().endswith(f"error: {message}")
+        (side,) = tmp.glob("*.manifest.json")
+        before[side.name] = sha256(side)  # the one new file
+        assert _tree_digests(tmp) == before and (tmp / "link.csv").is_symlink()
+        manifest = json.loads(side.read_text())
+        assert manifest["error"] == message and manifest["outputs"] == {}
 
     def test_error_without_out_writes_command_manifest(self, workspace, capsys):
         tmp, *_ = workspace
@@ -1039,7 +1099,7 @@ class TestManifestFiles:
 # (.npy and pixel CSV)
 READ_RUNS = {
     "metrics": ["metrics", "--pred", "probs.csv", "--truth", "truth.csv",
-                "--thresholds", "cutoffs.csv"],
+                "--thresholds", "cutoffs.csv", "--out", "board.csv"],
     "tune-thresholds": ["tune-thresholds", "--probs", "probs.csv", "--truth", "truth.csv",
                         "--out", "t.csv"],
     "vote tags": ["vote", "--pred", "truth.csv", "--pred", "truth2.csv", "--out", "v.csv"],
@@ -1090,12 +1150,17 @@ def read_inputs(config_inputs, monkeypatch):
 def test_every_input_read_in_full_once(read_inputs, capsys, run):
     """Each input is read whole once, by the reader that parses it and
     records its digest; vote also reads the header of each file, to route it
-    to the tag or the probability loader."""
+    to the tag or the probability loader. No output, staged or in place, is
+    read back."""
     tmp, reads = read_inputs
     argv = READ_RUNS[run]
     assert main(argv) == 0
-    run_reads = {path: modes for path, modes in reads.items() if "-tmp-" not in path}
-    inputs = json.loads(next(tmp.glob("*.manifest.json")).read_text())["inputs"]
+    run_reads = {path: list(modes) for path, modes in reads.items()}
+    manifest = json.loads(next(tmp.glob("*.manifest.json")).read_text())
+    inputs, outputs = manifest["inputs"], manifest["outputs"]
+    assert outputs  # every run writes a file
+    assert not {os.path.normpath(path) for path in outputs} & set(run_reads)
+    assert not [path for path in run_reads if "-tmp-" in path]
     spelled = {os.path.normpath(path) for path in inputs}
     assert {path: modes.count("rb") for path, modes in run_reads.items()} == dict.fromkeys(
         spelled, 1)

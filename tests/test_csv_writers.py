@@ -156,6 +156,30 @@ def test_negative_zero_keeps_its_sign(path):
     assert path.read_text().splitlines()[1] == "x,-0.000000,0.000000,1.000000"
 
 
+def test_writer_failing_midway_leaves_the_old_file(tmp_path, monkeypatch):
+    """The file is replaced only once every block is written: a block that
+    fails after the header and the first block leaves the old bytes."""
+    import canopy.data
+
+    target = tmp_path / "p.csv"
+    target.write_bytes(b"old bytes\n")
+    blocks = []
+
+    def failing_rows(keys, values):
+        if blocks:
+            raise MemoryError("no room for the second block")
+        blocks.append(len(keys))
+        return format_rows(keys, values)
+
+    monkeypatch.setattr(canopy.data, "format_rows", failing_rows)
+    probs = ProbMatrix(values=np.full((3000, 2), 0.5), vocab=vocab_of(2))
+    with pytest.raises(MemoryError, match="second block"):
+        save_probs(target, [f"s{i}" for i in range(3000)], probs)
+    assert blocks == [1024]
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+
 # -- threshold files -----------------------------------------------------------
 
 
